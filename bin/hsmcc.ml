@@ -144,13 +144,8 @@ let check_cmd path warn_error diag_format =
    bounds.  A Pthread input is verified twice — as written and after
    translation to RCCE, where every shmalloc access raises a proof
    obligation; an already-translated program (RCCE_APP entry) once. *)
-let verify_cmd path ncores many_to_one optimize sharpen domain json
-    warn_error diag_format timings timings_format =
-  (match Absint.domain_of_string domain with
-  | Ok Absint.Interval -> ()
-  | Error msg ->
-      prerr_endline ("hsmcc: " ^ msg);
-      exit 2);
+let verify_cmd path ncores many_to_one optimize sharpen json warn_error
+    diag_format timings timings_format =
   let program = or_die (parse_source path) in
   let options =
     { Translate.Pass.default_options with Translate.Pass.ncores;
@@ -278,7 +273,7 @@ let cfg_cmd path func =
 (* --- run -------------------------------------------------------------------- *)
 
 let run_cmd path ncores detect_races diag_format profile_on trace_out
-    interp_name sim_jobs explain_on explain_json =
+    explain_on explain_json =
   let program = or_die (parse_source path) in
   let trace = Option.map (fun _ -> Scc.Trace.create ()) trace_out in
   let explain = explain_on || explain_json <> None in
@@ -291,26 +286,21 @@ let run_cmd path ncores detect_races diag_format profile_on trace_out
   let critpath =
     if explain then Some (Scc.Critpath.create ()) else None
   in
-  let interp =
-    match interp_name with
-    | "compiled" -> Cexec.Interp.Compiled
-    | "tree" -> Cexec.Interp.Tree
-    | other ->
-        Printf.eprintf "hsmcc: unknown --interp %S (tree | compiled)\n"
-          other;
-        exit 2
-  in
   let result =
     try
       if ncores <= 1 then
-        Cexec.Interp.run_pthread ?trace ?profile ?critpath ~interp
-          ~sim_jobs ~detect_races program
+        Cexec.Interp.run_pthread ?trace ?profile ?critpath ~detect_races
+          program
       else
-        Cexec.Interp.run_rcce ?trace ?profile ?critpath ~interp ~sim_jobs
-          ~detect_races ~ncores program
-    with Cexec.Interp.Runtime_error msg ->
-      prerr_endline ("hsmcc: runtime error: " ^ msg);
-      exit 1
+        Cexec.Interp.run_rcce ?trace ?profile ?critpath ~detect_races ~ncores
+          program
+    with
+    | Cexec.Interp.Runtime_error msg ->
+        prerr_endline ("hsmcc: runtime error: " ^ msg);
+        exit 1
+    | Scc.Engine.Deadlock msg ->
+        prerr_endline ("hsmcc: deadlock: " ^ msg);
+        exit 1
   in
   print_string result.Cexec.Interp.output;
   Printf.eprintf "-- simulated time: %.3f ms\n"
@@ -494,13 +484,6 @@ let check_cmd_info =
              Stage 1-3 facts)")
     Term.(const check_cmd $ file_arg $ warn_error_arg $ diag_format_arg)
 
-let domain_arg =
-  Arg.(value & opt string "interval"
-       & info [ "domain" ] ~docv:"DOMAIN"
-           ~doc:"Abstract numeric domain for the verifier (only \
-                 $(b,interval) is implemented; the engine is \
-                 domain-generic, octagons can slot in).")
-
 let verify_json_arg =
   Arg.(value & flag
        & info [ "json" ]
@@ -514,7 +497,7 @@ let verify_cmd_info =
              thread-modular abstract interpretation (source program \
              and its RCCE translation)")
     Term.(const verify_cmd $ file_arg $ cores_arg $ many_to_one_arg
-          $ optimize_arg $ sharpen_arg $ domain_arg $ verify_json_arg
+          $ optimize_arg $ sharpen_arg $ verify_json_arg
           $ warn_error_arg $ diag_format_arg $ timings_arg
           $ timings_format_arg)
 
@@ -543,21 +526,6 @@ let run_trace_arg =
            ~doc:"Write a Chrome/Perfetto timeline of the simulated run \
                  (merged into FILE if it already holds a trace).")
 
-let run_interp_arg =
-  Arg.(value & opt string "compiled"
-       & info [ "interp" ] ~docv:"MODE"
-           ~doc:"Interpreter mode: $(b,compiled) (closure-compiled, the \
-                 default) or $(b,tree) (tree-walking reference).  Both \
-                 produce bit-identical output and timings.")
-
-let run_sim_jobs_arg =
-  Arg.(value & opt int 1
-       & info [ "sim-jobs" ] ~docv:"N"
-           ~doc:"Scheduler partitions (conservative parallel DES).  \
-                 Results are bit-identical for every value; with N > 1 \
-                 per-domain event counters appear in --profile and \
-                 --trace output.")
-
 let run_explain_arg =
   Arg.(value & flag
        & info [ "explain" ]
@@ -580,8 +548,7 @@ let run_cmd_info =
   Cmd.v (Cmd.info "run" ~doc:"Interpret a program on the simulated SCC")
     Term.(const run_cmd $ file_arg $ run_cores_arg $ detect_races_arg
           $ diag_format_arg $ run_profile_arg $ run_trace_arg
-          $ run_interp_arg $ run_sim_jobs_arg $ run_explain_arg
-          $ run_explain_json_arg)
+          $ run_explain_arg $ run_explain_json_arg)
 
 let defines_arg =
   Arg.(value & opt_all string []

@@ -7,7 +7,7 @@
 
 open Cmdliner
 
-let run_cmd name name_flag mode units sim_jobs trace_out profile_on
+let run_cmd name name_flag mode units trace_out profile_on
     metrics_out explain_on explain_json verbose =
   let name =
     match name, name_flag with
@@ -49,10 +49,7 @@ let run_cmd name name_flag mode units sim_jobs trace_out profile_on
       let critpath =
         if explain then Some (Scc.Critpath.create ()) else None
       in
-      let r =
-        Workloads.Workload.run ?trace ?profile ?critpath ~sim_jobs ~cfg w
-          mode
-      in
+      let r = Workloads.Workload.run ?trace ?profile ?critpath ~cfg w mode in
       Printf.printf "workload:   %s\n" r.Workloads.Workload.workload;
       Printf.printf "mode:       %s\n"
         (Workloads.Workload.mode_to_string r.Workloads.Workload.mode);
@@ -166,14 +163,6 @@ let units_arg =
   Arg.(value & opt int 32
        & info [ "units" ] ~docv:"N" ~doc:"Threads or cores.")
 
-let sim_jobs_arg =
-  Arg.(value & opt int 1
-       & info [ "sim-jobs" ] ~docv:"N"
-           ~doc:"Scheduler partitions (conservative parallel DES).  \
-                 Results are bit-identical for every value; partitions \
-                 add per-domain event counters to --metrics and \
-                 --trace/--profile output.")
-
 let verbose_arg =
   Arg.(value & flag
        & info [ "v"; "verbose" ] ~doc:"Per-unit time breakdown.")
@@ -220,7 +209,7 @@ let main =
     (Cmd.info "simrun" ~version:"1.0.0"
        ~doc:"Run one benchmark on the simulated SCC")
     Term.(const run_cmd $ name_arg $ name_flag_arg $ mode_arg $ units_arg
-          $ sim_jobs_arg $ trace_arg $ profile_arg $ metrics_arg
+          $ trace_arg $ profile_arg $ metrics_arg
           $ explain_arg $ explain_json_arg $ verbose_arg)
 
 let () = exit (Cmd.eval main)

@@ -1,7 +1,7 @@
 open Cfront
 
-(* Library facade: mode detection, domain selection, and the concrete
-   interval instantiation of the thread-modular engine. *)
+(* Library facade: mode detection and the interval instantiation of the
+   thread-modular engine. *)
 
 module Domain_sig = Domain_sig
 module Itv = Itv
@@ -13,16 +13,6 @@ module Sharpen = Sharpen
 
 module Interval_engine = Engine.Make (Itv)
 
-type domain = Interval
-
-let domain_of_string = function
-  | "interval" -> Ok Interval
-  | "octagon" ->
-      Error "domain `octagon' is not implemented yet (only `interval')"
-  | s -> Error (Printf.sprintf "unknown abstract domain `%s'" s)
-
-let domain_name = function Interval -> Itv.name
-
 (* A program is analyzed under RCCE semantics when it defines the
    [RCCE_APP] entry point (the shape [lib/translate] emits); everything
    else is treated as a Pthread program. *)
@@ -30,14 +20,9 @@ let detect_mode (program : Ast.program) =
   if Ast.find_function program "RCCE_APP" <> None then Oblig.Rcce
   else Oblig.Pthread
 
-let analyze ?mode ?(domain = Interval) ?(interference = true) ~ncores
-    (program : Ast.program) =
+let analyze ?mode ?(interference = true) ~ncores (program : Ast.program) =
   let mode = match mode with Some m -> m | None -> detect_mode program in
-  match domain with
-  | Interval ->
-      Interval_engine.run
-        { Engine.mode; ncores; interference }
-        program
+  Interval_engine.run { Engine.mode; ncores; interference } program
 
 (* Re-exported report helpers, so consumers need only [Absint]. *)
 let diags_of = Report.diags_of

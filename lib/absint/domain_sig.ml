@@ -1,17 +1,14 @@
 open Cfront
 
-(* Signature of a non-relational numeric value domain.
-
-   The engine is a functor over this signature so richer domains (octagons
-   would additionally carry a relational environment, with the value-level
-   operations below as its projection) can slot in without touching the
-   fixpoint machinery.  [Itv] is the interval instance. *)
+(* Signature of a non-relational numeric value domain: the value-level
+   operations the fixpoint engine needs.  [Itv] is the instance the
+   engine is applied to. *)
 
 module type S = sig
   type t
 
   val name : string
-  (** Domain name as accepted by [--domain] (e.g. ["interval"]). *)
+  (** Domain name printed in reports (e.g. ["interval"]). *)
 
   val bottom : t
   val top : t

@@ -32,13 +32,6 @@ type lvalue = { addr : int; ty : Ctype.t }
 
 type outcome = Normal | Returned of Value.t | Broke | Continued
 
-(* Two execution modes over the same resolved program: [Tree] walks the
-   resolved AST directly (the reference); [Compiled] first lowers every
-   function body to OCaml closures (direct-threaded code) that replay
-   exactly the tree-walker's charge/effect sequence, so both modes are
-   bit-identical and differ only in dispatch cost. *)
-type mode = Tree | Compiled
-
 (* One region's backing store: values indexed directly by byte offset.
    Offsets come from the memmap's bump allocators, so they are small and
    dense; an empty cell reads as the type's zero (C-style zero-filled
@@ -88,13 +81,6 @@ type shared = {
   profile : Scc.Profile.t option;           (* simulated-time profiler *)
   fn_slots : int array;      (* profiler slot per [rp_funcs] index *)
   line_slots : int array;    (* profiler line slot per [rp_locs] index *)
-  imode : mode;
-  cfuns : (task -> Value.t array -> Value.t) array;
-      (* compiled call implementation per [rp_funcs] index (arguments
-         already evaluated); only filled in [Compiled] mode *)
-  cbodies : (task -> outcome) array;
-      (* compiled function body per [rp_funcs] index (caller sets up the
-         frame — thread entry points and [run_entry]) *)
 }
 
 (* One process: an address space with its own globals.  [globals] is the
@@ -867,709 +853,6 @@ and call_builtin task name args ast_args =
       runtime_error "call to unknown function '%s' (%d args)" name
         (List.length args)
 
-(* --- closure compilation -------------------------------------------------- *)
-
-(* Lower the resolved AST to OCaml closures (direct-threaded code): one
-   closure per node, built once per run, specializing everything that is
-   static — slot kind, builtin dispatch, sync-object names, profiler
-   presence — while replaying exactly the tree-walker's charge amounts,
-   evaluation order and engine-effect sequence.  A compiled run is
-   therefore bit-identical to a tree-walk run; only the per-node dispatch
-   cost differs.
-
-   Compilation never raises: paths where the tree-walker fails at
-   evaluation time (arity mismatch, unknown builtin, non-lvalue) compile
-   to closures that raise the same [Runtime_error] when executed, so
-   programs with unreachable bad code behave identically in both modes.
-
-   Sync-object ids are still assigned by first dynamic use (the shared
-   hashtables), but each call site caches the id after its first lookup:
-   closures are per-run, and a name's id never changes within a run. *)
-
-type ecode = task -> Value.t
-type lcode = task -> lvalue
-type scode = task -> outcome
-
-(* Everything compilation reads; [cs_funcs]/[cs_bodies] are the same
-   arrays stored in [shared], filled as each function compiles — call
-   sites index them at run time, when every entry is in place. *)
-type cstate = {
-  cs_rp : Resolve.t;
-  cs_prof : Scc.Profile.t option;
-  cs_line_slots : int array;
-  cs_funcs : (task -> Value.t array -> Value.t) array;
-  cs_bodies : scode array;
-}
-
-(* Specialized variable fetch: the slot match happens once, at compile
-   time.  The [Local] fallback to the dynamic walk (declaration not yet
-   executed in this call) is preserved. *)
-let compile_fetch slot name : task -> lvalue option =
-  match slot with
-  | Resolve.Local i -> (
-      fun task ->
-        match task.frames with
-        | frame :: rest -> (
-            match frame.f_slots.(i) with
-            | Some _ as r -> r
-            | None -> lookup_frames task.proc rest name)
-        | [] -> lookup_frames task.proc [] name)
-  | Resolve.Global g -> fun task -> task.proc.global_slots.(g)
-  | Resolve.Dynamic -> fun task -> lookup_frames task.proc task.frames name
-
-let outcome_normal = Normal
-let returned_void = Returned Value.Vvoid
-
-let rec compile_expr st (e : Resolve.rexpr) : ecode =
-  match e with
-  | Resolve.Rlit v -> fun _ -> v
-  | Resolve.Rstr s -> fun task -> string_value task s
-  | Resolve.Rconst_var (v, _, _) -> fun _ -> v
-  | Resolve.Rvar (slot, name) ->
-      let fetch = compile_fetch slot name in
-      fun task -> (
-        match fetch task with
-        | Some { ty = Ctype.Array (elt, _); addr } ->
-            (* arrays decay to a pointer to their storage, no load *)
-            Value.Vptr { addr; elt }
-        | Some lv -> read_mem task lv
-        | None -> runtime_error "unbound variable '%s'" name)
-  | Resolve.Runary (Ast.Addr, inner) ->
-      let clv = compile_lvalue st inner in
-      fun task ->
-        let lv = clv task in
-        let elt =
-          match lv.ty with Ctype.Array (elt, _) -> elt | ty -> ty
-        in
-        Value.Vptr { addr = lv.addr; elt }
-  | Resolve.Runary (Ast.Deref, inner) ->
-      let ci = compile_expr st inner in
-      fun task -> (
-        match ci task with
-        | Value.Vptr { addr; elt } -> read_mem_at task addr elt
-        | v ->
-            runtime_error "dereference of non-pointer %s" (Value.to_string v))
-  | Resolve.Runary
-      (((Ast.Preinc | Ast.Predec | Ast.Postinc | Ast.Postdec) as op), inner)
-    ->
-      let clv = compile_lvalue st inner in
-      let vdelta =
-        Value.Vint (if op = Ast.Preinc || op = Ast.Postinc then 1 else -1)
-      in
-      let post = op = Ast.Postinc || op = Ast.Postdec in
-      fun task ->
-        let lv = clv task in
-        let old_v = read_mem task lv in
-        let new_v = Value.binop Ast.Add old_v vdelta in
-        charge task 1;
-        write_mem task lv new_v;
-        if post then old_v else new_v
-  | Resolve.Runary (op, inner) ->
-      let ci = compile_expr st inner in
-      fun task ->
-        charge task 1;
-        Value.unop op (ci task)
-  | Resolve.Rbinary (Ast.Land, a, b) ->
-      let ca = compile_expr st a in
-      let cb = compile_expr st b in
-      fun task ->
-        charge task 1;
-        if Value.is_truthy (ca task) then
-          Value.Vint (if Value.is_truthy (cb task) then 1 else 0)
-        else Value.Vint 0
-  | Resolve.Rbinary (Ast.Lor, a, b) ->
-      let ca = compile_expr st a in
-      let cb = compile_expr st b in
-      fun task ->
-        charge task 1;
-        if Value.is_truthy (ca task) then Value.Vint 1
-        else Value.Vint (if Value.is_truthy (cb task) then 1 else 0)
-  | Resolve.Rbinary (op, a, b) ->
-      let ca = compile_expr st a in
-      let cb = compile_expr st b in
-      fun task ->
-        let va = ca task in
-        let vb = cb task in
-        charge task (Value.binop_cycles op va vb);
-        Value.binop op va vb
-  | Resolve.Rassign (None, lhs, rhs) ->
-      let crhs = compile_expr st rhs in
-      let clhs = compile_lvalue st lhs in
-      fun task ->
-        let v = crhs task in
-        let lv = clhs task in
-        write_mem task lv v;
-        v
-  | Resolve.Rassign (Some op, lhs, rhs) ->
-      let crhs = compile_expr st rhs in
-      let clhs = compile_lvalue st lhs in
-      fun task ->
-        let vb = crhs task in
-        let lv = clhs task in
-        let va = read_mem task lv in
-        charge task (Value.binop_cycles op va vb);
-        let v = Value.binop op va vb in
-        write_mem task lv v;
-        v
-  | Resolve.Rcond (c, a, b) ->
-      let cc = compile_expr st c in
-      let ca = compile_expr st a in
-      let cb = compile_expr st b in
-      fun task ->
-        charge task 2;
-        if Value.is_truthy (cc task) then ca task else cb task
-  | Resolve.Rcall_user (idx, args) ->
-      let fn = st.cs_rp.Resolve.rp_funcs.(idx) in
-      let n = List.length args in
-      if n <> fn.Resolve.rf_nparams then begin
-        let fname = fn.Resolve.rf_name in
-        let nparams = fn.Resolve.rf_nparams in
-        fun _ ->
-          runtime_error "%s expects %d arguments, got %d" fname nparams n
-      end
-      else begin
-        let cargs = Array.of_list (List.map (compile_expr st) args) in
-        let funcs = st.cs_funcs in
-        fun task ->
-          (* explicit left-to-right loop: [Array.map]'s order is
-             unspecified, the tree-walker's [List.map] is head-first *)
-          let values = Array.make n Value.Vvoid in
-          for i = 0 to n - 1 do
-            values.(i) <- (Array.unsafe_get cargs i) task
-          done;
-          funcs.(idx) task values
-      end
-  | Resolve.Rcall_builtin (name, args, ast_args) ->
-      compile_builtin st name args ast_args
-  | Resolve.Rindex (arr, idx) ->
-      let carr = compile_expr st arr in
-      let cidx = compile_expr st idx in
-      fun task -> (
-        let base = carr task in
-        let i = Value.as_int (cidx task) in
-        charge task 2;
-        match base with
-        | Value.Vptr { addr; elt } ->
-            read_mem_at task (addr + (i * Ctype.sizeof elt)) elt
-        | v -> runtime_error "indexing non-pointer %s" (Value.to_string v))
-  | Resolve.Rcast (ty, inner) ->
-      let ci = compile_expr st inner in
-      fun task -> Value.convert ty (ci task)
-  | Resolve.Rsizeof_var (slot, name) ->
-      fun task ->
-        let ty =
-          match resolve_slot task slot name with
-          | Some lv -> lv.ty
-          | None -> Ctype.Int
-        in
-        Value.Vint (Ctype.sizeof ty)
-  | Resolve.Rcomma (a, b) ->
-      let ca = compile_expr st a in
-      let cb = compile_expr st b in
-      fun task ->
-        ignore (ca task);
-        cb task
-
-and compile_lvalue st (e : Resolve.rexpr) : lcode =
-  match e with
-  | Resolve.Rvar (slot, name) | Resolve.Rconst_var (_, slot, name) ->
-      let fetch = compile_fetch slot name in
-      fun task -> (
-        match fetch task with
-        | Some lv -> lv
-        | None -> runtime_error "unbound variable '%s'" name)
-  | Resolve.Runary (Ast.Deref, inner) ->
-      let ci = compile_expr st inner in
-      fun task -> (
-        match ci task with
-        | Value.Vptr { addr; elt } -> { addr; ty = elt }
-        | v ->
-            runtime_error "dereference of non-pointer %s" (Value.to_string v))
-  | Resolve.Rindex (arr, idx) ->
-      let carr = compile_expr st arr in
-      let cidx = compile_expr st idx in
-      fun task -> (
-        let base = carr task in
-        let i = Value.as_int (cidx task) in
-        charge task 2;
-        match base with
-        | Value.Vptr { addr; elt } ->
-            { addr = addr + (i * Ctype.sizeof elt); ty = elt }
-        | v -> runtime_error "indexing non-pointer %s" (Value.to_string v))
-  | Resolve.Rcast (_, inner) -> compile_lvalue st inner
-  | Resolve.Rlit _ | Resolve.Rstr _ | Resolve.Runary _ | Resolve.Rbinary _
-  | Resolve.Rassign _ | Resolve.Rcond _ | Resolve.Rcall_user _
-  | Resolve.Rcall_builtin _ | Resolve.Rsizeof_var _ | Resolve.Rcomma _ ->
-      fun _ -> runtime_error "expression is not an l-value"
-
-and compile_stmt st (s : Resolve.rstmt) : scode =
-  match s with
-  | Resolve.Rsexpr e ->
-      let ce = compile_expr st e in
-      fun task ->
-        ignore (ce task);
-        outcome_normal
-  | Resolve.Rsdecl ds ->
-      let cds = Array.of_list (List.map (compile_decl st) ds) in
-      fun task ->
-        Array.iter (fun cd -> cd task) cds;
-        outcome_normal
-  | Resolve.Rsblock stmts -> compile_block st stmts
-  | Resolve.Rsif (c, a, b) ->
-      let cc = compile_expr st c in
-      let ca = compile_stmt st a in
-      let cb =
-        match b with
-        | Some b -> compile_stmt st b
-        | None -> fun _ -> outcome_normal
-      in
-      fun task ->
-        charge task 2;
-        if Value.is_truthy (cc task) then ca task else cb task
-  | Resolve.Rswhile (c, body) ->
-      let cc = compile_expr st c in
-      let cbody = compile_stmt st body in
-      fun task ->
-        let rec loop () =
-          charge task 2;
-          if Value.is_truthy (cc task) then
-            match cbody task with
-            | Normal | Continued -> loop ()
-            | Broke -> outcome_normal
-            | Returned _ as r -> r
-          else outcome_normal
-        in
-        loop ()
-  | Resolve.Rsdo (body, c) ->
-      let cbody = compile_stmt st body in
-      let cc = compile_expr st c in
-      fun task ->
-        let rec loop () =
-          match cbody task with
-          | Normal | Continued ->
-              charge task 2;
-              if Value.is_truthy (cc task) then loop () else outcome_normal
-          | Broke -> outcome_normal
-          | Returned _ as r -> r
-        in
-        loop ()
-  | Resolve.Rsfor (init, cond, step, body) ->
-      let cinit : task -> unit =
-        match init with
-        | Resolve.Rfor_none -> fun _ -> ()
-        | Resolve.Rfor_expr e ->
-            let ce = compile_expr st e in
-            fun task -> ignore (ce task)
-        | Resolve.Rfor_decl ds ->
-            let cds = Array.of_list (List.map (compile_decl st) ds) in
-            fun task -> Array.iter (fun cd -> cd task) cds
-      in
-      let ccond = Option.map (compile_expr st) cond in
-      let cstep = Option.map (compile_expr st) step in
-      let cbody = compile_stmt st body in
-      fun task ->
-        cinit task;
-        let rec loop () =
-          charge task 2;
-          let continue_loop =
-            match ccond with
-            | None -> true
-            | Some c -> Value.is_truthy (c task)
-          in
-          if not continue_loop then outcome_normal
-          else
-            match cbody task with
-            | Normal | Continued ->
-                (match cstep with None -> () | Some c -> ignore (c task));
-                loop ()
-            | Broke -> outcome_normal
-            | Returned _ as r -> r
-        in
-        loop ()
-  | Resolve.Rsreturn None -> fun _ -> returned_void
-  | Resolve.Rsreturn (Some e) ->
-      let ce = compile_expr st e in
-      fun task -> Returned (ce task)
-  | Resolve.Rsbreak -> fun _ -> Broke
-  | Resolve.Rscontinue -> fun _ -> Continued
-  | Resolve.Rsnull -> fun _ -> outcome_normal
-  | Resolve.Rsat (loc, inner) -> (
-      let cinner = compile_stmt st inner in
-      match st.cs_prof with
-      | None -> cinner   (* no profiler: the position marker melts away *)
-      | Some p ->
-          let slots = st.cs_line_slots in
-          fun task ->
-            Scc.Profile.set_line p ~ctx:task.api.Scc.Engine.self slots.(loc);
-            cinner task)
-
-and compile_block st stmts : scode =
-  match stmts with
-  | [] -> fun _ -> outcome_normal
-  | [ s ] -> compile_stmt st s
-  | stmts ->
-      let cs = Array.of_list (List.map (compile_stmt st) stmts) in
-      let n = Array.length cs in
-      fun task ->
-        let rec go i =
-          if i >= n then outcome_normal
-          else
-            match (Array.unsafe_get cs i) task with
-            | Normal -> go (i + 1)
-            | (Returned _ | Broke | Continued) as out -> out
-        in
-        go 0
-
-and compile_decl st (d : Resolve.rdecl) : task -> unit =
-  let loc = d.Resolve.rd_loc in
-  let slot = d.Resolve.rd_slot in
-  let name = d.Resolve.rd_name in
-  let ty = d.Resolve.rd_type in
-  match d.Resolve.rd_init with
-  | None -> fun task -> ignore (declare task ~loc ~slot name ty)
-  | Some (Resolve.Rinit_expr e) ->
-      let ce = compile_expr st e in
-      fun task ->
-        let lv = declare task ~loc ~slot name ty in
-        let v = ce task in
-        write_mem task lv v
-  | Some (Resolve.Rinit_list es) ->
-      let ces = Array.of_list (List.map (compile_expr st) es) in
-      let elt = match ty with Ctype.Array (elt, _) -> elt | ty -> ty in
-      let esz = Ctype.sizeof elt in
-      fun task ->
-        let lv = declare task ~loc ~slot name ty in
-        for i = 0 to Array.length ces - 1 do
-          let v = (Array.unsafe_get ces i) task in
-          write_mem_at task (lv.addr + (i * esz)) elt v
-        done
-
-(* Builtins: dispatch by name and arity happens once, at compile time, as
-   does extracting sync-object names and thread entry points from the
-   syntactic arguments.  Ids keep their first-dynamic-use assignment
-   order; call sites cache the id after the first lookup. *)
-and compile_builtin st name args ast_args : ecode =
-  match (name, args) with
-  | "printf", fmt_expr :: rest ->
-      let cfmt = compile_expr st fmt_expr in
-      let crest = Array.of_list (List.map (compile_expr st) rest) in
-      let n = Array.length crest in
-      fun task -> (
-        let fmt_v = cfmt task in
-        let rec ev i =
-          if i >= n then []
-          else
-            let v = (Array.unsafe_get crest i) task in
-            v :: ev (i + 1)
-        in
-        let values = ev 0 in
-        match
-          Hashtbl.find_opt task.proc.sh.string_at (Value.as_addr fmt_v)
-        with
-        | Some fmt ->
-            charge task 1_000;
-            Value.Vint (mini_printf task fmt values)
-        | None -> runtime_error "printf: format is not a string literal")
-  | "malloc", [ size ] ->
-      let csize = compile_expr st size in
-      fun task ->
-        let bytes = max 4 (Value.as_int (csize task)) in
-        charge task 200;
-        Value.Vptr { addr = alloc_private task ~bytes; elt = Ctype.Void }
-  | "free", [ _ ] -> fun _ -> Value.Vvoid
-  | "exit", [ code ] ->
-      let cc = compile_expr st code in
-      fun task ->
-        ignore (cc task);
-        raise Thread_exit
-  (* --- pthreads --------------------------------------------------------- *)
-  | "pthread_create", [ tid; _attr; _func; arg ] -> (
-      match Analysis.Thread_analysis.func_name_of_arg (ast_arg ast_args 2) with
-      | None ->
-          fun _ ->
-            runtime_error "pthread_create: cannot resolve thread function"
-      | Some fname -> (
-          match Hashtbl.find_opt st.cs_rp.Resolve.rp_fn_index fname with
-          | None ->
-              fun _ ->
-                runtime_error "pthread_create: unknown function %s" fname
-          | Some fidx ->
-              let fn = st.cs_rp.Resolve.rp_funcs.(fidx) in
-              let params = fn.Resolve.rf_params in
-              let carg = compile_expr st arg in
-              let ctid = compile_lvalue st (Resolve.Runary (Ast.Deref, tid)) in
-              let bodies = st.cs_bodies in
-              fun task ->
-                let argv = carg task in
-                flush task;
-                let child_id =
-                  task.api.Scc.Engine.spawn_child ~core:task.proc.core
-                    (fun child_api ->
-                      let child =
-                        { proc = task.proc; api = child_api;
-                          frames = [ make_frame fn ];
-                          pending_cycles = 0; shm_count = 0; mpb_count = 0;
-                          held_locks = Lockset.Int_set.empty }
-                      in
-                      prof_push child fidx;
-                      (try
-                         List.iter
-                           (fun (slot, pname, pty) ->
-                             let lv = declare child ~slot pname pty in
-                             write_mem child lv argv)
-                           params;
-                         ignore (bodies.(fidx) child)
-                       with Thread_exit -> ());
-                      flush child;
-                      prof_pop child)
-                in
-                let tid_lv = ctid task in
-                write_mem task tid_lv (Value.Vint child_id);
-                Value.Vint 0))
-  | "pthread_join", [ tid; _ ] ->
-      let ctid = compile_expr st tid in
-      fun task ->
-        let target = Value.as_int (ctid task) in
-        flush task;
-        task.api.Scc.Engine.join target;
-        sync_races task;
-        Value.Vint 0
-  | "pthread_exit", [ _ ] -> fun _ -> raise Thread_exit
-  | "pthread_self", [] -> fun task -> Value.Vint task.api.Scc.Engine.self
-  | "pthread_barrier_init", [ _b; _attr; count ] ->
-      let ccount = compile_expr st count in
-      let bname = mutex_name_of_expr (ast_arg ast_args 0) in
-      fun task ->
-        let n = Value.as_int (ccount task) in
-        ignore (barrier_entry task bname ~count:n);
-        Value.Vint 0
-  | "pthread_barrier_destroy", [ _ ] -> fun _ -> Value.Vint 0
-  | "pthread_barrier_wait", [ _b ] ->
-      let bname = mutex_name_of_expr (ast_arg ast_args 0) in
-      let cache = ref None in
-      fun task ->
-        let id, count =
-          match !cache with
-          | Some entry -> entry
-          | None ->
-              let entry = barrier_entry task bname ~count:1 in
-              cache := Some entry;
-              entry
-        in
-        flush task;
-        task.api.Scc.Engine.barrier_n ~id ~count;
-        sync_races task;
-        Value.Vint 0
-  | "pthread_mutex_init", _m :: _ ->
-      let mname = mutex_name_of_expr (ast_arg ast_args 0) in
-      fun task ->
-        ignore (mutex_lock_id task mname);
-        Value.Vint 0
-  | "pthread_mutex_destroy", [ _ ] -> fun _ -> Value.Vint 0
-  | "pthread_mutex_lock", [ _m ] -> (
-      let mname = mutex_name_of_expr (ast_arg ast_args 0) in
-      let cache = ref (-1) in
-      let lock_id task =
-        if !cache >= 0 then !cache
-        else begin
-          let id = mutex_lock_id task mname in
-          cache := id;
-          id
-        end
-      in
-      match st.cs_prof with
-      | None ->
-          fun task ->
-            let id = lock_id task in
-            flush task;
-            task.api.Scc.Engine.acquire (rank_to_core task id);
-            task.held_locks <- Lockset.Int_set.add id task.held_locks;
-            Value.Vint 0
-      | Some p ->
-          fun task ->
-            let id = lock_id task in
-            Scc.Profile.name_lock p ~lock:(rank_to_core task id) mname;
-            flush task;
-            task.api.Scc.Engine.acquire (rank_to_core task id);
-            task.held_locks <- Lockset.Int_set.add id task.held_locks;
-            Value.Vint 0)
-  | "pthread_mutex_unlock", [ _m ] ->
-      let mname = mutex_name_of_expr (ast_arg ast_args 0) in
-      let cache = ref (-1) in
-      fun task ->
-        let id =
-          if !cache >= 0 then !cache
-          else begin
-            let id = mutex_lock_id task mname in
-            cache := id;
-            id
-          end
-        in
-        flush task;
-        task.api.Scc.Engine.release (rank_to_core task id);
-        task.held_locks <- Lockset.Int_set.remove id task.held_locks;
-        Value.Vint 0
-  (* --- RCCE ------------------------------------------------------------- *)
-  | "RCCE_init", [ _; _ ] -> fun _ -> Value.Vint 0
-  | "RCCE_finalize", [] -> fun _ -> Value.Vint 0
-  | "RCCE_ue", [] -> fun task -> Value.Vint task.proc.rank
-  | "RCCE_num_ues", [] -> fun task -> Value.Vint task.proc.sh.ncores
-  | "RCCE_shmalloc", [ size ] ->
-      let csize = compile_expr st size in
-      fun task ->
-        let bytes = max 4 (Value.as_int (csize task)) in
-        charge task 200;
-        let k = task.shm_count in
-        let addr = collective_shmalloc task bytes in
-        name_region task ~base:addr ~bytes (Printf.sprintf "shmalloc#%d" k);
-        Value.Vptr { addr; elt = Ctype.Void }
-  | "RCCE_malloc", [ size ] ->
-      let csize = compile_expr st size in
-      fun task ->
-        let bytes = max 4 (Value.as_int (csize task)) in
-        charge task 200;
-        Value.Vptr { addr = collective_mpb_malloc task bytes; elt = Ctype.Void }
-  | "RCCE_shfree", [ _ ] | "RCCE_free", [ _ ] -> fun _ -> Value.Vvoid
-  | "RCCE_flag_alloc", [ _f ] ->
-      let fname = mutex_name_of_expr (ast_arg ast_args 0) in
-      fun task ->
-        ignore (rcce_flag_index task fname);
-        Value.Vint 0
-  | "RCCE_flag_free", [ _ ] -> fun _ -> Value.Vint 0
-  | "RCCE_flag_write", [ _f; v; ue_expr ] ->
-      let fname = mutex_name_of_expr (ast_arg ast_args 0) in
-      let cv = compile_expr st v in
-      let cue = compile_expr st ue_expr in
-      let idx_cache = ref (-1) in
-      fun task ->
-        let value = Value.is_truthy (cv task) in
-        let rank = Value.as_int (cue task) in
-        let idx =
-          if !idx_cache >= 0 then !idx_cache
-          else begin
-            let i = rcce_flag_index task fname in
-            idx_cache := i;
-            i
-          end
-        in
-        let id = (idx * task.proc.sh.ncores) + rank in
-        flush task;
-        task.api.Scc.Engine.flag_set ~id value;
-        Value.Vint 0
-  | "RCCE_wait_until", [ _f; v ] ->
-      let fname = mutex_name_of_expr (ast_arg ast_args 0) in
-      let cv = compile_expr st v in
-      let idx_cache = ref (-1) in
-      fun task ->
-        if not (Value.is_truthy (cv task)) then
-          runtime_error "RCCE_wait_until: only RCCE_FLAG_SET is supported"
-        else begin
-          let idx =
-            if !idx_cache >= 0 then !idx_cache
-            else begin
-              let i = rcce_flag_index task fname in
-              idx_cache := i;
-              i
-            end
-          in
-          let id = (idx * task.proc.sh.ncores) + task.proc.rank in
-          flush task;
-          task.api.Scc.Engine.flag_wait ~id;
-          Value.Vint 0
-        end
-  | "RCCE_set_frequency_divider", [ d ] ->
-      let cd = compile_expr st d in
-      fun task ->
-        let divider = Value.as_int (cd task) in
-        if divider < 2 || divider > 16 then
-          runtime_error "RCCE_set_frequency_divider: divider outside 2..16"
-        else begin
-          flush task;
-          task.api.Scc.Engine.set_frequency ~core:task.api.Scc.Engine.core
-            ~mhz:(1600 / divider);
-          Value.Vint 0
-        end
-  | "RCCE_barrier", [ _ ] ->
-      fun task ->
-        flush task;
-        task.api.Scc.Engine.barrier ();
-        sync_races task;
-        Value.Vint 0
-  | "RCCE_acquire_lock", [ n ] -> (
-      let cn = compile_expr st n in
-      match st.cs_prof with
-      | None ->
-          fun task ->
-            let id = Value.as_int (cn task) in
-            flush task;
-            task.api.Scc.Engine.acquire (rank_to_core task id);
-            task.held_locks <- Lockset.Int_set.add id task.held_locks;
-            Value.Vint 0
-      | Some p ->
-          fun task ->
-            let id = Value.as_int (cn task) in
-            Scc.Profile.name_lock p ~lock:(rank_to_core task id)
-              (Printf.sprintf "rcce-lock-%d" id);
-            flush task;
-            task.api.Scc.Engine.acquire (rank_to_core task id);
-            task.held_locks <- Lockset.Int_set.add id task.held_locks;
-            Value.Vint 0)
-  | "RCCE_release_lock", [ n ] ->
-      let cn = compile_expr st n in
-      fun task ->
-        let id = Value.as_int (cn task) in
-        flush task;
-        task.api.Scc.Engine.release (rank_to_core task id);
-        task.held_locks <- Lockset.Int_set.remove id task.held_locks;
-        Value.Vint 0
-  | _, _ ->
-      let nargs = List.length args in
-      fun _ ->
-        runtime_error "call to unknown function '%s' (%d args)" name nargs
-
-(* Compile one function: its body (for thread entry points, which set up
-   the frame themselves) and its call implementation (arguments already
-   evaluated — mirrors [call_user] after the argument [List.map]). *)
-let compile_fn st fidx =
-  let fn = st.cs_rp.Resolve.rp_funcs.(fidx) in
-  let cbody = compile_block st fn.Resolve.rf_body in
-  st.cs_bodies.(fidx) <- cbody;
-  let params = Array.of_list fn.Resolve.rf_params in
-  let nparams = fn.Resolve.rf_nparams in
-  st.cs_funcs.(fidx) <-
-    (fun task values ->
-      charge task 10;   (* call/return overhead *)
-      prof_push task fidx;
-      task.frames <- make_frame fn :: task.frames;
-      for i = 0 to nparams - 1 do
-        let slot, pname, pty = Array.unsafe_get params i in
-        let lv = declare task ~slot pname pty in
-        write_mem task lv values.(i)
-      done;
-      let result =
-        match cbody task with
-        | Returned v -> v
-        | Normal | Broke | Continued -> Value.Vvoid
-      in
-      (match task.frames with
-      | _ :: rest -> task.frames <- rest
-      | [] -> ());
-      prof_pop task;
-      result)
-
-let compile_program ~profile ~line_slots (rp : Resolve.t) =
-  let nfuncs = Array.length rp.Resolve.rp_funcs in
-  let cfuns = Array.make nfuncs (fun _ _ -> Value.Vvoid) in
-  let cbodies = Array.make nfuncs (fun _ -> Normal) in
-  let st =
-    { cs_rp = rp; cs_prof = profile; cs_line_slots = line_slots;
-      cs_funcs = cfuns; cs_bodies = cbodies }
-  in
-  for i = 0 to nfuncs - 1 do
-    compile_fn st i
-  done;
-  (cfuns, cbodies)
-
 (* --- program setup ------------------------------------------------------- *)
 
 (* Allocate and initialize one process's globals (load-time, untimed).
@@ -1602,9 +885,8 @@ let setup_globals task =
             es)
     rp.Resolve.rp_globals
 
-let make_shared ?cfg ?trace ?profile ?critpath ?(interp = Compiled)
-    ?(sim_jobs = 1) ~detect_races ~ncores program =
-  let eng = Scc.Engine.create ?cfg ?trace ?profile ?critpath ~sim_jobs () in
+let make_shared ?cfg ?trace ?profile ?critpath ~detect_races ~ncores program =
+  let eng = Scc.Engine.create ?cfg ?trace ?profile ?critpath () in
   let n = Scc.Config.n_cores (Scc.Engine.cfg eng) in
   let resolved = Resolve.resolve program in
   (* pre-intern every function and statement position, so the profiling
@@ -1621,14 +903,6 @@ let make_shared ?cfg ?trace ?profile ?critpath ?(interp = Compiled)
               Scc.Profile.intern_line p
                 (Printf.sprintf "%s:%d" loc.Srcloc.file loc.Srcloc.line))
             resolved.Resolve.rp_locs )
-  in
-  let cfuns, cbodies =
-    match interp with
-    | Tree ->
-        let nfuncs = Array.length resolved.Resolve.rp_funcs in
-        ( Array.make nfuncs (fun _ _ -> Value.Vvoid),
-          Array.make nfuncs (fun _ -> Normal) )
-    | Compiled -> compile_program ~profile ~line_slots resolved
   in
   {
     resolved;
@@ -1649,9 +923,6 @@ let make_shared ?cfg ?trace ?profile ?critpath ?(interp = Compiled)
     profile;
     fn_slots;
     line_slots;
-    imode = interp;
-    cfuns;
-    cbodies;
   }
 
 let make_process sh ~core ~rank =
@@ -1704,12 +975,7 @@ let run_entry sh proc api =
     fn.Resolve.rf_params;
   let v =
     try
-      let out =
-        match sh.imode with
-        | Tree -> exec_block task fn.Resolve.rf_body
-        | Compiled -> sh.cbodies.(fidx) task
-      in
-      match out with
+      match exec_block task fn.Resolve.rf_body with
       | Returned v -> v
       | Normal | Broke | Continued -> Value.Vint 0
     with Thread_exit -> Value.Vint 0
@@ -1721,11 +987,10 @@ let run_entry sh proc api =
 let race_reports (sh : shared) =
   match sh.races with Some d -> Lockset.reports d | None -> []
 
-let run_pthread ?cfg ?trace ?profile ?critpath ?interp ?sim_jobs
-    ?(detect_races = false) (program : Ast.program) =
+let run_pthread ?cfg ?trace ?profile ?critpath ?(detect_races = false)
+    (program : Ast.program) =
   let sh =
-    make_shared ?cfg ?trace ?profile ?critpath ?interp ?sim_jobs ~detect_races
-      ~ncores:1 program
+    make_shared ?cfg ?trace ?profile ?critpath ~detect_races ~ncores:1 program
   in
   let proc = make_process sh ~core:0 ~rank:0 in
   let exit_value = ref Value.Vvoid in
@@ -1741,12 +1006,11 @@ let run_pthread ?cfg ?trace ?profile ?critpath ?interp ?sim_jobs
     races = race_reports sh;
   }
 
-let run_rcce ?cfg ?trace ?profile ?critpath ?interp ?sim_jobs
-    ?(detect_races = false) ~ncores (program : Ast.program) =
+let run_rcce ?cfg ?trace ?profile ?critpath ?(detect_races = false) ~ncores
+    (program : Ast.program) =
   if ncores < 1 then invalid_arg "Interp.run_rcce: ncores must be positive";
   let sh =
-    make_shared ?cfg ?trace ?profile ?critpath ?interp ?sim_jobs ~detect_races
-      ~ncores program
+    make_shared ?cfg ?trace ?profile ?critpath ~detect_races ~ncores program
   in
   let exit_values = Array.make ncores Value.Vvoid in
   for rank = 0 to ncores - 1 do

@@ -6,13 +6,6 @@ open Cfront
 
 exception Runtime_error of string
 
-type mode = Tree | Compiled
-(** [Compiled] (the default) lowers every function body to OCaml closures
-    (direct-threaded code) once per run; [Tree] walks the resolved AST —
-    the reference the closures are checked against.  Both modes replay
-    the same charge amounts, evaluation order and engine-effect sequence,
-    so their output, timings and statistics are bit-identical. *)
-
 type result = {
   engine : Scc.Engine.t;
   output : string;              (** concatenated printf output *)
@@ -24,25 +17,21 @@ type result = {
 
 val run_pthread :
   ?cfg:Scc.Config.t -> ?trace:Scc.Trace.t -> ?profile:Scc.Profile.t ->
-  ?critpath:Scc.Critpath.t -> ?interp:mode -> ?sim_jobs:int ->
-  ?detect_races:bool -> Ast.program -> result
+  ?critpath:Scc.Critpath.t -> ?detect_races:bool -> Ast.program -> result
 (** One process on core 0; [pthread_create] spawns further contexts on
     the same core — the paper's unconverted-program baseline.
     [detect_races] (default false) runs the Eraser lockset detector over
     every access.  With [trace] the run records a timeline; with
     [profile] every simulated picosecond is attributed to the executing
-    C function and source line (see {!Scc.Profile}) — in both interpreter
-    modes.  With [critpath] the engine additionally records the causal
-    event-dependency graph for {!Scc.Critpath} critical-path extraction
-    and what-if ceilings.  [sim_jobs] partitions the scheduler (see
-    {!Scc.Engine.create});
-    results are bit-identical for every value.
+    C function and source line (see {!Scc.Profile}).  With [critpath] the
+    engine additionally records the causal event-dependency graph for
+    {!Scc.Critpath} critical-path extraction and what-if ceilings.
     @raise Runtime_error on dynamic errors (unbound names, bad calls). *)
 
 val run_rcce :
   ?cfg:Scc.Config.t -> ?trace:Scc.Trace.t -> ?profile:Scc.Profile.t ->
-  ?critpath:Scc.Critpath.t -> ?interp:mode -> ?sim_jobs:int ->
-  ?detect_races:bool -> ncores:int -> Ast.program -> result
+  ?critpath:Scc.Critpath.t -> ?detect_races:bool -> ncores:int ->
+  Ast.program -> result
 (** One process per core, each interpreting the whole program ([RCCE_APP]
     if present, else [main]), with collective [RCCE_shmalloc] /
     [RCCE_malloc], barriers, and test-and-set locks. *)

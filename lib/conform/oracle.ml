@@ -27,15 +27,11 @@ let failure_to_string f =
 type config = {
   options : Translate.Pass.options;
   passes : Translate.Pass.t list option;
-  interp : Cexec.Interp.mode;
-  sim_jobs : int;
 }
 
 let default_config ~ncores =
   { options = { Translate.Pass.default_options with Translate.Pass.ncores };
-    passes = None;
-    interp = Cexec.Interp.Compiled;
-    sim_jobs = 1 }
+    passes = None }
 
 let config_of_spec (sp : Gen.spec) =
   { options =
@@ -43,9 +39,7 @@ let config_of_spec (sp : Gen.spec) =
         Translate.Pass.ncores = sp.Gen.run_cores;
         many_to_one = sp.Gen.many_to_one;
         optimize = sp.Gen.optimize };
-    passes = None;
-    interp = Cexec.Interp.Compiled;
-    sim_jobs = 1 }
+    passes = None }
 
 let translate cfg program =
   match cfg.passes with
@@ -179,19 +173,12 @@ let check cfg program =
   | Error msg -> Diverge (Translation_error msg)
   | Ok translated -> (
       match
-        try
-          Ok
-            (Cexec.Interp.run_pthread ~interp:cfg.interp
-               ~sim_jobs:cfg.sim_jobs program)
-        with e -> Error e
+        try Ok (Cexec.Interp.run_pthread program) with e -> Error e
       with
       | Error e -> Diverge (Baseline_error (describe_exn e))
       | Ok base -> (
           match
-            try
-              Ok
-                (Cexec.Interp.run_rcce ~interp:cfg.interp
-                   ~sim_jobs:cfg.sim_jobs ~ncores translated)
+            try Ok (Cexec.Interp.run_rcce ~ncores translated)
             with e -> Error e
           with
           | Error e -> Diverge (Converted_error (describe_exn e))

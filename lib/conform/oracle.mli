@@ -36,12 +36,6 @@ type config = {
   passes : Translate.Pass.t list option;
       (** [None] = the paper-faithful pipeline for [options]; [Some l]
           substitutes a custom (e.g. sabotaged) pass list *)
-  interp : Cexec.Interp.mode;
-      (** interpreter mode for both executions (default [Compiled]) *)
-  sim_jobs : int;
-      (** scheduler partitions for both executions (default 1); any
-          value must produce identical verdicts — the differential
-          tests rely on this *)
 }
 
 val config_of_spec : Gen.spec -> config

@@ -54,7 +54,7 @@ module Counter = struct
     if n < 0 then invalid_arg "Obs.Counter.add: counters are monotonic";
     c.c_value <- c.c_value + n
 
-  (* Prometheus-style label set, e.g. {partition="3"}; "" when unlabelled. *)
+  (* Prometheus-style label set, e.g. {category="idle"}; "" when unlabelled. *)
   let label_string c =
     match c.c_labels with
     | [] -> ""
@@ -158,7 +158,7 @@ module Registry = struct
     t.order <- key :: t.order
 
   (* Counters are keyed by name + label set, so one metric family can
-     hold many labelled children (sim_domain_events_total{partition="N"}). *)
+     hold many labelled children (sim_account_ps_total{category="C"}). *)
   let counter t ?(help = "") ?(labels = []) name =
     let probe = Counter.make ~name ~labels ~help () in
     let key = name ^ Counter.label_string probe in

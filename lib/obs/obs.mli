@@ -33,7 +33,7 @@ module Counter : sig
 
   val label_string : t -> string
   (** Prometheus-style rendering of the label set, e.g.
-      [{partition="3"}]; [""] when unlabelled. *)
+      [{category="idle"}]; [""] when unlabelled. *)
 
   val value : t -> int
   val incr : t -> unit

@@ -84,10 +84,6 @@ type t = {
   mutable wall_ps : int;
   mutable mpb_line_ps : int;          (* nominal MPB line round trip *)
   mutable finalized : bool;
-  (* parallel-DES lookahead ceilings, set by the engine when it knows them *)
-  mutable la_parts : int;
-  mutable la_windowed : float;
-  mutable la_infinite : float;
 }
 
 let create ?(limit = 1_000_000) () =
@@ -107,9 +103,6 @@ let create ?(limit = 1_000_000) () =
     wall_ps = 0;
     mpb_line_ps = 0;
     finalized = false;
-    la_parts = 1;
-    la_windowed = 1.0;
-    la_infinite = 1.0;
   }
 
 let grow a n fill =
@@ -197,11 +190,6 @@ let note_mesh t ~ctx ps =
 let note_shared_access t ~ctx =
   ensure_ctx t ctx;
   t.shared_n.(ctx) <- t.shared_n.(ctx) + 1
-
-let set_lookahead t ~parts ~windowed ~infinite =
-  t.la_parts <- parts;
-  t.la_windowed <- windowed;
-  t.la_infinite <- infinite
 
 let finalize t ~wall_ps ~mpb_line_ps =
   if not t.finalized then begin
@@ -395,19 +383,6 @@ let whatifs t =
       (fun ctx -> t.acct.(ctx).(cat_sched_wait));
   ]
 
-type lookahead = {
-  la_partitions : int;
-  la_windowed_ceiling : float;   (* with the current LBTS lookahead *)
-  la_infinite_ceiling : float;   (* one window spanning the whole run *)
-}
-
-let lookahead t =
-  {
-    la_partitions = t.la_parts;
-    la_windowed_ceiling = t.la_windowed;
-    la_infinite_ceiling = t.la_infinite;
-  }
-
 (* --- Perfetto flow arrows ----------------------------------------------------- *)
 
 (* One flow chain threaded through the trace slices the path's events
@@ -555,20 +530,9 @@ let render_whatifs t =
           w.wi_desc ])
       (whatifs t)
   in
-  let la = lookahead t in
-  let table =
-    Obs.render_table
-      ([ "what-if"; "removed-ps"; "new-wall-ps"; "ceiling"; "assumption" ]
-      :: rows)
-  in
-  table
-  ^
-  if la.la_partitions > 1 then
-    Printf.sprintf
-      "LBTS lookahead: %d partitions, windowed simulator ceiling %.2fx, \
-       infinite-lookahead ceiling %.2fx\n"
-      la.la_partitions la.la_windowed_ceiling la.la_infinite_ceiling
-  else "LBTS lookahead: n/a (sequential run; rerun with --sim-jobs > 1)\n"
+  Obs.render_table
+    ([ "what-if"; "removed-ps"; "new-wall-ps"; "ceiling"; "assumption" ]
+    :: rows)
 
 let render ?profile t =
   let buf = Buffer.create 1024 in
@@ -589,7 +553,6 @@ let to_json ?profile t =
   let steps = critical_path t in
   let span = path_span steps in
   let by_cat, by_cat_n = path_by_category steps in
-  let la = lookahead t in
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf
@@ -655,11 +618,6 @@ let to_json ?profile t =
             \"ceiling\": %.4f}"
            w.wi_name w.wi_removed_ps w.wi_new_wall_ps w.wi_ceiling))
     (whatifs t);
-  Buffer.add_string buf "],\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"lookahead\": {\"partitions\": %d, \"windowed_ceiling\": %.4f, \
-        \"infinite_ceiling\": %.4f}\n"
-       la.la_partitions la.la_windowed_ceiling la.la_infinite_ceiling);
+  Buffer.add_string buf "]\n";
   Buffer.add_string buf "}\n";
   Buffer.contents buf

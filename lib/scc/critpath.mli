@@ -86,11 +86,6 @@ val note_mesh : t -> ctx:int -> int -> unit
 val note_shared_access : t -> ctx:int -> unit
 (** One shared-DRAM line transfer (feeds the MPB-speed what-if). *)
 
-val set_lookahead : t -> parts:int -> windowed:float -> infinite:float -> unit
-(** Parallel-DES ceilings, reported by the engine: the event-parallelism
-    ceiling under the current LBTS windows and under one whole-run
-    window. *)
-
 val finalize : t -> wall_ps:int -> mpb_line_ps:int -> unit
 (** Record idle tails up to [wall_ps] (making the identity hold) and
     remember [mpb_line_ps], the nominal cost of one MPB line round
@@ -152,14 +147,6 @@ type whatif = {
 val whatifs : t -> whatif list
 (** zero-mesh, zero-lock-wait, zero-barrier-wait, MPB-speed shared
     DRAM, zero-sched-wait. *)
-
-type lookahead = {
-  la_partitions : int;
-  la_windowed_ceiling : float;
-  la_infinite_ceiling : float;
-}
-
-val lookahead : t -> lookahead
 
 (** {1 Sinks} *)
 

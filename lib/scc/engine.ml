@@ -165,26 +165,15 @@ type t = {
   mc_service_ps : int;
   dram_access_ps : int;
   mesh_transfer_ps : int;
-  (* Ready-queues: one binary min-heap of (local time, ctx id) snapshots
-     per scheduler partition, with lazy deletion — an entry is live only
-     while its context is still Ready at exactly the recorded time.
-     Keyed so that heap order equals the old linear scan's tie-break:
-     smaller time first, then smaller context id.  With one partition
-     this is exactly the PR 3 scheduler; with several, the run loop
-     merges the partition minima, which preserves the global order. *)
-  heaps : heap array;
-  n_parts : int;
-  part_of_core : int array;
-  part_events : int array;     (* events resumed per partition *)
-  lookahead_ps : int;          (* minimum inter-tile hop latency *)
-  mutable win_end : int;       (* current LBTS window end (exclusive) *)
-  mutable win_mask : int;      (* partitions active in current window *)
-  mutable win_count : int;
-  mutable win_active_sum : int;
-  mutable win_active_max : int;
+  (* Ready-queue: one binary min-heap of (local time, ctx id) snapshots,
+     with lazy deletion — an entry is live only while its context is
+     still Ready at exactly the recorded time.  Keyed so that heap order
+     equals the old linear scan's tie-break: smaller time first, then
+     smaller context id. *)
+  ready : heap;
   (* Contexts made Ready since the last scheduling decision; the run loop
-     pushes them into their partition heap — except the one it resumes
-     next, which skips the heap round trip entirely. *)
+     pushes them into the heap — except the one it resumes next, which
+     skips the heap round trip entirely. *)
   mutable just_ready : ctx list;
   mutable shared_cores : int list;  (* cores with more than one context *)
 }
@@ -197,12 +186,8 @@ and heap = {
 
 let heap_make () = { hnow = Array.make 64 0; hid = Array.make 64 0; hlen = 0 }
 
-let create ?(cfg = Config.default) ?trace ?profile ?critpath ?(sim_jobs = 1)
-    () =
+let create ?(cfg = Config.default) ?trace ?profile ?critpath () =
   let n = Config.n_cores cfg in
-  if sim_jobs < 1 || sim_jobs > 62 then
-    invalid_arg "Engine.create: sim_jobs must be in 1..62";
-  let n_parts = min sim_jobs n in
   let mesh = Mesh.create cfg in
   {
     cfg;
@@ -271,18 +256,7 @@ let create ?(cfg = Config.default) ?trace ?profile ?critpath ?(sim_jobs = 1)
     dram_access_ps = Config.dram_cycles_ps cfg cfg.Config.dram_access_cycles;
     mesh_transfer_ps =
       Config.mesh_cycles_ps cfg cfg.Config.mesh_cycles_per_hop;
-    heaps = Array.init n_parts (fun _ -> heap_make ());
-    n_parts;
-    (* contiguous core ranges: partition p owns cores with
-       core * n_parts / n = p, so tiles stay together *)
-    part_of_core = Array.init n (fun core -> core * n_parts / n);
-    part_events = Array.make n_parts 0;
-    lookahead_ps = Mesh.min_hop_ps mesh;
-    win_end = min_int;
-    win_mask = 0;
-    win_count = 0;
-    win_active_sum = 0;
-    win_active_max = 0;
+    ready = heap_make ();
     just_ready = [];
     shared_cores = [];
   }
@@ -332,18 +306,6 @@ let take_samples t p now =
   in
   Profile.sample p ~ts:now ~name:"mesh utilization"
     ~series:[ ("links-busy", util) ];
-  (* per-partition event totals, only when the scheduler is actually
-     partitioned — a single-partition run keeps its sample set (and the
-     golden profiles that pin it) unchanged *)
-  if t.n_parts > 1 then begin
-    let series = ref [] in
-    for part = t.n_parts - 1 downto 0 do
-      series :=
-        (Printf.sprintf "part%d" part, float_of_int t.part_events.(part))
-        :: !series
-    done;
-    Profile.sample p ~ts:now ~name:"domain events" ~series:!series
-  end;
   t.samp_last_ts <- now;
   t.next_sample_ps <- now + Profile.sample_interval_ps p
 
@@ -389,7 +351,7 @@ let n_ctxs t = t.n_ctx
 
 let events t = t.n_events
 
-(* --- the ready heaps ----------------------------------------------------- *)
+(* --- the ready heap ------------------------------------------------------ *)
 
 (* Strict total order on (time, ctx id): with distinct context ids no two
    live keys compare equal, so a heap's minimum is unique and pop order
@@ -453,8 +415,8 @@ let heap_pop_root h =
   (now, id)
 
 (* Drop stale roots until the root is live (the context is still Ready at
-   exactly the recorded time); the partition heap's live minimum is then
-   at the root.  Returns false when the heap ran empty. *)
+   exactly the recorded time); the heap's live minimum is then at the
+   root.  Returns false when the heap ran empty. *)
 let heap_settle t h =
   let rec go () =
     if h.hlen = 0 then false
@@ -471,15 +433,13 @@ let heap_settle t h =
 
 (* Record that [ctx] is runnable at its current local time.  The context
    is stashed rather than pushed: the run loop pushes stashed contexts
-   into their partition heap, except the one it resumes immediately —
+   into the heap, except the one it resumes immediately —
    which is the common case on a quantum-sliced shared core and skips
    the heap round trip entirely. *)
 let ready_enqueue t ctx = t.just_ready <- ctx :: t.just_ready
 
-let heap_of_ctx t ctx = t.heaps.(t.part_of_core.(ctx.core))
-
-(* Move stashed ready contexts into their partition heaps; [except]
-   (physical identity, the context about to be resumed) skips the heap. *)
+(* Move stashed ready contexts into the heap; [except] (physical
+   identity, the context about to be resumed) skips the heap. *)
 let flush_ready t except =
   match t.just_ready with
   | [] -> ()
@@ -487,8 +447,7 @@ let flush_ready t except =
       t.just_ready <- [];
       List.iter
         (fun c ->
-          if c != except then
-            heap_push (heap_of_ctx t c) ~now:c.now ~id:c.id)
+          if c != except then heap_push t.ready ~now:c.now ~id:c.id)
         cs
 
 let no_ctx : ctx =
@@ -973,47 +932,17 @@ let finish_ctx t ctx =
 (* Cost of creating a process/thread context, charged to the parent. *)
 let spawn_cost_cycles = 2_000
 
-let count_event t ctx =
-  t.n_events <- t.n_events + 1;
-  t.part_events.(t.part_of_core.(ctx.core)) <-
-    t.part_events.(t.part_of_core.(ctx.core)) + 1
-
-(* LBTS window accounting (measurement only, no scheduling effect): a
-   window is [lbts, lbts + lookahead); the partitions whose events land
-   in the same window could run concurrently under a conservative
-   parallel executor, so the mean active-partition count per window is
-   the measured parallel-DES ceiling for this workload. *)
-let note_window t ctx =
-  if t.n_parts > 1 then begin
-    if ctx.now >= t.win_end then begin
-      if t.win_mask <> 0 then begin
-        let active = ref 0 in
-        let m = ref t.win_mask in
-        while !m <> 0 do
-          m := !m land (!m - 1);
-          incr active
-        done;
-        t.win_count <- t.win_count + 1;
-        t.win_active_sum <- t.win_active_sum + !active;
-        if !active > t.win_active_max then t.win_active_max <- !active
-      end;
-      t.win_end <- ctx.now + t.lookahead_ps;
-      t.win_mask <- 0
-    end;
-    t.win_mask <- t.win_mask lor (1 lsl t.part_of_core.(ctx.core))
-  end
-
 (* Would the run loop, with [ctx] parked ready right now, pick [ctx]
    again as the very next context?  This emulates the scheduling
    decision exactly — slice owners always outrank heap contexts, and
    ties break on (local time, ctx id) — so continuing [ctx] in place
    preserves the event order bit for bit.  The check is conservative in
    one place only: it requires the ready-stash to be empty and, when
-   [ctx] is alone on its core, compares against the *settled* partition
-   heap roots.  Stale roots always carry an earlier snapshot time than
-   their context's true time, so settling (which the real pick also
-   does) never changes the answer; a [false] merely forfeits the
-   shortcut, never correctness. *)
+   [ctx] is alone on its core, compares against the *settled* heap root.
+   Stale roots always carry an earlier snapshot time than their
+   context's true time, so settling (which the real pick also does)
+   never changes the answer; a [false] merely forfeits the shortcut,
+   never correctness. *)
 let fast_self_pick t ctx =
   (match t.just_ready with [] -> true | _ :: _ -> false)
   &&
@@ -1037,8 +966,8 @@ let fast_self_pick t ctx =
          t.shared_cores
   else
     (* [ctx] alone on its core: no slice owner anywhere may be eligible
-       (they would outrank it), and it must beat the live minimum of
-       every partition heap — mirrors [slice_pick] + [heap_pick] *)
+       (they would outrank it), and it must beat the heap's live
+       minimum — mirrors [slice_pick] + [heap_pick] *)
     List.for_all
       (fun core ->
         let p = t.procs.(core) in
@@ -1048,18 +977,11 @@ let fast_self_pick t ctx =
         c.status <> Ready || c.now > p.slice_end)
       t.shared_cores
     &&
-    let ok = ref true in
-    let p = ref 0 in
-    while !ok && !p < t.n_parts do
-      let h = t.heaps.(!p) in
-      if heap_settle t h then begin
-        let rn = h.hnow.(0) in
-        if rn < ctx.now || (rn = ctx.now && h.hid.(0) < ctx.id) then
-          ok := false
-      end;
-      incr p
-    done;
-    !ok
+    let h = t.ready in
+    (not (heap_settle t h))
+    ||
+    let rn = h.hnow.(0) in
+    ctx.now < rn || (ctx.now = rn && ctx.id < h.hid.(0))
 
 let rec handler t ctx : (unit, unit) Effect.Deep.handler =
   (* One yield receiver per context, allocated once: the performer
@@ -1192,10 +1114,7 @@ and make_api t ctx =
      and their order are exactly those of the effect path, so the event
      stream is bit-identical either way. *)
   let settle () =
-    if fast_self_pick t ctx then begin
-      count_event t ctx;
-      note_window t ctx
-    end
+    if fast_self_pick t ctx then t.n_events <- t.n_events + 1
     else Effect.perform E_yield
   in
   (* a block access issues one scheduling point per line, so the
@@ -1271,29 +1190,18 @@ let slice_pick t =
     t.shared_cores;
   !best
 
-(* The live global minimum across the partition heaps: settle each heap
-   (drop stale roots), then merge the roots by (time, id).  With one
-   partition this is exactly the PR 3 single-heap pop. *)
+(* Pop the live minimum of the ready heap (dropping stale roots first);
+   [no_ctx] when nothing is ready. *)
 let heap_pick t =
-  let best = ref no_ctx in
-  let best_part = ref (-1) in
-  for p = 0 to t.n_parts - 1 do
-    let h = t.heaps.(p) in
-    if heap_settle t h then begin
-      let c = t.ctx_arr.(h.hid.(0)) in
-      let b = !best in
-      if b.id < 0 || c.now < b.now || (c.now = b.now && c.id < b.id)
-      then begin
-        best := c;
-        best_part := p
-      end
-    end
-  done;
-  if !best_part >= 0 then ignore (heap_pop_root t.heaps.(!best_part));
-  !best
+  let h = t.ready in
+  if heap_settle t h then begin
+    let _, id = heap_pop_root h in
+    t.ctx_arr.(id)
+  end
+  else no_ctx
 
 let resume t ctx =
-  count_event t ctx;
+  t.n_events <- t.n_events + 1;
   ctx.status <- Running;
   match ctx.pending with
   | Some (Start main) ->
@@ -1314,7 +1222,6 @@ let run t =
     let c = slice_pick t in
     if c.id >= 0 then begin
       flush_ready t c;
-      note_window t c;
       resume t c;
       loop ()
     end
@@ -1322,7 +1229,6 @@ let run t =
       flush_ready t no_ctx;
       let c = heap_pick t in
       if c.id >= 0 then begin
-        note_window t c;
         resume t c;
         loop ()
       end
@@ -1338,43 +1244,10 @@ let run t =
     end
   in
   if n_ctxs t > 0 then loop ();
-  (* close the last LBTS window *)
-  if t.n_parts > 1 && t.win_mask <> 0 then begin
-    let active = ref 0 in
-    let m = ref t.win_mask in
-    while !m <> 0 do
-      m := !m land (!m - 1);
-      incr active
-    done;
-    t.win_count <- t.win_count + 1;
-    t.win_active_sum <- t.win_active_sum + !active;
-    if !active > t.win_active_max then t.win_active_max <- !active;
-    t.win_mask <- 0
-  end;
   (* complete inclusive times for frames still open at the end *)
-  (match t.profile with
-  | None -> ()
-  | Some p ->
-      (* per-partition event totals for the Prometheus exposition, so
-         parallel-DES load imbalance is countable from --metrics: one
-         labelled metric family, not a name per partition *)
-      if t.n_parts > 1 then begin
-        let reg = Profile.registry p in
-        Array.iteri
-          (fun part ev ->
-            let c =
-              Obs.Registry.counter reg
-                ~help:"events resumed per scheduler partition"
-                ~labels:[ ("partition", string_of_int part) ]
-                "sim_domain_events_total"
-            in
-            Obs.Counter.add c ev)
-          t.part_events
-      end;
-      Profile.finalize p);
-  (* close the causal account: idle tails up to the wall, the nominal
-     MPB line cost for the MPB-speed counterfactual, and the
-     parallel-DES lookahead ceilings *)
+  (match t.profile with None -> () | Some p -> Profile.finalize p);
+  (* close the causal account: idle tails up to the wall and the nominal
+     MPB line cost for the MPB-speed counterfactual *)
   match t.critpath with
   | None -> ()
   | Some cp ->
@@ -1384,22 +1257,9 @@ let run t =
       done;
       let mpb_line_ps =
         cc t t.cfg.Config.mpb_base_cycles
-        + (2 * t.lookahead_ps) + t.mesh_transfer_ps
+        + (2 * Mesh.min_hop_ps t.mesh) + t.mesh_transfer_ps
       in
       Critpath.finalize cp ~wall_ps:!wall ~mpb_line_ps;
-      if t.n_parts > 1 then begin
-        let windowed =
-          if t.win_count = 0 then 1.0
-          else float_of_int t.win_active_sum /. float_of_int t.win_count
-        in
-        let total = Array.fold_left ( + ) 0 t.part_events in
-        let busiest = Array.fold_left max 1 t.part_events in
-        let infinite =
-          if total = 0 then 1.0
-          else float_of_int total /. float_of_int busiest
-        in
-        Critpath.set_lookahead cp ~parts:t.n_parts ~windowed ~infinite
-      end;
       (match t.profile with
       | None -> ()
       | Some p -> Critpath.register_metrics cp (Profile.registry p))
@@ -1409,37 +1269,7 @@ let stats t =
     Stats.ctxs = Array.init t.n_ctx (fun i -> t.ctx_arr.(i).stats);
     mc_busy_ps = t.mc_busy_ps;
     mc_requests = t.mc_requests;
-    domain_events = Array.copy t.part_events;
   }
-
-let n_partitions t = t.n_parts
-
-let partition_events t = Array.copy t.part_events
-
-type par_report = {
-  partitions : int;
-  lookahead_ps : int;
-  windows : int;
-  active_sum : int;
-  active_max : int;
-  domain_events : int array;
-}
-
-let par_report t =
-  {
-    partitions = t.n_parts;
-    lookahead_ps = t.lookahead_ps;
-    windows = t.win_count;
-    active_sum = t.win_active_sum;
-    active_max = t.win_active_max;
-    domain_events = Array.copy t.part_events;
-  }
-
-(* Mean partitions-with-work per LBTS window: the conservative upper
-   bound on parallel-DES speedup for the simulated schedule. *)
-let par_ceiling r =
-  if r.windows = 0 then 1.0
-  else float_of_int r.active_sum /. float_of_int r.windows
 
 let elapsed_ps t =
   let acc = ref 0 in

@@ -42,7 +42,7 @@ type t
 
 val create :
   ?cfg:Config.t -> ?trace:Trace.t -> ?profile:Profile.t ->
-  ?critpath:Critpath.t -> ?sim_jobs:int -> unit -> t
+  ?critpath:Critpath.t -> unit -> t
 (** With [trace], every compute burst, memory access, barrier wait and
     lock wait is recorded as a timed interval.  With [profile], the same
     picoseconds are additionally attributed to each context's current
@@ -57,17 +57,7 @@ val create :
     parent), so that after {!run} the accounting identity
     [sum == wall * contexts] holds exactly and {!Critpath.critical_path}
     / {!Critpath.whatifs} explain where the time went.  All three are
-    optional and cost nothing when absent.
-
-    [sim_jobs] (default 1, max 62) partitions the mesh's cores into that
-    many contiguous tile groups, each with its own ready heap; the
-    scheduler merges the partition minima, so the event order — and
-    every result — is bit-identical to the sequential scheduler for any
-    value.  With [sim_jobs > 1] the run additionally measures, per
-    lower-bound-timestamp (LBTS) window of one mesh-hop lookahead
-    ({!Mesh.min_hop_ps}), how many partitions had events in the window:
-    the conservative parallel-DES ceiling reported by {!par_report}.
-    Per-partition event counts surface as [Stats.domain_events]. *)
+    optional and cost nothing when absent. *)
 
 val cfg : t -> Config.t
 val memmap : t -> Memmap.t
@@ -99,29 +89,3 @@ val events : t -> int
 (** Number of scheduler events processed so far: each count is one
     context resume (a compute burst, memory access, or synchronization
     step between two scheduling decisions). *)
-
-val n_partitions : t -> int
-(** Scheduler partitions in use ([sim_jobs] clamped to the core count). *)
-
-val partition_events : t -> int array
-(** Events resumed per partition so far (length {!n_partitions}). *)
-
-type par_report = {
-  partitions : int;
-  lookahead_ps : int;    (** LBTS window width: {!Mesh.min_hop_ps} *)
-  windows : int;         (** LBTS windows the run spanned *)
-  active_sum : int;      (** sum over windows of partitions with events *)
-  active_max : int;      (** peak concurrently-active partitions *)
-  domain_events : int array;
-}
-(** Conservative parallel-DES measurement: with [sim_jobs > 1] the run is
-    divided into lookahead-wide LBTS windows; partitions whose events fall
-    in the same window are causally independent (no cross-tile signal
-    travels faster than one hop), so they could execute concurrently. *)
-
-val par_report : t -> par_report
-
-val par_ceiling : par_report -> float
-(** Mean active partitions per window — the speedup a conservative
-    parallel executor could extract from this workload and partitioning
-    (1.0 when no windows were measured). *)

@@ -68,7 +68,6 @@ let traverse_ps t ~hops:h =
 
 (* The minimum latency for one tile to affect another: a single-hop mesh
    traversal.  No cross-tile interaction — a remote MPB access, a
-   memory-controller request, a flag write — can land sooner, so this is
-   the conservative parallel-DES lookahead: events closer together than
-   this on different tiles are causally independent. *)
+   memory-controller request, a flag write — can land sooner; the
+   MPB-speed what-if prices a nominal MPB line with it. *)
 let min_hop_ps t = traverse_ps t ~hops:1

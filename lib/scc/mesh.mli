@@ -24,5 +24,4 @@ val traverse_ps : t -> hops:int -> int
 
 val min_hop_ps : t -> int
 (** Minimum latency for one tile to affect another (a single-hop
-    traversal) — the conservative parallel-DES lookahead: events closer
-    together than this on different tiles are causally independent. *)
+    traversal); no cross-tile interaction can land sooner. *)

@@ -25,9 +25,6 @@ type t = {
   ctxs : ctx_stats array;
   mc_busy_ps : int array;
   mc_requests : int array;
-  domain_events : int array;
-      (* scheduler events per partition (length = scheduler partitions;
-         [| total |] when the run was sequential) *)
 }
 
 let create_ctx () =
@@ -45,7 +42,6 @@ let create ~n_ctxs ~n_mcs =
     ctxs = Array.init n_ctxs (fun _ -> create_ctx ());
     mc_busy_ps = Array.make n_mcs 0;
     mc_requests = Array.make n_mcs 0;
-    domain_events = Array.make 1 0;
   }
 
 let ctx t i = t.ctxs.(i)

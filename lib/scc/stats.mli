@@ -26,10 +26,6 @@ type t = {
   ctxs : ctx_stats array;
   mc_busy_ps : int array;
   mc_requests : int array;
-  domain_events : int array;
-      (** scheduler events per partition, for parallel-DES load-imbalance
-          accounting (length = scheduler partitions; [[| total |]] for a
-          sequential run) *)
 }
 
 val create : n_ctxs:int -> n_mcs:int -> t

@@ -53,14 +53,11 @@ val elapsed_ms : result -> float
 
 val run :
   ?cfg:Scc.Config.t -> ?trace:Scc.Trace.t -> ?profile:Scc.Profile.t ->
-  ?critpath:Scc.Critpath.t -> ?sim_jobs:int -> t -> mode -> result
+  ?critpath:Scc.Critpath.t -> t -> mode -> result
 (** With [trace], the run records a timeline (see {!Scc.Trace}).  With
     [profile], every simulated picosecond is attributed to a root frame
     named after the workload, and contention/machine-metric timelines
-    are collected (see {!Scc.Profile}).  [sim_jobs] partitions the
-    scheduler (see {!Scc.Engine.create}); results are bit-identical for
-    every value, but partition event counters become available in the
-    profile and metrics. *)
+    are collected (see {!Scc.Profile}). *)
 
 val speedup : baseline:result -> result -> float
 (** [baseline.elapsed / r.elapsed]. *)

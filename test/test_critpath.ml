@@ -1,7 +1,7 @@
 (* The causal observability layer: the full-accounting identity
    (sum over contexts and categories == wall x contexts, exactly), the
    critical path, the what-if ceilings, and their agreement with the
-   other observers (profiler lock table, engine stats, LBTS windows).
+   other observers (profiler lock table, engine stats).
 
    Everything here is simulated time, so every assertion is exact — no
    tolerances except where the acceptance criterion itself names one. *)
@@ -52,78 +52,6 @@ let test_identity_hot_loop () =
   let totals = Scc.Critpath.account_totals cp in
   Alcotest.(check int) "totals re-sum to the identity" sum
     (Array.fold_left ( + ) 0 totals)
-
-(* The recorder must not observe the partitioned scheduler: the whole
-   account matrix is cell-identical for every --sim-jobs value. *)
-let test_identity_across_sim_jobs () =
-  let program = parse (Filename.concat (data_dir "examples/c") "hot_loop.c") in
-  let translated = translate ~ncores:8 ~optimize:false program in
-  let run sim_jobs =
-    let cp = Scc.Critpath.create () in
-    let r = Cexec.Interp.run_rcce ~critpath:cp ~sim_jobs ~ncores:8 translated in
-    (cp, r)
-  in
-  let cp1, r1 = run 1 in
-  List.iter
-    (fun sim_jobs ->
-      let cp, r = run sim_jobs in
-      Alcotest.(check string)
-        (Printf.sprintf "sim_jobs=%d: output" sim_jobs)
-        r1.Cexec.Interp.output r.Cexec.Interp.output;
-      Alcotest.(check int)
-        (Printf.sprintf "sim_jobs=%d: wall" sim_jobs)
-        (Scc.Critpath.wall_ps cp1) (Scc.Critpath.wall_ps cp);
-      Alcotest.(check bool)
-        (Printf.sprintf "sim_jobs=%d: identity" sim_jobs)
-        true (Scc.Critpath.identity_ok cp);
-      for ctx = 0 to Scc.Critpath.n_ctxs cp1 - 1 do
-        for cat = 0 to Scc.Critpath.n_categories - 1 do
-          Alcotest.(check int)
-            (Printf.sprintf "sim_jobs=%d: account ctx=%d cat=%d" sim_jobs
-               ctx cat)
-            (Scc.Critpath.account cp1 ~ctx ~cat)
-            (Scc.Critpath.account cp ~ctx ~cat)
-        done
-      done)
-    [ 3; 8 ]
-
-(* ---------------------------------------------------------------- *)
-(* LBTS window accounting (Engine.par_report / Stats.domain_events) *)
-
-let test_par_report_accounting () =
-  let program = parse (Filename.concat (data_dir "examples/c") "hot_loop.c") in
-  let translated = translate ~ncores:8 ~optimize:false program in
-  let run () = Cexec.Interp.run_rcce ~sim_jobs:8 ~ncores:8 translated in
-  let r = run () in
-  let eng = r.Cexec.Interp.engine in
-  let rep = Scc.Engine.par_report eng in
-  Alcotest.(check int) "domain events sum to Engine.events"
-    (Scc.Engine.events eng)
-    (Array.fold_left ( + ) 0 rep.Scc.Engine.domain_events);
-  Alcotest.(check int) "stats mirror the same counters"
-    (Scc.Engine.events eng)
-    (Array.fold_left ( + ) 0
-       (Scc.Engine.stats eng).Scc.Stats.domain_events);
-  Alcotest.(check bool) "active_max <= partitions" true
-    (rep.Scc.Engine.active_max <= rep.Scc.Engine.partitions);
-  Alcotest.(check bool) "active_sum within [windows, windows x partitions]"
-    true
-    (rep.Scc.Engine.active_sum >= rep.Scc.Engine.windows
-    && rep.Scc.Engine.active_sum
-       <= rep.Scc.Engine.windows * rep.Scc.Engine.partitions);
-  Alcotest.(check bool) "ceiling >= 1" true
-    (Scc.Engine.par_ceiling rep >= 1.0);
-  (* deterministic: a second identical run reproduces the window
-     accounting byte for byte *)
-  let rep' = Scc.Engine.par_report (run ()).Cexec.Interp.engine in
-  Alcotest.(check int) "windows reproducible" rep.Scc.Engine.windows
-    rep'.Scc.Engine.windows;
-  Alcotest.(check int) "active_sum reproducible" rep.Scc.Engine.active_sum
-    rep'.Scc.Engine.active_sum;
-  Alcotest.(check int) "active_max reproducible" rep.Scc.Engine.active_max
-    rep'.Scc.Engine.active_max;
-  Alcotest.(check (array int)) "domain events reproducible"
-    rep.Scc.Engine.domain_events rep'.Scc.Engine.domain_events
 
 (* ---------------------------------------------------------------- *)
 (* agreement with the profiler: the zero-lock what-if removes exactly
@@ -311,35 +239,26 @@ let test_render_and_json () =
       Alcotest.(check bool) (Printf.sprintf "json has %s" needle) true
         (contains json needle))
     [ {|"identity"|}; {|"ok": true|}; {|"critical_path"|}; {|"whatif"|};
-      {|"category": "lock-wait"|}; {|"lookahead"|} ]
+      {|"category": "lock-wait"|} ]
 
-(* the engine publishes the account as labelled Prometheus counters, and
-   the partition counters use the labelled family too *)
+(* the engine publishes the account as labelled Prometheus counters *)
 let test_registry_metrics () =
   let program = parse (Filename.concat (data_dir "examples/c") "hot_loop.c") in
   let translated = translate ~ncores:8 ~optimize:false program in
   let cp = Scc.Critpath.create () in
   let profile = Scc.Profile.create () in
   ignore
-    (Cexec.Interp.run_rcce ~profile ~critpath:cp ~sim_jobs:4 ~ncores:8
-       translated);
+    (Cexec.Interp.run_rcce ~profile ~critpath:cp ~ncores:8 translated);
   let text = Obs.Registry.to_prometheus (Scc.Profile.registry profile) in
   Alcotest.(check bool) "account family present" true
     (contains text {|sim_account_ps_total{category="compute"}|});
-  Alcotest.(check bool) "partition family labelled" true
-    (contains text {|sim_domain_events_total{partition="0"}|});
-  Alcotest.(check bool) "old name-embedded partition counters are gone"
-    false
-    (contains text "sim_domain_events_part")
+  Alcotest.(check bool) "no scheduler-partition family" false
+    (contains text "sim_domain_events")
 
 let suite =
   [
     Alcotest.test_case "identity: hot_loop on 8 cores" `Quick
       test_identity_hot_loop;
-    Alcotest.test_case "identity across sim_jobs" `Quick
-      test_identity_across_sim_jobs;
-    Alcotest.test_case "LBTS window accounting" `Quick
-      test_par_report_accounting;
     Alcotest.test_case "zero-lock what-if == profiler lock table" `Quick
       test_zero_lock_matches_profiler;
     Alcotest.test_case "naive vs -O: shared stalls collapse" `Quick

@@ -415,6 +415,51 @@ let test_end_to_end_example () =
   Alcotest.(check string) "same output as the original"
     original.Cexec.Interp.output converted.Cexec.Interp.output
 
+(* A program that parks every context ends in a diagnostic and exit 1
+   from [hsmcc run], like a runtime error, never an uncaught exception. *)
+let test_cli_deadlock_exit () =
+  let exe =
+    if Sys.file_exists "../bin/hsmcc.exe" then "../bin/hsmcc.exe"
+    else "_build/default/bin/hsmcc.exe"
+  in
+  if Sys.file_exists exe then begin
+    let src = Filename.temp_file "self_deadlock" ".c" in
+    let err = Filename.temp_file "self_deadlock" ".err" in
+    let oc = open_out src in
+    output_string oc
+      "#include <pthread.h>\n\
+       pthread_mutex_t m;\n\
+       int main() {\n\
+      \  pthread_mutex_lock(&m);\n\
+      \  pthread_mutex_lock(&m);\n\
+      \  return 0;\n\
+       }\n";
+    close_out oc;
+    let code =
+      Sys.command
+        (Printf.sprintf "%s run %s >/dev/null 2>%s" exe
+           (Filename.quote src) (Filename.quote err))
+    in
+    let ic = open_in err in
+    let stderr_text = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Sys.remove src;
+    Sys.remove err;
+    let contains needle =
+      let nl = String.length needle and hl = String.length stderr_text in
+      let rec go i =
+        i + nl <= hl && (String.sub stderr_text i nl = needle || go (i + 1))
+      in
+      go 0
+    in
+    Alcotest.(check int) "exit status" 1 code;
+    Alcotest.(check bool) "deadlock diagnostic" true
+      (contains "hsmcc: deadlock: ");
+    Alcotest.(check bool) "no uncaught exception" false
+      (contains "uncaught exception")
+  end
+  else Printf.eprintf "skipping CLI deadlock test: %s not built\n" exe
+
 let suite =
   [
     Alcotest.test_case "arithmetic" `Quick test_arithmetic;
@@ -434,6 +479,7 @@ let suite =
       test_unbound_variable_reported;
     Alcotest.test_case "unknown function" `Quick
       test_unknown_function_reported;
+    Alcotest.test_case "run deadlock exits 1" `Quick test_cli_deadlock_exit;
     Alcotest.test_case "pthread example 4.1" `Quick test_pthread_example_4_1;
     Alcotest.test_case "pthread mutex counter" `Quick
       test_pthread_mutex_counter;

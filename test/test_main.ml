@@ -32,7 +32,6 @@ let () =
       ("fuzz", Test_fuzz.suite);
       ("conform", Test_conform.suite);
       ("opt", Test_opt.suite);
-      ("modes", Test_modes.suite);
       ("critpath", Test_critpath.suite);
       ("synth", Test_synth.suite);
     ]

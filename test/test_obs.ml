@@ -211,19 +211,19 @@ let count_substring ~needle hay =
 let test_labelled_counters () =
   let r = Obs.Registry.create () in
   let c0 =
-    Obs.Registry.counter r ~help:"events resumed per scheduler partition"
-      ~labels:[ ("partition", "0") ] "sim_domain_events_total"
+    Obs.Registry.counter r ~help:"simulated ps per accounting category"
+      ~labels:[ ("category", "compute") ] "sim_account_ps_total"
   in
   let c1 =
-    Obs.Registry.counter r ~help:"events resumed per scheduler partition"
-      ~labels:[ ("partition", "1") ] "sim_domain_events_total"
+    Obs.Registry.counter r ~help:"simulated ps per accounting category"
+      ~labels:[ ("category", "idle") ] "sim_account_ps_total"
   in
   Obs.Counter.add c0 5;
   Obs.Counter.add c1 7;
   (* same (name, labels) -> same instrument; distinct labels -> distinct *)
   let c0' =
-    Obs.Registry.counter r ~labels:[ ("partition", "0") ]
-      "sim_domain_events_total"
+    Obs.Registry.counter r ~labels:[ ("category", "compute") ]
+      "sim_account_ps_total"
   in
   Obs.Counter.incr c0';
   Alcotest.(check int) "same instrument per label set" 6
@@ -231,13 +231,13 @@ let test_labelled_counters () =
   Alcotest.(check int) "other label set untouched" 7 (Obs.Counter.value c1);
   let text = Obs.Registry.to_prometheus r in
   Alcotest.(check int) "one # HELP per family" 1
-    (count_substring ~needle:"# HELP sim_domain_events_total" text);
+    (count_substring ~needle:"# HELP sim_account_ps_total" text);
   Alcotest.(check int) "one # TYPE per family" 1
-    (count_substring ~needle:"# TYPE sim_domain_events_total counter" text);
-  Alcotest.(check bool) "partition 0 sample" true
-    (contains text {|sim_domain_events_total{partition="0"} 6|});
-  Alcotest.(check bool) "partition 1 sample" true
-    (contains text {|sim_domain_events_total{partition="1"} 7|})
+    (count_substring ~needle:"# TYPE sim_account_ps_total counter" text);
+  Alcotest.(check bool) "compute sample" true
+    (contains text {|sim_account_ps_total{category="compute"} 6|});
+  Alcotest.(check bool) "idle sample" true
+    (contains text {|sim_account_ps_total{category="idle"} 7|})
 
 let test_label_string_sorted () =
   let r = Obs.Registry.create () in
