@@ -29,10 +29,8 @@
    --check compares headline, interp_8, sched_raw and sweep figures
    against a previously written BENCH_sim.json and exits 1 when any
    regresses by more than --max-regress (a fraction, default 0.30),
-   naming the regressed component(s) and the implied attribution.  The
-   observability CI step re-runs the gate at 0.05 to hold the
-   instrumented-but-disabled simulator within 5% of the committed
-   baseline. *)
+   naming the regressed component(s) and the implied attribution.  CI
+   runs the gate once, at 0.20, with observability off. *)
 
 type meas = {
   label : string;

@@ -47,9 +47,131 @@ let test_cache_flush_and_rates () =
   Alcotest.(check bool) "flushed" false r.Scc.Cache.hit
 
 let test_cache_bad_geometry () =
-  match Scc.Cache.create ~size_bytes:1024 ~line_bytes:32 ~assoc:5 with
-  | _ -> Alcotest.fail "inconsistent geometry accepted"
-  | exception Invalid_argument _ -> ()
+  List.iter
+    (fun (what, size_bytes, line_bytes, assoc) ->
+      match Scc.Cache.create ~size_bytes ~line_bytes ~assoc with
+      | _ -> Alcotest.failf "%s accepted" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("lines not divisible by ways", 1024, 32, 5);
+      ("less than one line", 16, 32, 1);
+      ("partial last line", 100, 32, 1);
+    ]
+
+(* The record-per-line LRU cache that the flat per-field layout
+   replaced, kept as the reference model for the differential test. *)
+module Ref_cache = struct
+  type line = {
+    mutable tag : int;
+    mutable dirty : bool;
+    mutable last_use : int;
+  }
+
+  type t = {
+    sets : line array array;
+    set_count : int;
+    line_bytes : int;
+    mutable tick : int;
+    mutable hits : int;
+    mutable misses : int;
+  }
+
+  let create ~size_bytes ~line_bytes ~assoc =
+    let set_count = size_bytes / line_bytes / assoc in
+    let line _ = { tag = -1; dirty = false; last_use = 0 } in
+    {
+      sets = Array.init set_count (fun _ -> Array.init assoc line);
+      set_count;
+      line_bytes;
+      tick = 0;
+      hits = 0;
+      misses = 0;
+    }
+
+  let access_code t ~write addr =
+    t.tick <- t.tick + 1;
+    let la = addr / t.line_bytes in
+    let set = t.sets.(la mod t.set_count) and tag = la / t.set_count in
+    let found = ref (-1) in
+    Array.iteri (fun w l -> if l.tag = tag then found := w) set;
+    if !found >= 0 then begin
+      let l = set.(!found) in
+      l.last_use <- t.tick;
+      if write then l.dirty <- true;
+      t.hits <- t.hits + 1;
+      Scc.Cache.hit
+    end
+    else begin
+      t.misses <- t.misses + 1;
+      let victim = ref 0 in
+      Array.iteri
+        (fun w l -> if l.last_use < set.(!victim).last_use then victim := w)
+        set;
+      let v = set.(!victim) in
+      let evicted_dirty = v.tag >= 0 && v.dirty in
+      v.tag <- tag;
+      v.dirty <- write;
+      v.last_use <- t.tick;
+      if evicted_dirty then Scc.Cache.miss_evict_dirty else Scc.Cache.miss
+    end
+
+  let flush t =
+    Array.iter
+      (Array.iter (fun l ->
+           l.tag <- -1;
+           l.dirty <- false;
+           l.last_use <- 0))
+      t.sets
+end
+
+(* (size_bytes, line_bytes, assoc): associativity 1/2/4/8 on a small
+   cache, then the SCC's L1 and L2 *)
+let diff_geometries =
+  [ (1024, 32, 1); (1024, 32, 2); (1024, 32, 4); (1024, 32, 8);
+    (8 * 1024, 32, 2); (256 * 1024, 32, 4) ]
+
+(* A stream op is (write, set, tag, offset), mapped onto each geometry so
+   most accesses crowd a few sets and evict; [set = -1] asks for a
+   uniformly random line anywhere in 4x the cache instead. *)
+let qcheck_cache_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 1 400)
+           (quad bool (int_range (-1) 3) (int_bound 17) (int_bound 1_000_000)))
+        (int_bound 400))
+  in
+  QCheck.Test.make ~count:200
+    ~name:"flat cache matches the record-based reference"
+    (QCheck.make gen)
+    (fun (ops, flush_at) ->
+      List.for_all
+        (fun (size_bytes, line_bytes, assoc) ->
+          let c = Scc.Cache.create ~size_bytes ~line_bytes ~assoc in
+          let r = Ref_cache.create ~size_bytes ~line_bytes ~assoc in
+          let sets = size_bytes / line_bytes / assoc in
+          let addr set tag off =
+            if set < 0 then off mod (4 * size_bytes)
+            else
+              (((tag mod ((2 * assoc) + 2)) * sets) + set) * line_bytes
+              + (off mod line_bytes)
+          in
+          let same = ref true in
+          List.iteri
+            (fun i (write, set, tag, off) ->
+              if i = flush_at then begin
+                Scc.Cache.flush c;
+                Ref_cache.flush r
+              end;
+              let a = addr set tag off in
+              if Scc.Cache.access_code c ~write a
+                 <> Ref_cache.access_code r ~write a
+              then same := false)
+            ops;
+          !same
+          && Scc.Cache.hits c = r.Ref_cache.hits
+          && Scc.Cache.misses c = r.Ref_cache.misses)
+        diff_geometries)
 
 (* --- memmap -------------------------------------------------------------- *)
 
@@ -375,6 +497,27 @@ let test_spawn_after_run_rejected () =
   | _ -> Alcotest.fail "spawn after run accepted"
   | exception Invalid_argument _ -> ()
 
+(* Set-up is paid only for what a run uses: the caches of the cores a
+   run never touches are never allocated. *)
+let test_setup_pays_for_touched_cores () =
+  let words f =
+    (* start from an empty minor heap: a minor collection falling inside
+       the measured call otherwise skews the counter on OCaml 5.1 *)
+    Gc.minor ();
+    let before = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (f ()));
+    (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+  in
+  let create = words (fun () -> Scc.Engine.create ()) in
+  if create >= 64. *. 1024. then
+    Alcotest.failf "Engine.create allocated %.0f words" create;
+  let program =
+    Cfront.Parser.program ~file:"pi.c" (Exp.Csrc.pi ~nt:8 ~steps:64)
+  in
+  let run = words (fun () -> Cexec.Interp.run_pthread program) in
+  if run >= 1024. *. 1024. then
+    Alcotest.failf "one-core pi run allocated %.0f words" run
+
 let suite =
   [
     Alcotest.test_case "cache basics" `Quick test_cache_basics;
@@ -384,6 +527,8 @@ let suite =
     Alcotest.test_case "cache flush and rates" `Quick
       test_cache_flush_and_rates;
     Alcotest.test_case "cache bad geometry" `Quick test_cache_bad_geometry;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 42 |])
+      qcheck_cache_matches_reference;
     Alcotest.test_case "memmap regions" `Quick test_memmap_regions_roundtrip;
     Alcotest.test_case "memmap alignment" `Quick test_memmap_line_alignment;
     Alcotest.test_case "MPB capacity" `Quick test_mpb_capacity_enforced;
@@ -414,4 +559,6 @@ let suite =
     Alcotest.test_case "posted shared writes" `Quick
       test_posted_writes_cheaper;
     Alcotest.test_case "spawn after run" `Quick test_spawn_after_run_rejected;
+    Alcotest.test_case "set-up paid for touched cores only" `Quick
+      test_setup_pays_for_touched_cores;
   ]
