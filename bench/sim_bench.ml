@@ -5,11 +5,14 @@
 
    - interp (the headline): events/s interpreting the Pi Pthread
      program at 1024 threads — the configuration every ROADMAP sweep
-     item is gated on.  "Events" are scheduler resumes
-     (Scc.Engine.events), a pure function of the simulated schedule, so
-     the rate is comparable across implementations that produce the
-     same results.
+     item is gated on.  "Events" are simulated operations
+     (Scc.Engine.events: compute bursts, memory lines, synchronization
+     steps), a pure function of the simulated program, so the rate is
+     comparable across implementations that produce the same results.
    - interp_8: the same program at 8 threads (slice-rotation heavy).
+   - interp_rcce: the same program translated with -O and run as 8 RCCE
+     processes, one per core — the only row whose contexts run ahead on
+     their own cores (every Pthread context shares core 0).
    - sched_raw: a synthetic workload performing compute/load effects
      directly against the engine API with no C interpreter at all —
      the scheduler + effect-machinery + memory-model ceiling.  If this
@@ -26,9 +29,9 @@
 
      sim_bench [--quick] [--out FILE] [--check BASELINE] [--max-regress F]
 
-   --check compares headline, interp_8, sched_raw and sweep figures
-   against a previously written BENCH_sim.json and exits 1 when any
-   regresses by more than --max-regress (a fraction, default 0.30),
+   --check compares headline, interp_8, interp_rcce, sched_raw and sweep
+   figures against a previously written BENCH_sim.json and exits 1 when
+   any regresses by more than --max-regress (a fraction, default 0.30),
    naming the regressed component(s) and the implied attribution.  CI
    runs the gate once, at 0.20, with observability off. *)
 
@@ -51,16 +54,31 @@ let best_of ~iters f =
   done;
   (!events, !best)
 
-let bench_pi ~label ~nt ~steps ~iters =
-  let src = Exp.Csrc.pi ~nt ~steps in
-  let program = Cfront.Parser.program ~file:"pi.c" src in
-  ignore (Cexec.Interp.run_pthread program);
+let bench_run ~label ~iters run =
+  ignore (run ());
   let events, best =
     best_of ~iters (fun () ->
-        let r = Cexec.Interp.run_pthread program in
-        Scc.Engine.events r.Cexec.Interp.engine)
+        Scc.Engine.events (run ()).Cexec.Interp.engine)
   in
   { label; events; best_s = best; events_per_sec = float_of_int events /. best }
+
+let pi_program ~nt ~steps =
+  Cfront.Parser.program ~file:"pi.c" (Exp.Csrc.pi ~nt ~steps)
+
+let bench_pi ~label ~nt ~steps ~iters =
+  let program = pi_program ~nt ~steps in
+  bench_run ~label ~iters (fun () -> Cexec.Interp.run_pthread program)
+
+let bench_pi_rcce ~label ~ncores ~steps ~iters =
+  let options =
+    { Translate.Pass.default_options with
+      Translate.Pass.ncores; optimize = true }
+  in
+  let translated, _ =
+    Translate.Driver.translate_program ~options (pi_program ~nt:ncores ~steps)
+  in
+  bench_run ~label ~iters (fun () ->
+      Cexec.Interp.run_rcce ~ncores translated)
 
 (* The engine with no interpreter in front of it: contexts time-sharing
    one core, each alternating a short compute burst with a private-line
@@ -133,7 +151,7 @@ let meas_json m =
      %.0f}"
     m.label m.events m.best_s m.events_per_sec
 
-let json_of ~mode ~interp ~moderate ~raw ~sweep:(configs, sweep_s, cps)
+let json_of ~mode ~interp ~moderate ~rcce ~raw ~sweep:(configs, sweep_s, cps)
     ~pool:(pool_jobs, pool_speedup) =
   let b = Buffer.create 2048 in
   Buffer.add_string b "{\n";
@@ -144,6 +162,8 @@ let json_of ~mode ~interp ~moderate ~raw ~sweep:(configs, sweep_s, cps)
     (Printf.sprintf "    \"interp\": %s,\n" (meas_json interp));
   Buffer.add_string b
     (Printf.sprintf "    \"interp_8\": %s,\n" (meas_json moderate));
+  Buffer.add_string b
+    (Printf.sprintf "    \"interp_rcce\": %s,\n" (meas_json rcce));
   Buffer.add_string b
     (Printf.sprintf "    \"sched_raw\": %s,\n" (meas_json raw));
   Buffer.add_string b
@@ -220,6 +240,7 @@ let baseline_figures s =
     [
       after "headline" "headline_events_per_sec";
       component "interp_8";
+      component "interp_rcce";
       component "sched_raw";
       after "sweep_configs_per_sec" "configs_per_sec";
     ]
@@ -265,9 +286,12 @@ let () =
     bench_pi ~label:"pi-pthread-1024-threads" ~nt:1024 ~steps ~iters
   in
   let moderate = bench_pi ~label:"pi-pthread-8-threads" ~nt:8 ~steps ~iters in
+  let rcce =
+    bench_pi_rcce ~label:"pi-rcce-O-8-cores" ~ncores:8 ~steps ~iters
+  in
   let raw =
     bench_sched_raw ~nctx:256
-      ~rounds:(if !quick then 128 else 512)
+      ~rounds:(if !quick then 2048 else 4096)
       ~iters
   in
   let sweep = bench_sweep ~iters:(if !quick then 2 else 5) in
@@ -275,7 +299,7 @@ let () =
   let json =
     json_of
       ~mode:(if !quick then "quick" else "full")
-      ~interp ~moderate ~raw ~sweep ~pool
+      ~interp ~moderate ~rcce ~raw ~sweep ~pool
   in
   let oc = open_out !out in
   output_string oc json;
@@ -294,6 +318,7 @@ let () =
           [
             ("headline", interp.events_per_sec);
             ("interp_8", moderate.events_per_sec);
+            ("interp_rcce", rcce.events_per_sec);
             ("sched_raw", raw.events_per_sec);
             ("sweep_configs_per_sec",
              let _, _, cps = sweep in
@@ -337,7 +362,7 @@ let () =
           let attribution =
             if r "sched_raw" then
               "engine/scheduler regression (raw effect path slowed down)"
-            else if r "headline" || r "interp_8" then
+            else if r "headline" || r "interp_8" || r "interp_rcce" then
               "interpreter regression (engine raw path held)"
             else "see component list above"
           in

@@ -295,8 +295,13 @@ let run_cmd path ncores detect_races diag_format profile_on trace_out
         Cexec.Interp.run_rcce ?trace ?profile ?critpath ~detect_races ~ncores
           program
     with
-    | Cexec.Interp.Runtime_error msg ->
+    | Cexec.Interp.Runtime_error msg | Cexec.Value.Type_error msg ->
         prerr_endline ("hsmcc: runtime error: " ^ msg);
+        exit 1
+    | Scc.Memmap.Out_of_memory region ->
+        prerr_endline
+          ("hsmcc: runtime error: out of memory in "
+          ^ Scc.Memmap.region_to_string region);
         exit 1
     | Scc.Engine.Deadlock msg ->
         prerr_endline ("hsmcc: deadlock: " ^ msg);

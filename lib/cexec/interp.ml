@@ -116,6 +116,11 @@ let make_frame (fn : Resolve.rfunc) =
 
 let flush_threshold = 8192
 
+(* Wait for the engine turn before touching state every task of the run
+   shares and no engine operation guards: the output, the literal pool,
+   the collective allocation logs and the sync-object id tables. *)
+let take_turn task = task.api.Scc.Engine.take_turn ()
+
 let flush task =
   if task.pending_cycles > 0 then begin
     task.api.Scc.Engine.compute task.pending_cycles;
@@ -262,6 +267,8 @@ let declare task ?loc ~slot name ty =
 
 let string_value task s =
   let sh = task.proc.sh in
+  (* the first task to evaluate a literal allocates it in its own page *)
+  take_turn task;
   let addr =
     match Hashtbl.find_opt sh.strings s with
     | Some addr -> addr
@@ -558,6 +565,8 @@ and mini_printf task fmt values =
       do
         incr j
       done;
+      if !j >= n then
+        runtime_error "printf: incomplete conversion at end of format";
       (match fmt.[!j] with
       | 'd' | 'i' | 'u' | 'x' ->
           Buffer.add_string buf (string_of_int (Value.as_int (next ())))
@@ -589,6 +598,7 @@ and rank_to_core task rank = rank mod task.proc.sh.ncores
 
 and collective_shmalloc task bytes =
   let sh = task.proc.sh in
+  take_turn task;
   let k = task.shm_count in
   task.shm_count <- k + 1;
   match Hashtbl.find_opt sh.shm_log k with
@@ -607,6 +617,7 @@ and collective_shmalloc task bytes =
    price of capping one allocation at a slice (documented in DESIGN.md). *)
 and collective_mpb_malloc task bytes =
   let sh = task.proc.sh in
+  take_turn task;
   let k = task.mpb_count in
   task.mpb_count <- k + 1;
   match Hashtbl.find_opt sh.mpb_alloc_log k with
@@ -625,6 +636,7 @@ and collective_mpb_malloc task bytes =
    original association lists did. *)
 and barrier_entry task name ~count =
   let sh = task.proc.sh in
+  take_turn task;
   match Hashtbl.find_opt sh.barriers name with
   | Some entry -> entry
   | None ->
@@ -636,6 +648,7 @@ and barrier_entry task name ~count =
    flag's index with the owning rank. *)
 and rcce_flag_index task name =
   let sh = task.proc.sh in
+  take_turn task;
   match Hashtbl.find_opt sh.rcce_flags name with
   | Some idx -> idx
   | None ->
@@ -648,12 +661,25 @@ and rcce_flag_id task ~name ~rank =
 
 and mutex_lock_id task name =
   let sh = task.proc.sh in
+  take_turn task;
   match Hashtbl.find_opt sh.mutexes name with
   | Some id -> id
   | None ->
       let id = Hashtbl.length sh.mutexes in
       Hashtbl.add sh.mutexes name id;
       id
+
+(* Release the test-and-set register behind lock [id].  Ids that share a
+   register alias one lock, so holding any of them is holding it. *)
+and release_lock task ~what id =
+  let core = rank_to_core task id in
+  let same h = rank_to_core task h = core in
+  if not (Lockset.Int_set.exists same task.held_locks) then
+    runtime_error "%s: lock %d is not held" what id;
+  flush task;
+  task.api.Scc.Engine.release core;
+  task.held_locks <-
+    Lockset.Int_set.filter (fun h -> not (same h)) task.held_locks
 
 and mutex_name_of_expr = function
   | Ast.Var name -> name
@@ -671,6 +697,7 @@ and call_builtin task name args ast_args =
   | "printf", fmt_expr :: rest -> begin
       let fmt_v = eval task fmt_expr in
       let values = List.map (eval task) rest in
+      take_turn task;
       match Hashtbl.find_opt task.proc.sh.string_at (Value.as_addr fmt_v) with
       | Some fmt ->
           charge task 1_000;
@@ -702,7 +729,7 @@ and call_builtin task name args ast_args =
               let argv = eval task arg in
               flush task;
               let child_id =
-                api.Scc.Engine.spawn_child ~core:task.proc.core
+                api.Scc.Engine.spawn_child
                   (fun child_api ->
                     let child =
                       { proc = task.proc; api = child_api;
@@ -769,9 +796,7 @@ and call_builtin task name args ast_args =
       Value.Vint 0
   | "pthread_mutex_unlock", [ _m ] ->
       let id = mutex_lock_id task (mutex_name_of_expr (ast_arg ast_args 0)) in
-      flush task;
-      api.Scc.Engine.release (rank_to_core task id);
-      task.held_locks <- Lockset.Int_set.remove id task.held_locks;
+      release_lock task ~what:"pthread_mutex_unlock" id;
       Value.Vint 0
   (* --- RCCE ------------------------------------------------------------- *)
   | "RCCE_init", [ _; _ ] -> Value.Vint 0
@@ -845,9 +870,7 @@ and call_builtin task name args ast_args =
       Value.Vint 0
   | "RCCE_release_lock", [ n ] ->
       let id = Value.as_int (eval task n) in
-      flush task;
-      api.Scc.Engine.release (rank_to_core task id);
-      task.held_locks <- Lockset.Int_set.remove id task.held_locks;
+      release_lock task ~what:"RCCE_release_lock" id;
       Value.Vint 0
   | _, _ ->
       runtime_error "call to unknown function '%s' (%d args)" name
@@ -885,8 +908,13 @@ let setup_globals task =
             es)
     rp.Resolve.rp_globals
 
-let make_shared ?cfg ?trace ?profile ?critpath ~detect_races ~ncores program =
-  let eng = Scc.Engine.create ?cfg ?trace ?profile ?critpath () in
+let make_shared ?cfg ?(strict = false) ?trace ?profile ?critpath ~detect_races
+    ~ncores program =
+  (* the race detector sees accesses in processing order *)
+  let eng =
+    Scc.Engine.create ?cfg ~strict:(strict || detect_races) ?trace ?profile
+      ?critpath ()
+  in
   let n = Scc.Config.n_cores (Scc.Engine.cfg eng) in
   let resolved = Resolve.resolve program in
   (* pre-intern every function and statement position, so the profiling
@@ -1009,21 +1037,27 @@ let run_pthread ?cfg ?trace ?profile ?critpath ?(detect_races = false)
 let run_rcce ?cfg ?trace ?profile ?critpath ?(detect_races = false) ~ncores
     (program : Ast.program) =
   if ncores < 1 then invalid_arg "Interp.run_rcce: ncores must be positive";
-  let sh =
-    make_shared ?cfg ?trace ?profile ?critpath ~detect_races ~ncores program
+  let run ~strict =
+    let sh =
+      make_shared ?cfg ~strict ?trace ?profile ?critpath ~detect_races ~ncores
+        program
+    in
+    let exit_values = Array.make ncores Value.Vvoid in
+    for rank = 0 to ncores - 1 do
+      let proc = make_process sh ~core:rank ~rank in
+      ignore
+        (Scc.Engine.spawn sh.eng ~core:rank (fun api ->
+             exit_values.(rank) <- run_entry sh proc api))
+    done;
+    Scc.Engine.run sh.eng;
+    {
+      engine = sh.eng;
+      output = Buffer.contents sh.output;
+      exit_values = Array.to_list exit_values;
+      elapsed_ps = Scc.Engine.elapsed_ps sh.eng;
+      races = race_reports sh;
+    }
   in
-  let exit_values = Array.make ncores Value.Vvoid in
-  for rank = 0 to ncores - 1 do
-    let proc = make_process sh ~core:rank ~rank in
-    ignore
-      (Scc.Engine.spawn sh.eng ~core:rank (fun api ->
-           exit_values.(rank) <- run_entry sh proc api))
-  done;
-  Scc.Engine.run sh.eng;
-  {
-    engine = sh.eng;
-    output = Buffer.contents sh.output;
-    exit_values = Array.to_list exit_values;
-    elapsed_ps = Scc.Engine.elapsed_ps sh.eng;
-    races = race_reports sh;
-  }
+  (* a rank ran ahead past another's DVFS change or cross-core access:
+     replay in global order *)
+  try run ~strict:false with Scc.Engine.Order_conflict _ -> run ~strict:true

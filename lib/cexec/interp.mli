@@ -34,4 +34,8 @@ val run_rcce :
   Ast.program -> result
 (** One process per core, each interpreting the whole program ([RCCE_APP]
     if present, else [main]), with collective [RCCE_shmalloc] /
-    [RCCE_malloc], barriers, and test-and-set locks. *)
+    [RCCE_malloc], barriers, and test-and-set locks.  Ranks run ahead
+    on their own cores (see {!Scc.Engine}); if one ran past another's
+    DVFS change or cross-core private access, the program is run again
+    in a strict engine, so the result always equals the global-order
+    one.  [detect_races] and the recorders make the first run strict. *)

@@ -1,11 +1,17 @@
 (* A fixed-order domain pool for the experiment sweeps.
 
    Thunks are claimed by index from a single atomic counter, executed on
-   [jobs] domains, and gathered into an array slot keyed by the claim
-   index — so the result order is the input order no matter which domain
-   finished first, and concatenated output is byte-identical to a
-   sequential run.  [jobs = 1] bypasses the pool entirely and runs in
-   the calling domain, giving a true sequential reference.
+   [jobs] domains (the calling domain plus [jobs - 1] spawned ones), and
+   gathered into an array slot keyed by the claim index — so the result
+   order is the input order no matter which domain finished first, and
+   concatenated output is byte-identical to a sequential run.
+   [jobs = 1] bypasses the pool entirely and runs in the calling domain,
+   giving a true sequential reference.
+
+   The caller works rather than blocking in [Domain.join]: with [jobs]
+   spawned workers and an idle caller, [jobs + 1] domains share [jobs]
+   CPUs, and allocating thunks lose the second CPU's gain to the extra
+   domain's stop-the-world minor collections.
 
    A thunk that raises poisons only its own slot; the first failure (in
    input order, not completion order) is re-raised in the caller once
@@ -34,7 +40,8 @@ let map_fixed ~jobs thunks =
       in
       loop ()
     in
-    let domains = List.init jobs (fun _ -> Domain.spawn worker) in
+    let domains = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
+    worker ();
     List.iter Domain.join domains;
     Array.to_list results
     |> List.map (function

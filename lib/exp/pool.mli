@@ -6,7 +6,8 @@ val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
 
 val map_fixed : jobs:int -> (unit -> 'a) list -> 'a list
-(** Run the thunks on [jobs] domains (clamped to [1 .. length]); results
+(** Run the thunks on [jobs] domains (clamped to [1 .. length]): the
+    calling domain works alongside [jobs - 1] spawned ones.  Results
     are returned in input order.  [jobs = 1] runs sequentially in the
     calling domain without spawning.  If any thunk raises, the exception
     of the earliest failing index is re-raised after all domains have

@@ -31,7 +31,19 @@
 
    Contexts may also be spawned *during* the run ([spawn_child], used by
    the C interpreter's pthread_create) and joined ([join]); dynamic
-   contexts do not participate in the barrier group. *)
+   contexts do not participate in the barrier group.
+
+   Core-local run-ahead: a context alone on its core processes its
+   core-local operations — compute bursts, and lines of its own core's
+   private pages that hit in its L1 or L2 — in place, with no scheduling
+   decision; nothing any other context reads depends on them.  It waits
+   for its turn ([wait_turn]) only before an operation another context
+   can observe.  Two things can still make one context's action change
+   another's core-local events: a tile DVFS change and an access to
+   another core's private page.  Both check whether the affected context
+   already ran past them and raise [Order_conflict] if it did; the
+   caller re-runs with [~strict:true].  Strict engines (and any engine
+   with a recorder attached) never run ahead. *)
 
 type api = {
   self : int;
@@ -44,12 +56,13 @@ type api = {
   acquire : int -> unit;
   release : int -> unit;
   now_ps : unit -> int;
-  spawn_child : core:int -> (api -> unit) -> int;
+  spawn_child : (api -> unit) -> int;   (* on the caller's core *)
   join : int -> unit;
   barrier_n : id:int -> count:int -> unit;
   flag_set : id:int -> bool -> unit;
   flag_wait : id:int -> unit;
   set_frequency : core:int -> mhz:int -> unit;
+  take_turn : unit -> unit;
 }
 
 type _ Effect.t +=
@@ -57,7 +70,7 @@ type _ Effect.t +=
   | E_acquire : int -> unit Effect.t
   | E_release : int -> unit Effect.t
   | E_now : int Effect.t
-  | E_spawn : (int * (api -> unit)) -> int Effect.t
+  | E_spawn : (api -> unit) -> int Effect.t
   | E_join : int -> unit Effect.t
   | E_barrier_n : (int * int) -> unit Effect.t   (* barrier id, group size *)
   | E_set_freq : (int * int) -> unit Effect.t    (* core, MHz (whole tile) *)
@@ -67,7 +80,8 @@ type _ Effect.t +=
       (* yield to the scheduler with the operation's charge already
          applied — performed by [api.compute]/[load]/[store] only when
          the in-place fast path could not prove the scheduler would
-         pick this context again *)
+         pick this context again; [wait_turn] performs it with no
+         operation to count *)
 
 type pending =
   | Start of (unit -> unit)
@@ -85,6 +99,11 @@ type ctx = {
   mutable pending : pending option;
   mutable joiners : (ctx * (unit, unit) Effect.Deep.continuation) list;
       (* contexts blocked in [join] on this one *)
+  mutable ahead : int;
+      (* core-local operations run ahead since the context last held the
+         turn; 0 means the scheduler would pick it right now *)
+  mutable last_start : int;
+      (* start time of the last operation run ahead; -1 before any *)
 }
 
 type proc = {
@@ -111,6 +130,8 @@ type flag = {
 }
 
 exception Deadlock of string
+
+exception Order_conflict of string
 
 (* A counted barrier's per-group bookkeeping: arrivals are counted, not
    re-measured with [List.length] on every entry. *)
@@ -141,7 +162,8 @@ type t = {
   locks : lock array;
   mutable n_finished : int;
   mutable started : bool;
-  mutable n_events : int;           (* contexts resumed *)
+  mutable n_events : int;           (* operations processed *)
+  strict : bool;                    (* no run-ahead: global time order *)
   trace : Trace.t option;
   profile : Profile.t option;
   critpath : Critpath.t option;
@@ -186,7 +208,8 @@ and heap = {
 
 let heap_make () = { hnow = Array.make 64 0; hid = Array.make 64 0; hlen = 0 }
 
-let create ?(cfg = Config.default) ?trace ?profile ?critpath () =
+let create ?(cfg = Config.default) ?(strict = false) ?trace ?profile ?critpath
+    () =
   let n = Config.n_cores cfg in
   let mesh = Mesh.create cfg in
   {
@@ -223,6 +246,8 @@ let create ?(cfg = Config.default) ?trace ?profile ?critpath () =
     n_finished = 0;
     started = false;
     n_events = 0;
+    (* the recorders log intervals in processing order *)
+    strict = strict || trace <> None || profile <> None || critpath <> None;
     trace;
     profile;
     critpath;
@@ -453,14 +478,15 @@ let flush_ready t except =
 let no_ctx : ctx =
   { id = -1; core = 0; barrier_member = false;
     stats = Stats.create_ctx (); now = 0; status = Finished;
-    pending = None; joiners = [] }
+    pending = None; joiners = []; ahead = 0; last_start = -1 }
 
 let add_ctx t ~core ~barrier_member ~now =
   if core < 0 || core >= Config.n_cores t.cfg then
     invalid_arg "Engine: core out of range";
   let ctx =
     { id = t.n_ctx; core; barrier_member; stats = Stats.create_ctx ();
-      now; status = Ready; pending = None; joiners = [] }
+      now; status = Ready; pending = None; joiners = []; ahead = 0;
+      last_start = -1 }
   in
   let cap = Array.length t.ctx_arr in
   if t.n_ctx = cap then begin
@@ -550,6 +576,110 @@ let charge_compute t ctx dur =
   occupy_processor t ctx ~until:(start + dur);
   record_interval t ctx ~start_ps:start ~end_ps:(start + dur) Trace.Compute
 
+(* Would the run loop, with [ctx] parked ready right now, pick [ctx]
+   again as the very next context?  This emulates the scheduling
+   decision exactly — slice owners always outrank heap contexts, and
+   ties break on (local time, ctx id) — so continuing [ctx] in place
+   preserves the event order bit for bit.  The check is conservative in
+   one place only: it requires the ready-stash to be empty and, when
+   [ctx] is alone on its core, compares against the *settled* heap root.
+   Stale roots always carry an earlier snapshot time than their
+   context's true time, so settling (which the real pick also does)
+   never changes the answer; a [false] merely forfeits the shortcut,
+   never correctness. *)
+let fast_self_pick t ctx =
+  (match t.just_ready with [] -> true | _ :: _ -> false)
+  &&
+  let proc = t.procs.(ctx.core) in
+  if proc.ctx_count > 1 then
+    (* shared core: [ctx] must still own its slice and beat every other
+       eligible slice owner on (time, id) — mirrors [slice_pick] *)
+    proc.last_ctx = ctx.id
+    && ctx.now <= proc.slice_end
+    && List.for_all
+         (fun core ->
+           core = ctx.core
+           ||
+           let p = t.procs.(core) in
+           p.last_ctx < 0
+           ||
+           let c = t.ctx_arr.(p.last_ctx) in
+           c.status <> Ready || c.now > p.slice_end
+           || ctx.now < c.now
+           || (ctx.now = c.now && ctx.id < c.id))
+         t.shared_cores
+  else
+    (* [ctx] alone on its core: no slice owner anywhere may be eligible
+       (they would outrank it), and it must beat the heap's live
+       minimum — mirrors [slice_pick] + [heap_pick] *)
+    List.for_all
+      (fun core ->
+        let p = t.procs.(core) in
+        p.last_ctx < 0
+        ||
+        let c = t.ctx_arr.(p.last_ctx) in
+        c.status <> Ready || c.now > p.slice_end)
+      t.shared_cores
+    &&
+    let h = t.ready in
+    (not (heap_settle t h))
+    ||
+    let rn = h.hnow.(0) in
+    ctx.now < rn || (ctx.now = rn && ctx.id < h.hid.(0))
+
+(* A lone context takes its turn anyway after this many operations run
+   ahead, so a spin on a private location that only another core writes
+   still lets the writer run and the conflict surface. *)
+let run_ahead_limit = 65_536
+
+(* May [ctx] process its core-local operations in place?  Only another
+   context on the same core could see them, and a context can only gain
+   a core-mate by spawning one itself, which takes its turn first. *)
+let runs_ahead t ctx = (not t.strict) && t.procs.(ctx.core).ctx_count = 1
+
+(* Wait until the scheduler would pick [ctx]: called before anything
+   another context can observe.  A context that has not run ahead since
+   it last held the turn still holds it. *)
+let wait_turn t ctx =
+  if ctx.ahead > 0 then begin
+    ctx.ahead <- 0;
+    if not (fast_self_pick t ctx) then begin
+      (* the resume that follows processes no operation *)
+      t.n_events <- t.n_events - 1;
+      Effect.perform E_yield
+    end
+  end
+
+(* Account for one core-local operation processed in place. *)
+let ran_ahead t ctx =
+  t.n_events <- t.n_events + 1;
+  ctx.ahead <- ctx.ahead + 1;
+  if ctx.ahead >= run_ahead_limit then wait_turn t ctx
+
+(* [ctx], holding the turn, is about to change what the core-local
+   operations of contexts on cores [lo..hi] read.  Any of them that
+   already ran an operation ordered after [ctx]'s current point read the
+   old state.  On a shared core [ctx] may be a slice owner, running
+   ahead of contexts that wait in the heap in global order too, so its
+   time bounds nothing: any run-ahead there counts.  Contexts on [ctx]'s
+   own core ran ahead only before it was shared. *)
+let check_conflict t ctx ~lo ~hi what =
+  let sliced = t.procs.(ctx.core).ctx_count > 1 in
+  for i = 0 to t.n_ctx - 1 do
+    let x = t.ctx_arr.(i) in
+    if x.core <> ctx.core && x.core >= lo && x.core <= hi
+       && x.last_start >= 0
+       && (sliced || x.last_start > ctx.now
+           || (x.last_start = ctx.now && x.id > ctx.id))
+    then
+      raise
+        (Order_conflict
+           (Printf.sprintf
+              "%s by context %d at %d ps: context %d on core %d already \
+               ran ahead to %d ps"
+              what ctx.id ctx.now x.id x.core x.last_start))
+  done
+
 (* --- memory system ------------------------------------------------------ *)
 
 (* Round trip to a memory controller for one line, with FIFO queuing.
@@ -578,6 +708,9 @@ let private_line t ctx ~write addr =
       ccx t ctx (t.cfg.Config.l1_hit_cycles + t.cfg.Config.l2_hit_cycles)
     end
     else begin
+      (* the memory controllers are shared: the probe above was
+         core-local, the round trip is not *)
+      wait_turn t ctx;
       cs.Stats.l2_misses <- cs.Stats.l2_misses + 1;
       cs.Stats.private_dram_lines <- cs.Stats.private_dram_lines + 1;
       let mc = t.mc_of.(ctx.core) in
@@ -932,57 +1065,6 @@ let finish_ctx t ctx =
 (* Cost of creating a process/thread context, charged to the parent. *)
 let spawn_cost_cycles = 2_000
 
-(* Would the run loop, with [ctx] parked ready right now, pick [ctx]
-   again as the very next context?  This emulates the scheduling
-   decision exactly — slice owners always outrank heap contexts, and
-   ties break on (local time, ctx id) — so continuing [ctx] in place
-   preserves the event order bit for bit.  The check is conservative in
-   one place only: it requires the ready-stash to be empty and, when
-   [ctx] is alone on its core, compares against the *settled* heap root.
-   Stale roots always carry an earlier snapshot time than their
-   context's true time, so settling (which the real pick also does)
-   never changes the answer; a [false] merely forfeits the shortcut,
-   never correctness. *)
-let fast_self_pick t ctx =
-  (match t.just_ready with [] -> true | _ :: _ -> false)
-  &&
-  let proc = t.procs.(ctx.core) in
-  if proc.ctx_count > 1 then
-    (* shared core: [ctx] must still own its slice and beat every other
-       eligible slice owner on (time, id) — mirrors [slice_pick] *)
-    proc.last_ctx = ctx.id
-    && ctx.now <= proc.slice_end
-    && List.for_all
-         (fun core ->
-           core = ctx.core
-           ||
-           let p = t.procs.(core) in
-           p.last_ctx < 0
-           ||
-           let c = t.ctx_arr.(p.last_ctx) in
-           c.status <> Ready || c.now > p.slice_end
-           || ctx.now < c.now
-           || (ctx.now = c.now && ctx.id < c.id))
-         t.shared_cores
-  else
-    (* [ctx] alone on its core: no slice owner anywhere may be eligible
-       (they would outrank it), and it must beat the heap's live
-       minimum — mirrors [slice_pick] + [heap_pick] *)
-    List.for_all
-      (fun core ->
-        let p = t.procs.(core) in
-        p.last_ctx < 0
-        ||
-        let c = t.ctx_arr.(p.last_ctx) in
-        c.status <> Ready || c.now > p.slice_end)
-      t.shared_cores
-    &&
-    let h = t.ready in
-    (not (heap_settle t h))
-    ||
-    let rn = h.hnow.(0) in
-    ctx.now < rn || (ctx.now = rn && ctx.id < h.hid.(0))
-
 let rec handler t ctx : (unit, unit) Effect.Deep.handler =
   (* One yield receiver per context, allocated once: the performer
      checked [fast_self_pick] before suspending and nothing mutates
@@ -1019,14 +1101,14 @@ let rec handler t ctx : (unit, unit) Effect.Deep.handler =
             Some
               (fun (k : (a, unit) Effect.Deep.continuation) ->
                 Effect.Deep.continue k ctx.now)
-        | E_spawn (core, program) ->
+        | E_spawn program ->
             Some
               (fun (k : (a, unit) Effect.Deep.continuation) ->
                 let dur = ccx t ctx spawn_cost_cycles in
                 ctx.stats.Stats.compute_ps <-
                   ctx.stats.Stats.compute_ps + dur;
                 charge_compute t ctx dur;
-                let child = add_ctx t ~core ~barrier_member:false
+                let child = add_ctx t ~core:ctx.core ~barrier_member:false
                               ~now:ctx.now in
                 (* the child's lane is idle from t=0 until the spawn:
                    pad it so its accounting also sums to the wall *)
@@ -1039,7 +1121,8 @@ let rec handler t ctx : (unit, unit) Effect.Deep.handler =
                         ~end_ps:child.now ~fn:0 ~line:0
                         ~pred:(Critpath.last_event cp ~ctx:ctx.id));
                 let api = make_api t child in
-                child.pending <- Some (Start (fun () -> program api));
+                child.pending <-
+                  Some (Start (fun () -> run_body t child program api));
                 Effect.Deep.continue k child.id)
         | E_set_freq (core, mhz) ->
             Some
@@ -1053,6 +1136,10 @@ let rec handler t ctx : (unit, unit) Effect.Deep.handler =
                     core / t.cfg.Config.cores_per_tile
                     * t.cfg.Config.cores_per_tile
                   in
+                  if not t.strict then
+                    check_conflict t ctx ~lo:tile_base
+                      ~hi:(tile_base + t.cfg.Config.cores_per_tile - 1)
+                      "frequency change";
                   for c = tile_base
                       to tile_base + t.cfg.Config.cores_per_tile - 1 do
                     t.core_freq_mhz.(c) <- mhz;
@@ -1105,14 +1192,14 @@ let rec handler t ctx : (unit, unit) Effect.Deep.handler =
 
 and make_api t ctx =
   let line = t.cfg.Config.line_bytes in
-  (* Hot-path shortcut, mirroring the [E_compute]/[E_access] handler
-     arms: apply the operation's charge first, then — when the
-     scheduler would provably pick this context again — account for the
-     event in place and return, performing no effect at all (no
-     continuation is reified, no stack grows).  Otherwise yield to the
-     scheduler with the charge already applied.  The state mutations
-     and their order are exactly those of the effect path, so the event
-     stream is bit-identical either way. *)
+  (* Hot-path shortcut, mirroring the [E_yield] handler arm: apply the
+     operation's charge first, then — when the scheduler would provably
+     pick this context again — account for the event in place and
+     return, performing no effect at all (no continuation is reified, no
+     stack grows).  Otherwise yield to the scheduler with the charge
+     already applied.  The state mutations and their order are exactly
+     those of the effect path, so the event stream is bit-identical
+     either way. *)
   let settle () =
     if fast_self_pick t ctx then t.n_events <- t.n_events + 1
     else Effect.perform E_yield
@@ -1122,10 +1209,28 @@ and make_api t ctx =
   let access write addr ~bytes =
     let nlines = max 1 ((bytes + line - 1) / line) in
     for i = 0 to nlines - 1 do
-      charge_access t ctx ~write (addr + (i * line));
-      settle ()
+      let a = addr + (i * line) in
+      (* region kind and owning core: equal to [ctx.core] exactly for a
+         line of this core's private pages *)
+      let page = (a lsr 32) land 0x3ff in
+      if page = ctx.core && runs_ahead t ctx then begin
+        ctx.last_start <- ctx.now;
+        charge_access t ctx ~write a;
+        ran_ahead t ctx
+      end
+      else begin
+        wait_turn t ctx;
+        charge_access t ctx ~write a;
+        settle ();
+        (* another core's private page: its owner's run-ahead reads and
+           writes the same cells the caller is about to *)
+        if page < 0x100 && page <> ctx.core && not t.strict then
+          check_conflict t ctx ~lo:page ~hi:page "private access"
+      end
     done
   in
+  (* every synchronization step is visible to other contexts *)
+  let sync eff = wait_turn t ctx; Effect.perform eff in
   {
     self = ctx.id;
     nunits = n_ctxs t;
@@ -1135,25 +1240,40 @@ and make_api t ctx =
         if n > 0 then begin
           let dur = ccx t ctx n in
           ctx.stats.Stats.compute_ps <- ctx.stats.Stats.compute_ps + dur;
-          charge_compute t ctx dur;
-          settle ()
+          if runs_ahead t ctx then begin
+            ctx.last_start <- ctx.now;
+            charge_compute t ctx dur;
+            ran_ahead t ctx
+          end
+          else begin
+            charge_compute t ctx dur;
+            settle ()
+          end
         end);
     load = (fun addr ~bytes -> access false addr ~bytes);
     store = (fun addr ~bytes -> access true addr ~bytes);
-    barrier = (fun () -> Effect.perform E_barrier);
-    acquire = (fun lock_id -> Effect.perform (E_acquire lock_id));
-    release = (fun lock_id -> Effect.perform (E_release lock_id));
+    barrier = (fun () -> sync E_barrier);
+    acquire = (fun lock_id -> sync (E_acquire lock_id));
+    release = (fun lock_id -> sync (E_release lock_id));
     now_ps = (fun () -> Effect.perform E_now);
-    spawn_child =
-      (fun ~core program -> Effect.perform (E_spawn (core, program)));
-    join = (fun target -> Effect.perform (E_join target));
-    barrier_n =
-      (fun ~id ~count -> Effect.perform (E_barrier_n (id, count)));
-    flag_set = (fun ~id value -> Effect.perform (E_flag_set (id, value)));
-    flag_wait = (fun ~id -> Effect.perform (E_flag_wait id));
-    set_frequency =
-      (fun ~core ~mhz -> Effect.perform (E_set_freq (core, mhz)));
+    spawn_child = (fun program -> sync (E_spawn program));
+    join = (fun target -> sync (E_join target));
+    barrier_n = (fun ~id ~count -> sync (E_barrier_n (id, count)));
+    flag_set = (fun ~id value -> sync (E_flag_set (id, value)));
+    flag_wait = (fun ~id -> sync (E_flag_wait id));
+    set_frequency = (fun ~core ~mhz -> sync (E_set_freq (core, mhz)));
+    take_turn = (fun () -> wait_turn t ctx);
   }
+
+(* A context's whole life: finishing, or failing, is ordered like any
+   other visible step, so of several failing contexts the one failing
+   first in simulated time is the one reported. *)
+and run_body t ctx program api =
+  match program api with
+  | () -> wait_turn t ctx
+  | exception e ->
+      wait_turn t ctx;
+      raise e
 
 let spawn t ~core program =
   if t.started then
@@ -1161,7 +1281,8 @@ let spawn t ~core program =
   let ctx = add_ctx t ~core ~barrier_member:true ~now:0 in
   (* [make_api] runs inside the thunk, at first resume, so [api.nunits]
      sees every statically spawned context *)
-  ctx.pending <- Some (Start (fun () -> program (make_api t ctx)));
+  ctx.pending <-
+    Some (Start (fun () -> run_body t ctx program (make_api t ctx)));
   ctx.id
 
 (* Slice preference: on a shared core the OS keeps the current thread

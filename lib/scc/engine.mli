@@ -5,7 +5,15 @@
     shared resources (core pipelines, memory controllers, MPB ports,
     locks, the barrier) are arbitrated in global time order and every run
     is reproducible.  The timing model is documented at the top of the
-    implementation. *)
+    implementation.
+
+    A context alone on its core runs its core-local operations (compute,
+    and its own core's private lines that hit in L1 or L2) ahead of that
+    order, without a scheduling decision, and takes its turn before
+    anything another context can observe.  Results, including {!events},
+    are the same as in global order.  A program's own code must keep the
+    same contract: between operations, touch only state no other context
+    can see, or call [take_turn] first. *)
 
 type api = {
   self : int;    (** context id: the RCCE rank or Pthread index *)
@@ -20,9 +28,10 @@ type api = {
   acquire : int -> unit;            (** test-and-set register of core [i] *)
   release : int -> unit;
   now_ps : unit -> int;
-  spawn_child : core:int -> (api -> unit) -> int;
-      (** create a context mid-run (pthread_create); returns its id.
-          Dynamic contexts do not join the barrier group. *)
+  spawn_child : (api -> unit) -> int;
+      (** create a context mid-run on the caller's core (pthread_create);
+          returns its id.  Dynamic contexts do not join the barrier
+          group. *)
   join : int -> unit;               (** wait for a context to finish *)
   barrier_n : id:int -> count:int -> unit;
       (** counted barrier over an explicit group size, keyed by id
@@ -34,16 +43,36 @@ type api = {
   set_frequency : core:int -> mhz:int -> unit;
       (** change a tile's core frequency mid-run (DVFS, section 5.1);
           both cores of the tile change together.  100..1000 MHz. *)
+  take_turn : unit -> unit;
+      (** wait until every operation ordered before the caller's current
+          point has been processed.  Call it before reading or writing
+          state shared with other contexts that no engine operation
+          guards (an allocation log, an output buffer, a table handing
+          out ids in first-use order).  Free when the context has not
+          run ahead. *)
 }
 
 exception Deadlock of string
 
+exception Order_conflict of string
+(** Raised by {!run} in a non-strict engine when a context changed what
+    another context's already-processed core-local operations read: a
+    frequency change on a tile whose other core ran past it, or an
+    access to another core's private page whose owner ran past it.
+    Nothing about the run is usable; run the program again in an engine
+    created with [~strict:true]. *)
+
 type t
 
 val create :
-  ?cfg:Config.t -> ?trace:Trace.t -> ?profile:Profile.t ->
+  ?cfg:Config.t -> ?strict:bool -> ?trace:Trace.t -> ?profile:Profile.t ->
   ?critpath:Critpath.t -> unit -> t
-(** With [trace], every compute burst, memory access, barrier wait and
+(** With [strict] (default [false]), every operation is processed in
+    global time order and {!run} never raises {!Order_conflict}.  An
+    engine with any recorder attached is strict, since recorders log in
+    processing order.
+
+    With [trace], every compute burst, memory access, barrier wait and
     lock wait is recorded as a timed interval.  With [profile], the same
     picoseconds are additionally attributed to each context's current
     source frame (see {!Profile}), lock and barrier contention is
@@ -69,8 +98,11 @@ val spawn : t -> core:int -> (api -> unit) -> int
     @raise Invalid_argument after {!run} or for an out-of-range core. *)
 
 val run : t -> unit
-(** Drive the simulation until every context finishes.
-    @raise Deadlock when parked contexts can never resume. *)
+(** Drive the simulation until every context finishes.  An exception
+    escaping a context's program is re-raised here once every operation
+    ordered before it has been processed.
+    @raise Deadlock when parked contexts can never resume.
+    @raise Order_conflict in a non-strict engine, see above. *)
 
 val stats : t -> Stats.t
 
@@ -86,6 +118,9 @@ val elapsed_ps : t -> int
 val elapsed_ms : t -> float
 
 val events : t -> int
-(** Number of scheduler events processed so far: each count is one
-    context resume (a compute burst, memory access, or synchronization
-    step between two scheduling decisions). *)
+(** Number of operations processed so far: one per context start, per
+    compute burst, per memory line and per synchronization step that
+    parks or yields.  It counts operations, not scheduler resumes: an
+    operation continued in place counts once, and waiting for the turn
+    counts nothing, so the figure is the same in strict and run-ahead
+    engines. *)

@@ -417,48 +417,92 @@ let test_end_to_end_example () =
 
 (* A program that parks every context ends in a diagnostic and exit 1
    from [hsmcc run], like a runtime error, never an uncaught exception. *)
-let test_cli_deadlock_exit () =
+(* Run [hsmcc run <src> args] and return its exit status and stderr;
+   [None] when the binary is not built next to the tests. *)
+let hsmcc_run ?(args = "") source =
   let exe =
     if Sys.file_exists "../bin/hsmcc.exe" then "../bin/hsmcc.exe"
     else "_build/default/bin/hsmcc.exe"
   in
-  if Sys.file_exists exe then begin
-    let src = Filename.temp_file "self_deadlock" ".c" in
-    let err = Filename.temp_file "self_deadlock" ".err" in
+  if not (Sys.file_exists exe) then begin
+    Printf.eprintf "skipping CLI test: %s not built\n" exe;
+    None
+  end
+  else begin
+    let src = Filename.temp_file "hsmcc_run" ".c" in
+    let err = Filename.temp_file "hsmcc_run" ".err" in
     let oc = open_out src in
-    output_string oc
-      "#include <pthread.h>\n\
-       pthread_mutex_t m;\n\
-       int main() {\n\
-      \  pthread_mutex_lock(&m);\n\
-      \  pthread_mutex_lock(&m);\n\
-      \  return 0;\n\
-       }\n";
+    output_string oc source;
     close_out oc;
     let code =
       Sys.command
-        (Printf.sprintf "%s run %s >/dev/null 2>%s" exe
-           (Filename.quote src) (Filename.quote err))
+        (Printf.sprintf "%s run %s %s >/dev/null 2>%s" exe
+           (Filename.quote src) args (Filename.quote err))
     in
     let ic = open_in err in
     let stderr_text = really_input_string ic (in_channel_length ic) in
     close_in ic;
     Sys.remove src;
     Sys.remove err;
-    let contains needle =
-      let nl = String.length needle and hl = String.length stderr_text in
-      let rec go i =
-        i + nl <= hl && (String.sub stderr_text i nl = needle || go (i + 1))
-      in
-      go 0
-    in
-    Alcotest.(check int) "exit status" 1 code;
-    Alcotest.(check bool) "deadlock diagnostic" true
-      (contains "hsmcc: deadlock: ");
-    Alcotest.(check bool) "no uncaught exception" false
-      (contains "uncaught exception")
+    Some (code, stderr_text)
   end
-  else Printf.eprintf "skipping CLI deadlock test: %s not built\n" exe
+
+let contains ~needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+(* [hsmcc run] fails cleanly: exit 1, the expected diagnostic, never an
+   uncaught exception. *)
+let check_run_fails ?args ~diagnostic source =
+  match hsmcc_run ?args source with
+  | None -> ()
+  | Some (code, stderr_text) ->
+      Alcotest.(check int) "exit status" 1 code;
+      if not (contains ~needle:diagnostic stderr_text) then
+        Alcotest.failf "expected %S in stderr:\n%s" diagnostic stderr_text;
+      Alcotest.(check bool) "no uncaught exception" false
+        (contains ~needle:"uncaught exception" stderr_text)
+
+let test_cli_deadlock_exit () =
+  check_run_fails ~diagnostic:"hsmcc: deadlock: "
+    "#include <pthread.h>\n\
+     pthread_mutex_t m;\n\
+     int main() {\n\
+    \  pthread_mutex_lock(&m);\n\
+    \  pthread_mutex_lock(&m);\n\
+    \  return 0;\n\
+     }\n"
+
+let test_cli_printf_cut_off () =
+  check_run_fails
+    ~diagnostic:"hsmcc: runtime error: printf: incomplete conversion"
+    "int main() {\n  printf(\"width only %5\");\n  return 0;\n}\n"
+
+let test_cli_division_by_zero () =
+  check_run_fails
+    ~diagnostic:"hsmcc: runtime error: integer division by zero"
+    "int main() {\n  int z = 0;\n  int x = 5 / z;\n  return x;\n}\n"
+
+let test_cli_release_unheld () =
+  check_run_fails ~args:"--cores 2"
+    ~diagnostic:"hsmcc: runtime error: RCCE_release_lock: lock 0 is not held"
+    "int RCCE_APP(int argc, char **argv) {\n\
+    \  RCCE_init(&argc, &argv);\n\
+    \  RCCE_release_lock(0);\n\
+    \  RCCE_finalize();\n\
+    \  return 0;\n\
+     }\n"
+
+let test_cli_mpb_exhausted () =
+  check_run_fails ~args:"--cores 2"
+    ~diagnostic:"hsmcc: runtime error: out of memory in MPB(core 0)"
+    "int RCCE_APP(int argc, char **argv) {\n\
+    \  RCCE_init(&argc, &argv);\n\
+    \  char *p = RCCE_malloc(100000);\n\
+    \  RCCE_finalize();\n\
+    \  return 0;\n\
+     }\n"
 
 let suite =
   [
@@ -480,6 +524,14 @@ let suite =
     Alcotest.test_case "unknown function" `Quick
       test_unknown_function_reported;
     Alcotest.test_case "run deadlock exits 1" `Quick test_cli_deadlock_exit;
+    Alcotest.test_case "run printf cut-off conversion exits 1" `Quick
+      test_cli_printf_cut_off;
+    Alcotest.test_case "run division by zero exits 1" `Quick
+      test_cli_division_by_zero;
+    Alcotest.test_case "run unheld lock release exits 1" `Quick
+      test_cli_release_unheld;
+    Alcotest.test_case "run MPB exhaustion exits 1" `Quick
+      test_cli_mpb_exhausted;
     Alcotest.test_case "pthread example 4.1" `Quick test_pthread_example_4_1;
     Alcotest.test_case "pthread mutex counter" `Quick
       test_pthread_mutex_counter;

@@ -357,7 +357,7 @@ let test_engine_spawn_join () =
   ignore
     (Scc.Engine.spawn eng ~core:0 (fun api ->
          let child =
-           api.Scc.Engine.spawn_child ~core:0 (fun capi ->
+           api.Scc.Engine.spawn_child (fun capi ->
                capi.Scc.Engine.compute 50_000;
                child_done := true)
          in
