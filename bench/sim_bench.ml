@@ -12,7 +12,8 @@
    - interp_8: the same program at 8 threads (slice-rotation heavy).
    - interp_rcce: the same program translated with -O and run as 8 RCCE
      processes, one per core — the only row whose contexts run ahead on
-     their own cores (every Pthread context shares core 0).
+     their own cores (Interp.run_rcce is the one caller that creates a
+     non-strict engine).
    - sched_raw: a synthetic workload performing compute/load effects
      directly against the engine API with no C interpreter at all —
      the scheduler + effect-machinery + memory-model ceiling.  If this

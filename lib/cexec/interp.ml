@@ -541,6 +541,9 @@ and call_user task fidx args =
 (* --- builtins ----------------------------------------------------------------- *)
 
 and mini_printf task fmt values =
+  (* the caller's charge may have flushed a burst that ran ahead, and
+     the literal table and the output are shared *)
+  take_turn task;
   let buf = Buffer.create 64 in
   let n = String.length fmt in
   let args = ref values in
@@ -908,7 +911,7 @@ let setup_globals task =
             es)
     rp.Resolve.rp_globals
 
-let make_shared ?cfg ?(strict = false) ?trace ?profile ?critpath ~detect_races
+let make_shared ?cfg ?(strict = true) ?trace ?profile ?critpath ~detect_races
     ~ncores program =
   (* the race detector sees accesses in processing order *)
   let eng =

@@ -10,9 +10,7 @@
    Collective allocations must return the same address in every UE: the
    runtime keeps one allocation log keyed by per-UE call sequence — the
    first UE to reach the k-th collective call performs the real
-   allocation, later UEs' k-th calls return the logged address.  Which
-   UE is first is decided in simulated time, so every access to the
-   logs and to the memory map takes the engine turn first. *)
+   allocation, later UEs' k-th calls return the logged address. *)
 
 type runtime = {
   eng : Scc.Engine.t;
@@ -49,7 +47,6 @@ let api t = t.api
 (* --- collective allocation ---------------------------------------------- *)
 
 let shmalloc t ~bytes =
-  t.api.Scc.Engine.take_turn ();
   let rank = ue t in
   let k = t.rt.shm_counter.(rank) in
   t.rt.shm_counter.(rank) <- k + 1;
@@ -69,7 +66,6 @@ let shmalloc t ~bytes =
    cores' MPB slices; returns the per-chunk bases (rank order).
    @raise Scc.Memmap.Out_of_memory when a slice is exhausted. *)
 let malloc_mpb t ~bytes =
-  t.api.Scc.Engine.take_turn ();
   let rank = ue t in
   let k = t.rt.mpb_counter.(rank) in
   t.rt.mpb_counter.(rank) <- k + 1;
@@ -112,7 +108,6 @@ let get t ~src_ue ~offset ~bytes =
 let comm_buf_bytes = 1024
 
 let comm_buf t ~ue =
-  t.api.Scc.Engine.take_turn ();
   match t.rt.comm_buf.(ue) with
   | Some addr -> addr
   | None ->
@@ -182,19 +177,15 @@ let set_frequency_divider t ~divider =
 (* --- running ------------------------------------------------------------- *)
 
 (* Spawn one UE per core and run to completion; [program] is the RCCE_APP
-   body.  A run-ahead order conflict replays the program once in global
-   order. *)
+   body. *)
 let run ?cfg ~ncores program =
-  let run ~strict =
-    let eng = Scc.Engine.create ?cfg ~strict () in
-    let cores = Array.init ncores (fun i -> i) in
-    let rt = create_runtime eng ~cores in
-    Array.iter
-      (fun core ->
-        ignore
-          (Scc.Engine.spawn eng ~core (fun api -> program (attach rt api))))
-      cores;
-    Scc.Engine.run eng;
-    eng
-  in
-  try run ~strict:false with Scc.Engine.Order_conflict _ -> run ~strict:true
+  let eng = Scc.Engine.create ?cfg () in
+  let cores = Array.init ncores (fun i -> i) in
+  let rt = create_runtime eng ~cores in
+  Array.iter
+    (fun core ->
+      ignore
+        (Scc.Engine.spawn eng ~core (fun api -> program (attach rt api))))
+    cores;
+  Scc.Engine.run eng;
+  eng

@@ -59,6 +59,4 @@ val set_frequency_divider : t -> divider:int -> unit
 val run :
   ?cfg:Scc.Config.t -> ncores:int -> (t -> unit) -> Scc.Engine.t
 (** Spawn one UE per core, run to completion, return the engine for
-    inspection.  UEs run ahead on their own cores (see {!Scc.Engine});
-    when that hits an order conflict the program runs a second time in a
-    strict engine, so it must tolerate being run twice. *)
+    inspection. *)

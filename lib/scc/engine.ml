@@ -42,8 +42,9 @@
    another's core-local events: a tile DVFS change and an access to
    another core's private page.  Both check whether the affected context
    already ran past them and raise [Order_conflict] if it did; the
-   caller re-runs with [~strict:true].  Strict engines (and any engine
-   with a recorder attached) never run ahead. *)
+   caller re-runs with [~strict:true].  Engines are strict unless created
+   with [~strict:false], and one with a recorder attached stays strict;
+   a strict engine never runs ahead. *)
 
 type api = {
   self : int;
@@ -102,8 +103,8 @@ type ctx = {
   mutable ahead : int;
       (* core-local operations run ahead since the context last held the
          turn; 0 means the scheduler would pick it right now *)
-  mutable last_start : int;
-      (* start time of the last operation run ahead; -1 before any *)
+  mutable ahead_end : int;
+      (* end time of the last operation run ahead; -1 before any *)
 }
 
 type proc = {
@@ -208,7 +209,7 @@ and heap = {
 
 let heap_make () = { hnow = Array.make 64 0; hid = Array.make 64 0; hlen = 0 }
 
-let create ?(cfg = Config.default) ?(strict = false) ?trace ?profile ?critpath
+let create ?(cfg = Config.default) ?(strict = true) ?trace ?profile ?critpath
     () =
   let n = Config.n_cores cfg in
   let mesh = Mesh.create cfg in
@@ -478,7 +479,7 @@ let flush_ready t except =
 let no_ctx : ctx =
   { id = -1; core = 0; barrier_member = false;
     stats = Stats.create_ctx (); now = 0; status = Finished;
-    pending = None; joiners = []; ahead = 0; last_start = -1 }
+    pending = None; joiners = []; ahead = 0; ahead_end = -1 }
 
 let add_ctx t ~core ~barrier_member ~now =
   if core < 0 || core >= Config.n_cores t.cfg then
@@ -486,7 +487,7 @@ let add_ctx t ~core ~barrier_member ~now =
   let ctx =
     { id = t.n_ctx; core; barrier_member; stats = Stats.create_ctx ();
       now; status = Ready; pending = None; joiners = []; ahead = 0;
-      last_start = -1 }
+      ahead_end = -1 }
   in
   let cap = Array.length t.ctx_arr in
   if t.n_ctx = cap then begin
@@ -632,10 +633,11 @@ let fast_self_pick t ctx =
    still lets the writer run and the conflict surface. *)
 let run_ahead_limit = 65_536
 
-(* May [ctx] process its core-local operations in place?  Only another
-   context on the same core could see them, and a context can only gain
-   a core-mate by spawning one itself, which takes its turn first. *)
-let runs_ahead t ctx = (not t.strict) && t.procs.(ctx.core).ctx_count = 1
+(* In a non-strict engine, may [ctx] process its core-local operations
+   in place?  Only another context on the same core could see them, and
+   a context can only gain a core-mate by spawning one itself, which
+   takes its turn first. *)
+let runs_ahead t ctx = t.procs.(ctx.core).ctx_count = 1
 
 (* Wait until the scheduler would pick [ctx]: called before anything
    another context can observe.  A context that has not run ahead since
@@ -654,30 +656,35 @@ let wait_turn t ctx =
 let ran_ahead t ctx =
   t.n_events <- t.n_events + 1;
   ctx.ahead <- ctx.ahead + 1;
+  ctx.ahead_end <- ctx.now;
   if ctx.ahead >= run_ahead_limit then wait_turn t ctx
 
 (* [ctx], holding the turn, is about to change what the core-local
-   operations of contexts on cores [lo..hi] read.  Any of them that
-   already ran an operation ordered after [ctx]'s current point read the
-   old state.  On a shared core [ctx] may be a slice owner, running
-   ahead of contexts that wait in the heap in global order too, so its
-   time bounds nothing: any run-ahead there counts.  Contexts on [ctx]'s
-   own core ran ahead only before it was shared. *)
+   operations of contexts on cores [lo..hi] read.  Any of them whose
+   last operation run ahead ended after [ctx]'s current point saw the
+   old state: a program reads or writes a load's or store's cells when
+   the operation returns, which in a strict engine is its end.  (A
+   frequency change alters only operations that start after it, so for
+   DVFS the end is conservative: at worst a needless strict re-run.)  On
+   a shared core [ctx] may be a slice owner, running ahead of contexts
+   that wait in the heap in global order too, so its time bounds
+   nothing: any run-ahead there counts.  Contexts on [ctx]'s own core
+   ran ahead only before it was shared. *)
 let check_conflict t ctx ~lo ~hi what =
   let sliced = t.procs.(ctx.core).ctx_count > 1 in
   for i = 0 to t.n_ctx - 1 do
     let x = t.ctx_arr.(i) in
     if x.core <> ctx.core && x.core >= lo && x.core <= hi
-       && x.last_start >= 0
-       && (sliced || x.last_start > ctx.now
-           || (x.last_start = ctx.now && x.id > ctx.id))
+       && x.ahead_end >= 0
+       && (sliced || x.ahead_end > ctx.now
+           || (x.ahead_end = ctx.now && x.id > ctx.id))
     then
       raise
         (Order_conflict
            (Printf.sprintf
               "%s by context %d at %d ps: context %d on core %d already \
                ran ahead to %d ps"
-              what ctx.id ctx.now x.id x.core x.last_start))
+              what ctx.id ctx.now x.id x.core x.ahead_end))
   done
 
 (* --- memory system ------------------------------------------------------ *)
@@ -1206,74 +1213,109 @@ and make_api t ctx =
   in
   (* a block access issues one scheduling point per line, so the
      scheduler can interleave other contexts' requests between them *)
-  let access write addr ~bytes =
-    let nlines = max 1 ((bytes + line - 1) / line) in
-    for i = 0 to nlines - 1 do
-      let a = addr + (i * line) in
-      (* region kind and owning core: equal to [ctx.core] exactly for a
-         line of this core's private pages *)
-      let page = (a lsr 32) land 0x3ff in
-      if page = ctx.core && runs_ahead t ctx then begin
-        ctx.last_start <- ctx.now;
-        charge_access t ctx ~write a;
-        ran_ahead t ctx
-      end
-      else begin
-        wait_turn t ctx;
-        charge_access t ctx ~write a;
-        settle ();
-        (* another core's private page: its owner's run-ahead reads and
-           writes the same cells the caller is about to *)
-        if page < 0x100 && page <> ctx.core && not t.strict then
-          check_conflict t ctx ~lo:page ~hi:page "private access"
-      end
-    done
-  in
-  (* every synchronization step is visible to other contexts *)
-  let sync eff = wait_turn t ctx; Effect.perform eff in
-  {
-    self = ctx.id;
-    nunits = n_ctxs t;
-    core = ctx.core;
-    compute =
-      (fun n ->
-        if n > 0 then begin
-          let dur = ccx t ctx n in
-          ctx.stats.Stats.compute_ps <- ctx.stats.Stats.compute_ps + dur;
-          if runs_ahead t ctx then begin
-            ctx.last_start <- ctx.now;
-            charge_compute t ctx dur;
-            ran_ahead t ctx
-          end
-          else begin
+  if t.strict then begin
+    (* global order: every operation settles, and a context holds the
+       turn whenever it runs *)
+    let access write addr ~bytes =
+      let nlines = max 1 ((bytes + line - 1) / line) in
+      for i = 0 to nlines - 1 do
+        charge_access t ctx ~write (addr + (i * line));
+        settle ()
+      done
+    in
+    {
+      self = ctx.id;
+      nunits = n_ctxs t;
+      core = ctx.core;
+      compute =
+        (fun n ->
+          if n > 0 then begin
+            let dur = ccx t ctx n in
+            ctx.stats.Stats.compute_ps <- ctx.stats.Stats.compute_ps + dur;
             charge_compute t ctx dur;
             settle ()
-          end
-        end);
-    load = (fun addr ~bytes -> access false addr ~bytes);
-    store = (fun addr ~bytes -> access true addr ~bytes);
-    barrier = (fun () -> sync E_barrier);
-    acquire = (fun lock_id -> sync (E_acquire lock_id));
-    release = (fun lock_id -> sync (E_release lock_id));
-    now_ps = (fun () -> Effect.perform E_now);
-    spawn_child = (fun program -> sync (E_spawn program));
-    join = (fun target -> sync (E_join target));
-    barrier_n = (fun ~id ~count -> sync (E_barrier_n (id, count)));
-    flag_set = (fun ~id value -> sync (E_flag_set (id, value)));
-    flag_wait = (fun ~id -> sync (E_flag_wait id));
-    set_frequency = (fun ~core ~mhz -> sync (E_set_freq (core, mhz)));
-    take_turn = (fun () -> wait_turn t ctx);
-  }
+          end);
+      load = (fun addr ~bytes -> access false addr ~bytes);
+      store = (fun addr ~bytes -> access true addr ~bytes);
+      barrier = (fun () -> Effect.perform E_barrier);
+      acquire = (fun lock_id -> Effect.perform (E_acquire lock_id));
+      release = (fun lock_id -> Effect.perform (E_release lock_id));
+      now_ps = (fun () -> Effect.perform E_now);
+      spawn_child = (fun program -> Effect.perform (E_spawn program));
+      join = (fun target -> Effect.perform (E_join target));
+      barrier_n =
+        (fun ~id ~count -> Effect.perform (E_barrier_n (id, count)));
+      flag_set = (fun ~id value -> Effect.perform (E_flag_set (id, value)));
+      flag_wait = (fun ~id -> Effect.perform (E_flag_wait id));
+      set_frequency =
+        (fun ~core ~mhz -> Effect.perform (E_set_freq (core, mhz)));
+      take_turn = ignore;
+    }
+  end
+  else begin
+    let access write addr ~bytes =
+      let nlines = max 1 ((bytes + line - 1) / line) in
+      for i = 0 to nlines - 1 do
+        let a = addr + (i * line) in
+        (* region kind and owning core: equal to [ctx.core] exactly for
+           a line of this core's private pages *)
+        let page = (a lsr 32) land 0x3ff in
+        if page = ctx.core && runs_ahead t ctx then begin
+          charge_access t ctx ~write a;
+          ran_ahead t ctx
+        end
+        else begin
+          wait_turn t ctx;
+          charge_access t ctx ~write a;
+          settle ();
+          (* another core's private page: its owner's run-ahead reads
+             and writes the same cells the caller is about to *)
+          if page < 0x100 && page <> ctx.core then
+            check_conflict t ctx ~lo:page ~hi:page "private access"
+        end
+      done
+    in
+    (* every synchronization step is visible to other contexts *)
+    let sync eff = wait_turn t ctx; Effect.perform eff in
+    {
+      self = ctx.id;
+      nunits = n_ctxs t;
+      core = ctx.core;
+      compute =
+        (fun n ->
+          if n > 0 then begin
+            let dur = ccx t ctx n in
+            ctx.stats.Stats.compute_ps <- ctx.stats.Stats.compute_ps + dur;
+            charge_compute t ctx dur;
+            if runs_ahead t ctx then ran_ahead t ctx else settle ()
+          end);
+      load = (fun addr ~bytes -> access false addr ~bytes);
+      store = (fun addr ~bytes -> access true addr ~bytes);
+      barrier = (fun () -> sync E_barrier);
+      acquire = (fun lock_id -> sync (E_acquire lock_id));
+      release = (fun lock_id -> sync (E_release lock_id));
+      now_ps = (fun () -> Effect.perform E_now);
+      spawn_child = (fun program -> sync (E_spawn program));
+      join = (fun target -> sync (E_join target));
+      barrier_n = (fun ~id ~count -> sync (E_barrier_n (id, count)));
+      flag_set = (fun ~id value -> sync (E_flag_set (id, value)));
+      flag_wait = (fun ~id -> sync (E_flag_wait id));
+      set_frequency = (fun ~core ~mhz -> sync (E_set_freq (core, mhz)));
+      take_turn = (fun () -> wait_turn t ctx);
+    }
+  end
 
 (* A context's whole life: finishing, or failing, is ordered like any
    other visible step, so of several failing contexts the one failing
    first in simulated time is the one reported. *)
 and run_body t ctx program api =
-  match program api with
-  | () -> wait_turn t ctx
-  | exception e ->
-      wait_turn t ctx;
-      raise e
+  if t.strict then program api
+  else
+    match program api with
+    | () -> wait_turn t ctx
+    | exception e ->
+        wait_turn t ctx;
+        raise e
 
 let spawn t ~core program =
   if t.started then

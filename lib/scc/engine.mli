@@ -7,13 +7,14 @@
     is reproducible.  The timing model is documented at the top of the
     implementation.
 
-    A context alone on its core runs its core-local operations (compute,
-    and its own core's private lines that hit in L1 or L2) ahead of that
-    order, without a scheduling decision, and takes its turn before
-    anything another context can observe.  Results, including {!events},
-    are the same as in global order.  A program's own code must keep the
-    same contract: between operations, touch only state no other context
-    can see, or call [take_turn] first. *)
+    In an engine created with [~strict:false], a context alone on its
+    core runs its core-local operations (compute, and its own core's
+    private lines that hit in L1 or L2) ahead of that order, without a
+    scheduling decision, and takes its turn before anything another
+    context can observe.  Results, including {!events}, are the same as
+    in global order.  A program run that way must keep the same
+    contract: between operations, touch only state no other context can
+    see, or call [take_turn] first. *)
 
 type api = {
   self : int;    (** context id: the RCCE rank or Pthread index *)
@@ -59,18 +60,20 @@ exception Order_conflict of string
     another context's already-processed core-local operations read: a
     frequency change on a tile whose other core ran past it, or an
     access to another core's private page whose owner ran past it.
-    Nothing about the run is usable; run the program again in an engine
-    created with [~strict:true]. *)
+    Nothing about the run is usable; run the program again in a strict
+    engine. *)
 
 type t
 
 val create :
   ?cfg:Config.t -> ?strict:bool -> ?trace:Trace.t -> ?profile:Profile.t ->
   ?critpath:Critpath.t -> unit -> t
-(** With [strict] (default [false]), every operation is processed in
-    global time order and {!run} never raises {!Order_conflict}.  An
-    engine with any recorder attached is strict, since recorders log in
-    processing order.
+(** With [strict] (default [true]), every operation is processed in
+    global time order and {!run} never raises {!Order_conflict}.
+    [~strict:false] lets a context alone on its core run ahead (see
+    above); then {!run} may raise {!Order_conflict}.  An engine with any
+    recorder attached is strict, since recorders log in processing
+    order.
 
     With [trace], every compute burst, memory access, barrier wait and
     lock wait is recorded as a timed interval.  With [profile], the same

@@ -1,9 +1,8 @@
-(* Core-local run-ahead is exact: a run in a default engine, where a
-   context alone on its core processes its core-local operations out of
-   global order, gives the same simulated results as a strict run (a
-   recorder attached keeps the engine strict), and the cases where one
-   context's action changes another's core-local operations are caught
-   and replayed. *)
+(* Core-local run-ahead is exact: [Interp.run_rcce], where a rank alone
+   on its core processes its core-local operations out of global order,
+   gives the same simulated results as a strict run (a recorder attached
+   keeps the engine strict), and the cases where one context's action
+   changes another's core-local operations are caught and replayed. *)
 
 open Cfront
 
@@ -255,6 +254,42 @@ let sliced_reader =
       \    pthread_join(t, NULL);\n\
       \  }"
 
+(* Rank 0 sweeps a private array, which evicts [local] from its L1,
+   then prints [local]; after a private delay rank 1 stores to it through
+   a pointer.  Rank 0's load of [local] runs ahead, and the value is read
+   at the load's end: for delays near 5300 iterations the store lands
+   inside that L2 hit. *)
+let print_local ~delay =
+  rcce_app
+    (Printf.sprintf
+       "  int **slot = (int **) RCCE_shmalloc(sizeof(int *));\n\
+       \  int local = 0;\n\
+       \  int big[4096];\n\
+       \  int i;\n\
+       \  int x = 0;\n\
+       \  if (me == 0) *slot = &local;\n\
+       \  RCCE_barrier(&RCCE_COMM_WORLD);\n\
+       \  if (me == 0) {\n\
+       \    for (i = 0; i < 4096; i = i + 8) x = x + big[i];\n\
+       \    printf(\"%%d\\n\", local);\n\
+       \  } else {\n\
+       \    int *p = *slot;\n\
+       \    for (i = 0; i < %d; i++) x = x + i;\n\
+       \    *p = 1;\n\
+       \  }"
+       delay)
+
+(* Each rank makes nine printf calls with no memory operation between
+   them, so the ninth call's charge flushes a compute burst; its output
+   is appended at the burst's end. *)
+let printf_burst =
+  let calls tag =
+    String.concat ""
+      (List.init 9 (fun i -> Printf.sprintf "    printf(\"%s%d\\n\");\n" tag (i + 1)))
+  in
+  rcce_app
+    ("  if (me == 0) {\n" ^ calls "A" ^ "  } else {\n" ^ calls "B" ^ "  }")
+
 let run_both ~ncores src =
   let program = Parser.program ~file:"guard.c" src in
   check_same "guarded program"
@@ -285,6 +320,21 @@ let test_sliced_reader () =
   let r = run_both ~ncores:2 sliced_reader in
   Alcotest.(check string) "reads at the slice's place in global order"
     "4120\n" r.Cexec.Interp.output
+
+let test_print_local () =
+  let seen =
+    List.init 21 (fun i ->
+        (run_both ~ncores:2 (print_local ~delay:(5290 + i))).Cexec.Interp.output)
+  in
+  (* the delays straddle the store's arrival: the window lies inside *)
+  Alcotest.(check (list string)) "store seen, then not" [ "0\n"; "1\n" ]
+    (List.sort_uniq compare seen)
+
+let test_printf_burst () =
+  let r = run_both ~ncores:2 printf_burst in
+  Alcotest.(check string) "ninth lines at the bursts' end"
+    "A1\nA2\nA3\nA4\nA5\nA6\nA7\nA8\nB1\nB2\nB3\nB4\nB5\nB6\nB7\nB8\nA9\nB9\n"
+    r.Cexec.Interp.output
 
 let test_private_spin () =
   let r = run_both ~ncores:2 private_spin in
@@ -356,6 +406,10 @@ let suite =
       test_sliced_reader;
     Alcotest.test_case "spin on a cross-core-written flag" `Quick
       test_private_spin;
+    Alcotest.test_case "print a local stored to cross-core" `Quick
+      test_print_local;
+    Alcotest.test_case "printf output after a flushed burst" `Quick
+      test_printf_burst;
     Alcotest.test_case "tile-neighbour DVFS conflict" `Quick
       test_dvfs_conflict;
     Alcotest.test_case "cross-core private access conflict" `Quick
