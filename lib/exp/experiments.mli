@@ -83,33 +83,13 @@ val interp_end_to_end :
 
 val interp_experiment : ?scale:scale -> unit -> string
 
-type dvfs_row = {
-  freq_mhz : int;
-  volts : float;
-  watts : float;
-  dvfs_ms : float;
-  dvfs_energy_j : float;
-}
-
 val dvfs_points : int list
 
-val dvfs_data : ?scale:scale -> unit -> dvfs_row list
+val dvfs_experiment : ?scale:scale -> unit -> string
 (** The Pi benchmark across the SCC's DVFS envelope (section 5.1). *)
 
-val dvfs_experiment : ?scale:scale -> unit -> string
-
-type sync_row = {
-  sync_name : string;
-  sync_baseline_ms : float;
-  sync_rcce_ms : float;
-  sync_speedup : float;
-}
-
-val sync_sensitivity_data :
-  ?scale:scale -> ?units:int -> unit -> sync_row list
-(** Compute-bound (Pi) vs lock-bound (histogram) conversion speedups. *)
-
 val sync_sensitivity : ?scale:scale -> ?units:int -> unit -> string
+(** Compute-bound (Pi) vs lock-bound (histogram) conversion speedups. *)
 
 val model_sensitivity : ?scale:scale -> unit -> string
 (** Blocking vs posted uncached shared stores on the memory-bound

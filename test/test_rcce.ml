@@ -1,5 +1,5 @@
 (* The RCCE runtime layer: collective allocation, put/get through the
-   MPB, and the single-core Pthread runtime. *)
+   MPB, and locks. *)
 
 let test_collective_shmalloc_same_address () =
   let seen = Array.make 4 (-1) in
@@ -73,38 +73,6 @@ let test_rcce_lock_roundtrip () =
   in
   Alcotest.(check int) "all three passed the lock" 3 (List.length !order)
 
-(* --- pthread_sim ------------------------------------------------------------ *)
-
-let test_pthread_sim_threads_serialize () =
-  let eng =
-    Pthread_sim.run ~nthreads:4 (fun api -> api.Scc.Engine.compute 10_000)
-  in
-  let expected_min = Scc.Config.core_cycles_ps Scc.Config.default 40_000 in
-  Alcotest.(check bool) "4 threads serialize on one core" true
-    (Scc.Engine.elapsed_ps eng >= expected_min)
-
-let test_pthread_sim_mutex () =
-  let p = Pthread_sim.create_process () in
-  let m = Pthread_sim.mutex_init p in
-  let holders = ref 0 and overlap = ref false in
-  for _ = 1 to 3 do
-    Pthread_sim.spawn_thread p (fun api ->
-        Pthread_sim.mutex_lock api m;
-        incr holders;
-        if !holders > 1 then overlap := true;
-        api.Scc.Engine.compute 1_000;
-        decr holders;
-        Pthread_sim.mutex_unlock api m)
-  done;
-  Scc.Engine.run (Pthread_sim.engine p);
-  Alcotest.(check bool) "no overlapping critical sections" false !overlap
-
-let test_pthread_sim_malloc_private () =
-  let p = Pthread_sim.create_process () in
-  let addr = Pthread_sim.malloc p ~bytes:128 in
-  Alcotest.(check bool) "process memory is core 0 private" true
-    (Scc.Memmap.region_of_addr addr = Scc.Memmap.Private 0)
-
 let suite =
   [
     Alcotest.test_case "collective shmalloc" `Quick
@@ -115,9 +83,4 @@ let suite =
       test_put_get_cost_asymmetry;
     Alcotest.test_case "num_ues" `Quick test_rcce_num_ues;
     Alcotest.test_case "lock round trip" `Quick test_rcce_lock_roundtrip;
-    Alcotest.test_case "pthread_sim serializes" `Quick
-      test_pthread_sim_threads_serialize;
-    Alcotest.test_case "pthread_sim mutex" `Quick test_pthread_sim_mutex;
-    Alcotest.test_case "pthread_sim malloc" `Quick
-      test_pthread_sim_malloc_private;
   ]

@@ -313,23 +313,33 @@ let test_engine_barrier_sync () =
     (after.(0) >= Scc.Config.core_cycles_ps Scc.Config.default 10_000)
 
 let test_engine_lock_mutual_exclusion () =
-  let eng = Scc.Engine.create () in
-  let in_section = ref 0 in
-  let max_seen = ref 0 in
-  for core = 0 to 3 do
-    ignore
-      (Scc.Engine.spawn eng ~core (fun api ->
-           for _ = 1 to 5 do
-             api.Scc.Engine.acquire 0;
-             incr in_section;
-             max_seen := max !max_seen !in_section;
-             api.Scc.Engine.compute 500;
-             decr in_section;
-             api.Scc.Engine.release 0
-           done))
-  done;
-  Scc.Engine.run eng;
-  Alcotest.(check int) "never two holders" 1 !max_seen
+  (* four contexts on four cores, then three time-sharing core 0 whose
+     critical sections outlast a time slice *)
+  List.iter
+    (fun (cores, cycles) ->
+      let eng = Scc.Engine.create () in
+      let in_section = ref 0 in
+      let max_seen = ref 0 in
+      List.iter
+        (fun core ->
+          ignore
+            (Scc.Engine.spawn eng ~core (fun api ->
+                 for _ = 1 to 5 do
+                   api.Scc.Engine.acquire 0;
+                   incr in_section;
+                   max_seen := max !max_seen !in_section;
+                   api.Scc.Engine.compute cycles;
+                   decr in_section;
+                   api.Scc.Engine.release 0
+                 done)))
+        cores;
+      Scc.Engine.run eng;
+      Alcotest.(check int) "never two holders" 1 !max_seen;
+      Alcotest.(check bool) "contexts waited for the lock" true
+        (Array.exists
+           (fun c -> c.Scc.Stats.lock_wait_ps > 0)
+           (Scc.Engine.stats eng).Scc.Stats.ctxs))
+    [ ([ 0; 1; 2; 3 ], 500); ([ 0; 0; 0 ], 15_000) ]
 
 let test_engine_release_without_hold () =
   let eng = Scc.Engine.create () in
