@@ -79,17 +79,48 @@ let interp ~nt ~quick =
     ~label:(Printf.sprintf "pi-pthread-%d-threads" nt)
     (fun () -> Cexec.Interp.run_pthread program)
 
+(* pi translated with -O for 8 ranks. *)
+let pi_rcce ~quick =
+  let options =
+    { Translate.Pass.default_options with ncores = 8; optimize = true }
+  in
+  fst (Translate.Driver.translate_program ~options (pi ~nt:8 ~quick))
+
 (* The only row whose contexts run ahead on their own cores. *)
 let interp_rcce ~quick =
-  let ncores = 8 in
-  let options =
-    { Translate.Pass.default_options with ncores; optimize = true }
-  in
-  let translated, _ =
-    Translate.Driver.translate_program ~options (pi ~nt:ncores ~quick)
-  in
+  let translated = pi_rcce ~quick in
   interp_row ~quick ~label:"pi-rcce-O-8-cores" (fun () ->
-      Cexec.Interp.run_rcce ~ncores translated)
+      Cexec.Interp.run_rcce ~ncores:8 translated)
+
+(* The recorders' enabled cost: the interp_rcce program with the profiler
+   and the critical-path recorder attached, which keep its engine strict,
+   and the --explain report rendered.  The digest pins the report's
+   bytes. *)
+let explain ~quick =
+  let translated = pi_rcce ~quick in
+  let (r, cp, report), s =
+    timed ~quick (fun () ->
+        let profile = Scc.Profile.create () in
+        let cp = Scc.Critpath.create () in
+        let r =
+          Cexec.Interp.run_rcce ~profile ~critpath:cp ~ncores:8 translated
+        in
+        ( r, cp,
+          Scc.Critpath.render ~profile cp ^ Scc.Critpath.to_json ~profile cp ))
+  in
+  let events = Scc.Engine.events r.Cexec.Interp.engine in
+  {
+    label = "pi-rcce-O-8-cores-explain";
+    value = float_of_int events /. s;
+    counters =
+      [ ("events", count events);
+        ("elapsed_ps", count r.elapsed_ps);
+        ("critpath_events", count (Scc.Critpath.events cp));
+        ("path_steps", count (List.length (Scc.Critpath.critical_path cp)));
+        ("dropped", count (Scc.Critpath.dropped cp));
+        ("report_digest",
+         Printf.sprintf "%S" (Digest.to_hex (Digest.string report))) ];
+  }
 
 (* The engine with no interpreter in front of it: contexts time-sharing
    one core, each alternating a short compute burst with a private-line
@@ -302,6 +333,7 @@ let rows =
   [ { name = "interp"; unit = "events/s"; gate = sim; run = interp ~nt:1024 };
     { name = "interp_8"; unit = "events/s"; gate = sim; run = interp ~nt:8 };
     { name = "interp_rcce"; unit = "events/s"; gate = sim; run = interp_rcce };
+    { name = "explain"; unit = "events/s"; gate = sim; run = explain };
     { name = "sched_raw"; unit = "events/s"; gate = sim; run = sched_raw };
     { name = "fig61"; unit = "configs/s"; gate = sim; run = fig61 };
     { name = "pool"; unit = "speedup"; gate = Reported; run = pool };

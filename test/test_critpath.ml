@@ -255,6 +255,56 @@ let test_registry_metrics () =
   Alcotest.(check bool) "no scheduler-partition family" false
     (contains text "sim_domain_events")
 
+(* ---------------------------------------------------------------- *)
+(* golden reports: every byte of the --explain output is pinned.  The
+   runs are built the way [hsmcc run] builds them (a profiler for the
+   names, a critical-path recorder, [to_json ~profile]); the source file
+   names match a run from the repository root. *)
+
+let golden name = read_file (Filename.concat (data_dir "test/golden") name)
+
+let explain_rcce ?limit ?trace ~ncores name =
+  let program =
+    Cfront.Parser.program ~file:("test/golden/" ^ name) (golden name)
+  in
+  let profile = Scc.Profile.create () in
+  let cp = Scc.Critpath.create ?limit () in
+  ignore (Cexec.Interp.run_rcce ?trace ~profile ~critpath:cp ~ncores program);
+  (profile, cp)
+
+let test_golden_reports () =
+  let check name actual =
+    Alcotest.(check string) (name ^ " is byte-identical") (golden name) actual
+  in
+  List.iter
+    (fun (src, ncores, json) ->
+      let profile, cp = explain_rcce ~ncores src in
+      check json (Scc.Critpath.to_json ~profile cp))
+    [ ("hot_loop.opt.rcce.c", 8, "hot_loop.opt.rcce.explain.json");
+      ("locked_counter.rcce.c", 4, "locked_counter.rcce.explain.json") ];
+  (* a capped recorder: the path bottoms out at the oldest stored
+     ancestor, the report says how many events were dropped, and the
+     flow chain is clipped to a truncated trace *)
+  let trace = Scc.Trace.create ~limit:64 () in
+  let profile, cp =
+    explain_rcce ~limit:2000 ~trace ~ncores:8 "hot_loop.opt.rcce.c"
+  in
+  check "hot_loop.opt.rcce.capped.explain.txt"
+    (Scc.Critpath.render ~profile cp);
+  check "hot_loop.opt.rcce.capped.flows.json"
+    (Obs.Chrome.to_json
+       (Scc.Critpath.flow_events ~max_end_ps:(Scc.Trace.max_end_ps trace) cp));
+  (* the Pthread run CI diffs against the same golden *)
+  let file = "examples/c/locked_counter.c" in
+  let program =
+    Cfront.Parser.program ~file
+      (read_file (Filename.concat (data_dir "examples/c") "locked_counter.c"))
+  in
+  let profile = Scc.Profile.create () in
+  let cp = Scc.Critpath.create () in
+  ignore (Cexec.Interp.run_pthread ~profile ~critpath:cp program);
+  check "locked_counter.explain.json" (Scc.Critpath.to_json ~profile cp)
+
 let suite =
   [
     Alcotest.test_case "identity: hot_loop on 8 cores" `Quick
@@ -268,4 +318,6 @@ let suite =
     Alcotest.test_case "critical path sanity" `Quick test_path_sanity;
     Alcotest.test_case "render + json" `Quick test_render_and_json;
     Alcotest.test_case "registry metrics" `Quick test_registry_metrics;
+    Alcotest.test_case "golden reports byte-identical" `Quick
+      test_golden_reports;
   ]
