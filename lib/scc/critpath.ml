@@ -12,11 +12,16 @@
      dropped.  The accumulators are plain adds and never stop, even
      when the event buffer hits its cap;
 
-   - the event-dependency graph itself, in growable flat int arrays
-     (Trace-style: record is a handful of array stores, overflow is
-     counted, never silent).  The critical path is the backward walk
-     from the last event of the last-finishing context: follow the
-     dependency edge when there is one, program order otherwise.
+   - the event-dependency graph itself, one lane per context: 3 ints
+     per event (packed category/core/function/line, duration, end), so
+     the context and its program-order predecessor are implicit, and a
+     side array of (index, handle) pairs for the few events with a
+     causal edge.  Record is a handful of array stores; past the cap
+     events are counted, never silently lost.  The critical path is the
+     backward walk from the last event of the last-finishing context:
+     follow the dependency edge when there is one, program order
+     otherwise.  It is walked once per recorded stream and shared by
+     every report.
 
    What-if estimators replay the accounting under counterfactuals
    (zero mesh latency, zero lock waits, MPB-speed shared DRAM) by
@@ -58,22 +63,88 @@ let cat_of_kind k = Trace.kind_index k
 
 (* --- state ----------------------------------------------------------------- *)
 
+(* A stored event is 3 ints in its context's lane: the packed word, the
+   duration and the end time.  The word packs, from the top, the
+   function slot, the line slot, the category and core + 1, so that
+   [word lsr core_bits] orders path contributors the way the tuple
+   (fn, line, category) does.  Slots, categories and cores that do not
+   fit raise [Invalid_argument] instead of wrapping. *)
+let core_bits = 10
+let cat_bits = 4
+let slot_bits = 24
+let slot_mask = (1 lsl slot_bits) - 1
+
+let does_not_fit ~cat ~core ~fn ~line =
+  invalid_arg
+    (Printf.sprintf "Critpath: category %d, core %d, fn %d, line %d do not fit"
+       cat core fn line)
+
+let pack ~cat ~core ~fn ~line =
+  if (cat lsr cat_bits) lor ((core + 1) lsr core_bits) lor (fn lsr slot_bits)
+     lor (line lsr slot_bits) <> 0
+  then does_not_fit ~cat ~core ~fn ~line;
+  ((((fn lsl slot_bits) lor line) lsl cat_bits lor cat) lsl core_bits)
+  lor (core + 1)
+
+let word_cat w = (w lsr core_bits) land ((1 lsl cat_bits) - 1)
+let word_core w = (w land ((1 lsl core_bits) - 1)) - 1
+let word_line w = (w lsr (core_bits + cat_bits)) land slot_mask
+let word_fn w = w lsr (core_bits + cat_bits + slot_bits)
+
+(* A handle names a stored event: its context and its index in that
+   context's lane. *)
+let ctx_bits = 20
+let max_index = 1 lsl (62 - ctx_bits)
+let handle ~ctx i = (i lsl ctx_bits) lor ctx
+let handle_ctx h = h land ((1 lsl ctx_bits) - 1)
+let handle_index h = h lsr ctx_bits
+
+(* One context's stored events, in record order: event [i] is 3 ints,
+   the word, the duration and the end ps, at [3 (i mod chunk)] in
+   [chunks.(i / chunk)].  Its program-order predecessor is event
+   [i - 1].  The few events with a causal edge have a pair in [edges]:
+   [edges.(2k)] is the event's index, [edges.(2k+1)] the handle it
+   waited on, in index order. *)
+type lane = {
+  mutable chunks : int array array;
+  mutable n : int;
+  mutable edges : int array;
+  mutable n_edges : int;
+}
+
+(* Events per chunk.  The first chunk doubles up to this size, so a
+   context with few events holds little; later chunks are full size,
+   so nothing is copied. *)
+let chunk_bits = 10
+let chunk = 1 lsl chunk_bits
+
+type step = {
+  st_ctx : int;
+  st_core : int;
+  st_cat : int;
+  st_dur : int;
+  st_end_ps : int;
+  st_fn : int;
+  st_line : int;
+}
+
+(* The critical path and what every report reads of it, computed once
+   per recorded stream. *)
+type path = {
+  steps : step list;
+  n_steps : int;
+  span : int;
+  by_cat : int array;
+  by_cat_n : int array;
+  top : (int * int * int * int * int) list;
+}
+
 type t = {
   limit : int;
-  (* event-dependency graph, parallel flat arrays indexed by event id *)
-  mutable e_ctx : int array;
-  mutable e_core : int array;
-  mutable e_cat : int array;
-  mutable e_dur : int array;
-  mutable e_end : int array;
-  mutable e_fn : int array;
-  mutable e_line : int array;
-  mutable e_pred : int array;   (* causal edge, -1 = program order only *)
-  mutable e_prev : int array;   (* previous event of the same ctx, -1 = first *)
-  mutable len : int;
+  mutable lanes : lane array;
+  mutable len : int;                  (* stored events, all lanes *)
   mutable n_dropped : int;
   (* per-context state (growable) *)
-  mutable last_ev : int array;        (* last recorded event id, -1 none *)
   mutable fin : int array;            (* local clock after the last advance *)
   mutable acct : int array array;     (* [ctx].[cat] picoseconds, exact *)
   mutable acct_n : int array array;   (* [ctx].[cat] interval counts *)
@@ -84,16 +155,18 @@ type t = {
   mutable wall_ps : int;
   mutable mpb_line_ps : int;          (* nominal MPB line round trip *)
   mutable finalized : bool;
+  (* the path of the first [len + n_dropped] records *)
+  mutable path : (int * path) option;
 }
 
 let create ?(limit = 1_000_000) () =
+  if limit > max_index then
+    invalid_arg (Printf.sprintf "Critpath.create: limit above %d" max_index);
   {
     limit;
-    e_ctx = [||]; e_core = [||]; e_cat = [||]; e_dur = [||]; e_end = [||];
-    e_fn = [||]; e_line = [||]; e_pred = [||]; e_prev = [||];
+    lanes = [||];
     len = 0;
     n_dropped = 0;
-    last_ev = [||];
     fin = [||];
     acct = [||];
     acct_n = [||];
@@ -103,6 +176,7 @@ let create ?(limit = 1_000_000) () =
     wall_ps = 0;
     mpb_line_ps = 0;
     finalized = false;
+    path = None;
   }
 
 let grow a n fill =
@@ -114,11 +188,15 @@ let grow a n fill =
     bigger
   end
 
+let no_lane = { chunks = [||]; n = 0; edges = [||]; n_edges = 0 }
+
 let ensure_ctx t ctx =
   if ctx >= t.n_ctx then begin
+    if ctx lsr ctx_bits <> 0 then
+      invalid_arg (Printf.sprintf "Critpath: context %d does not fit" ctx);
     let n = ctx + 1 in
     let old = t.n_ctx in
-    t.last_ev <- grow t.last_ev n (-1);
+    t.lanes <- grow t.lanes n no_lane;
     t.fin <- grow t.fin n 0;
     t.mesh_ps <- grow t.mesh_ps n 0;
     t.shared_n <- grow t.shared_n n 0;
@@ -133,6 +211,7 @@ let ensure_ctx t ctx =
       t.acct_n <- grow_2d t.acct_n
     end;
     for c = old to n - 1 do
+      t.lanes.(c) <- { chunks = [| [||] |]; n = 0; edges = [||]; n_edges = 0 };
       if Array.length t.acct.(c) = 0 then begin
         t.acct.(c) <- Array.make n_categories 0;
         t.acct_n.(c) <- Array.make n_categories 0
@@ -141,45 +220,65 @@ let ensure_ctx t ctx =
     t.n_ctx <- n
   end
 
+(* Grows [a], of which [used] ints are filled, to hold [need] ints:
+   doubling, at least 96, at most [cap]. *)
+let widen ?(cap = max_int) a ~used ~need =
+  let bigger =
+    Array.make (min cap (max need (max 96 (2 * Array.length a)))) 0
+  in
+  Array.blit a 0 bigger 0 used;
+  bigger
+
+(* Makes room for event [i], the lane's next one, whose chunk is full or
+   missing. *)
+let make_room l i =
+  if i < chunk then
+    l.chunks.(0) <-
+      widen l.chunks.(0) ~used:(3 * i) ~need:(3 * (i + 1)) ~cap:(3 * chunk)
+  else l.chunks <- Array.append l.chunks [| Array.make (3 * chunk) 0 |]
+
 (* --- recording (engine side) ----------------------------------------------- *)
+
+let stored t h =
+  h >= 0
+  && handle_ctx h < t.n_ctx
+  && handle_index h < t.lanes.(handle_ctx h).n
 
 let record t ~ctx ~core ~cat ~dur ~end_ps ~fn ~line ~pred =
   if dur > 0 then begin
     ensure_ctx t ctx;
+    let word = pack ~cat ~core ~fn ~line in
     (* accounting is exact regardless of event-buffer truncation *)
     t.acct.(ctx).(cat) <- t.acct.(ctx).(cat) + dur;
     t.acct_n.(ctx).(cat) <- t.acct_n.(ctx).(cat) + 1;
     if end_ps > t.fin.(ctx) then t.fin.(ctx) <- end_ps;
     if t.len >= t.limit then t.n_dropped <- t.n_dropped + 1
     else begin
-      let i = t.len in
-      let cap = Array.length t.e_ctx in
-      if i = cap then begin
-        t.e_ctx <- grow t.e_ctx (i + 1) 0;
-        t.e_core <- grow t.e_core (i + 1) 0;
-        t.e_cat <- grow t.e_cat (i + 1) 0;
-        t.e_dur <- grow t.e_dur (i + 1) 0;
-        t.e_end <- grow t.e_end (i + 1) 0;
-        t.e_fn <- grow t.e_fn (i + 1) 0;
-        t.e_line <- grow t.e_line (i + 1) 0;
-        t.e_pred <- grow t.e_pred (i + 1) (-1);
-        t.e_prev <- grow t.e_prev (i + 1) (-1)
+      let l = t.lanes.(ctx) in
+      let i = l.n in
+      let k = i lsr chunk_bits and o = 3 * (i land (chunk - 1)) in
+      if k = Array.length l.chunks || o = Array.length l.chunks.(k) then
+        make_room l i;
+      let c = l.chunks.(k) in
+      c.(o) <- word;
+      c.(o + 1) <- dur;
+      c.(o + 2) <- end_ps;
+      if stored t pred then begin
+        let k = l.n_edges in
+        if 2 * k = Array.length l.edges then
+          l.edges <- widen l.edges ~used:(2 * k) ~need:(2 * (k + 1));
+        l.edges.(2 * k) <- i;
+        l.edges.((2 * k) + 1) <- pred;
+        l.n_edges <- k + 1
       end;
-      t.e_ctx.(i) <- ctx;
-      t.e_core.(i) <- core;
-      t.e_cat.(i) <- cat;
-      t.e_dur.(i) <- dur;
-      t.e_end.(i) <- end_ps;
-      t.e_fn.(i) <- fn;
-      t.e_line.(i) <- line;
-      t.e_pred.(i) <- (if pred >= 0 && pred < i then pred else -1);
-      t.e_prev.(i) <- t.last_ev.(ctx);
-      t.last_ev.(ctx) <- i;
-      t.len <- i + 1
+      l.n <- i + 1;
+      t.len <- t.len + 1
     end
   end
 
-let last_event t ~ctx = if ctx < t.n_ctx then t.last_ev.(ctx) else -1
+let last_event t ~ctx =
+  if ctx < t.n_ctx && t.lanes.(ctx).n > 0 then handle ~ctx (t.lanes.(ctx).n - 1)
+  else -1
 
 let note_mesh t ~ctx ps =
   if ps > 0 then begin
@@ -249,49 +348,57 @@ let identity_ok t =
 
 (* --- critical path ----------------------------------------------------------- *)
 
-type step = {
-  st_ctx : int;
-  st_core : int;
-  st_cat : int;
-  st_dur : int;
-  st_end_ps : int;
-  st_fn : int;
-  st_line : int;
-}
-
-let step_of t i =
-  {
-    st_ctx = t.e_ctx.(i);
-    st_core = t.e_core.(i);
-    st_cat = t.e_cat.(i);
-    st_dur = t.e_dur.(i);
-    st_end_ps = t.e_end.(i);
-    st_fn = t.e_fn.(i);
-    st_line = t.e_line.(i);
-  }
-
 (* Backward walk from the last event of the last-finishing context:
    follow the causal edge when the event has one (the wait ends because
    of what the edge points at), program order otherwise.  Returned in
-   execution order.  With a truncated buffer the walk simply bottoms
-   out at the oldest recorded ancestor — callers surface [dropped]. *)
-let critical_path t =
+   execution order.  Every step moves to an event recorded earlier and a
+   lane's record order is its index order, so the walk visits each
+   lane's indices in decreasing order, and one cursor per lane finds
+   each edge with no search.  With a truncated buffer the walk simply
+   bottoms out at the oldest recorded ancestor — callers surface
+   [dropped]. *)
+let walk t =
   if t.n_ctx = 0 || t.len = 0 then []
   else begin
     let last_ctx = ref 0 in
     for ctx = 1 to t.n_ctx - 1 do
       if t.fin.(ctx) > t.fin.(!last_ctx) then last_ctx := ctx
     done;
-    let path = ref [] in
-    let cur = ref t.last_ev.(!last_ctx) in
-    while !cur >= 0 do
-      let i = !cur in
+    let cursor = Array.init t.n_ctx (fun c -> t.lanes.(c).n_edges - 1) in
+    let steps = ref [] in
+    let ctx = ref !last_ctx in
+    let i = ref (t.lanes.(!ctx).n - 1) in
+    while !i >= 0 do
+      let l = t.lanes.(!ctx) and i' = !i in
+      let k = ref cursor.(!ctx) in
+      while !k >= 0 && l.edges.(2 * !k) > i' do decr k done;
+      cursor.(!ctx) <- !k;
+      let pred =
+        if !k >= 0 && l.edges.(2 * !k) = i' then l.edges.((2 * !k) + 1)
+        else -1
+      in
+      let c = l.chunks.(i' lsr chunk_bits) and o = 3 * (i' land (chunk - 1)) in
+      let word = c.(o) in
       (* idle-tail events pad the accounting; the path skips them *)
-      if t.e_cat.(i) <> cat_idle || t.e_pred.(i) >= 0 then
-        path := step_of t i :: !path;
-      cur := (if t.e_pred.(i) >= 0 then t.e_pred.(i) else t.e_prev.(i))
+      if word_cat word <> cat_idle || pred >= 0 then
+        steps :=
+          {
+            st_ctx = !ctx;
+            st_core = word_core word;
+            st_cat = word_cat word;
+            st_dur = c.(o + 1);
+            st_end_ps = c.(o + 2);
+            st_fn = word_fn word;
+            st_line = word_line word;
+          }
+          :: !steps;
+      if pred >= 0 then begin
+        ctx := handle_ctx pred;
+        i := handle_index pred
+      end
+      else decr i
     done;
-    !path
+    !steps
   end
 
 let path_span steps =
@@ -307,26 +414,55 @@ let path_by_category steps =
     steps;
   (ps, n)
 
-(* top {fn, line, category} contributors along the path, hottest first *)
+module Int_tbl = Hashtbl.Make (Int)
+
+type contribution = { mutable c_ps : int; mutable c_n : int }
+
+(* top {fn, line, category} contributors along the path, hottest first;
+   the key is the packed word without its core, which orders like the
+   tuple (fn, line, category) *)
 let path_contributors steps =
-  let tbl = Hashtbl.create 32 in
+  let tbl = Int_tbl.create 32 in
   List.iter
     (fun s ->
-      let key = (s.st_fn, s.st_line, s.st_cat) in
-      let cur = try Hashtbl.find tbl key with Not_found -> (0, 0) in
-      Hashtbl.replace tbl key (fst cur + s.st_dur, snd cur + 1))
+      let key =
+        pack ~cat:s.st_cat ~core:(-1) ~fn:s.st_fn ~line:s.st_line
+        lsr core_bits
+      in
+      match Int_tbl.find_opt tbl key with
+      | Some c ->
+          c.c_ps <- c.c_ps + s.st_dur;
+          c.c_n <- c.c_n + 1
+      | None -> Int_tbl.add tbl key { c_ps = s.st_dur; c_n = 1 })
     steps;
-  let rows =
-    Hashtbl.fold
-      (fun (fn, line, cat) (ps, n) acc -> (fn, line, cat, ps, n) :: acc)
-      tbl []
-  in
-  List.sort
-    (fun (fa, la, ca, pa, _) (fb, lb, cb, pb, _) ->
-      match compare pb pa with
-      | 0 -> compare (fa, la, ca) (fb, lb, cb)
-      | c -> c)
-    rows
+  Int_tbl.fold (fun key c acc -> (key, c) :: acc) tbl []
+  |> List.sort (fun (ka, a) (kb, b) ->
+         match Int.compare b.c_ps a.c_ps with 0 -> Int.compare ka kb | c -> c)
+  |> List.map (fun (key, c) ->
+         let word = key lsl core_bits in
+         (word_fn word, word_line word, word_cat word, c.c_ps, c.c_n))
+
+let path t =
+  let stamp = t.len + t.n_dropped in
+  match t.path with
+  | Some (at, p) when at = stamp -> p
+  | _ ->
+      let steps = walk t in
+      let by_cat, by_cat_n = path_by_category steps in
+      let p =
+        {
+          steps;
+          n_steps = List.length steps;
+          span = path_span steps;
+          by_cat;
+          by_cat_n;
+          top = path_contributors steps;
+        }
+      in
+      t.path <- Some (stamp, p);
+      p
+
+let critical_path t = (path t).steps
 
 (* --- what-if estimators ------------------------------------------------------ *)
 
@@ -478,46 +614,43 @@ let render_account t =
        else Printf.sprintf "IDENTITY BROKEN: expected %d" expect)
 
 let render_path ?profile ?(limit = 12) t =
-  let steps = critical_path t in
-  match steps with
-  | [] -> "critical path: empty (no events recorded)\n"
-  | _ ->
-      let span = path_span steps in
-      let by_cat, _ = path_by_category steps in
-      let buf = Buffer.create 512 in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "critical path: %d steps, %d ps (%.1f%% of the %d ps wall)%s\n"
-           (List.length steps) span (pct span t.wall_ps) t.wall_ps
-           (if t.n_dropped > 0 then
-              Printf.sprintf " [approximate: %d events dropped]" t.n_dropped
-            else ""));
-      let rows = ref [] in
-      for cat = n_categories - 1 downto 0 do
-        if by_cat.(cat) > 0 then
-          rows :=
-            [ category_name cat;
-              string_of_int by_cat.(cat);
-              Printf.sprintf "%.1f%%" (pct by_cat.(cat) span) ]
-            :: !rows
-      done;
-      Buffer.add_string buf
-        (Obs.render_table ([ "path category"; "ps"; "share" ] :: !rows));
-      let contributors = path_contributors steps in
-      let shown = List.filteri (fun i _ -> i < limit) contributors in
-      Buffer.add_string buf "\nheaviest path contributors:\n";
-      Buffer.add_string buf
-        (Obs.render_table
-           ([ "function"; "line"; "category"; "ps"; "steps" ]
-           :: List.map
-                (fun (fn, line, cat, ps, n) ->
-                  [ fn_of profile fn;
-                    line_of profile line;
-                    category_name cat;
-                    string_of_int ps;
-                    string_of_int n ])
-                shown));
-      Buffer.contents buf
+  let p = path t in
+  if p.n_steps = 0 then "critical path: empty (no events recorded)\n"
+  else begin
+    let buf = Buffer.create 512 in
+    Buffer.add_string buf
+      (Printf.sprintf
+         "critical path: %d steps, %d ps (%.1f%% of the %d ps wall)%s\n"
+         p.n_steps p.span (pct p.span t.wall_ps) t.wall_ps
+         (if t.n_dropped > 0 then
+            Printf.sprintf " [approximate: %d events dropped]" t.n_dropped
+          else ""));
+    let rows = ref [] in
+    for cat = n_categories - 1 downto 0 do
+      if p.by_cat.(cat) > 0 then
+        rows :=
+          [ category_name cat;
+            string_of_int p.by_cat.(cat);
+            Printf.sprintf "%.1f%%" (pct p.by_cat.(cat) p.span) ]
+          :: !rows
+    done;
+    Buffer.add_string buf
+      (Obs.render_table ([ "path category"; "ps"; "share" ] :: !rows));
+    let shown = List.filteri (fun i _ -> i < limit) p.top in
+    Buffer.add_string buf "\nheaviest path contributors:\n";
+    Buffer.add_string buf
+      (Obs.render_table
+         ([ "function"; "line"; "category"; "ps"; "steps" ]
+         :: List.map
+              (fun (fn, line, cat, ps, n) ->
+                [ fn_of profile fn;
+                  line_of profile line;
+                  category_name cat;
+                  string_of_int ps;
+                  string_of_int n ])
+              shown));
+    Buffer.contents buf
+  end
 
 let render_whatifs t =
   let rows =
@@ -550,9 +683,7 @@ let to_json ?profile t =
   let totals = account_totals t in
   let counts = account_event_totals t in
   let sum, expect = identity t in
-  let steps = critical_path t in
-  let span = path_span steps in
-  let by_cat, by_cat_n = path_by_category steps in
+  let p = path t in
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf
@@ -581,19 +712,18 @@ let to_json ?profile t =
     (Printf.sprintf
        "  \"critical_path\": {\"steps\": %d, \"span_ps\": %d, \
         \"by_category\": ["
-       (List.length steps) span);
+       p.n_steps p.span);
   let first = ref true in
   for cat = 0 to n_categories - 1 do
-    if by_cat.(cat) > 0 then begin
+    if p.by_cat.(cat) > 0 then begin
       if not !first then Buffer.add_string buf ", ";
       first := false;
       Buffer.add_string buf
         (Printf.sprintf "{\"category\": \"%s\", \"ps\": %d, \"steps\": %d}"
-           (category_name cat) by_cat.(cat) by_cat_n.(cat))
+           (category_name cat) p.by_cat.(cat) p.by_cat_n.(cat))
     end
   done;
   Buffer.add_string buf "], \"top\": [";
-  let contributors = path_contributors steps in
   List.iteri
     (fun i (fn, line, cat, ps, n) ->
       if i < 12 then begin
@@ -606,7 +736,7 @@ let to_json ?profile t =
              (Obs.json_escape (line_of profile line))
              (category_name cat) ps n)
       end)
-    contributors;
+    p.top;
   Buffer.add_string buf "]},\n";
   Buffer.add_string buf "  \"whatif\": [";
   List.iteri

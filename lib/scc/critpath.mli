@@ -26,7 +26,8 @@ type t
 
 val create : ?limit:int -> unit -> t
 (** [limit] caps the event-dependency buffer (default 1_000_000
-    events); accounting stays exact past it. *)
+    events, counted over all contexts); accounting stays exact past
+    it.  A limit above 2{^42} raises [Invalid_argument]. *)
 
 (** {1 Categories}
 
@@ -72,12 +73,17 @@ val record :
   unit
 (** One local-clock advance of [dur] ps ending at [end_ps].  [fn] /
     [line] are {!Profile} intern slots (0 when unprofiled); [pred] is
-    the event id this interval causally waited on ([-1] = program
-    order only).  Zero-duration advances are ignored. *)
+    the handle, from {!last_event}, of the event this interval causally
+    waited on ([-1], or a handle that names no stored event = program
+    order only).  Zero-duration advances are ignored.  Raises
+    [Invalid_argument] when a slot (below 2{^24}), the core (−1 to
+    1022) or the context (below 2{^20}) of a stored event does not fit
+    the packing. *)
 
 val last_event : t -> ctx:int -> int
-(** Latest recorded event id of a context ([-1] if none) — the handle
-    engines pass as [pred] for cross-context edges. *)
+(** Handle of a context's latest stored event ([-1] if none): the
+    context and the event's index in that context's lane, which engines
+    pass as [pred] for cross-context edges. *)
 
 val note_mesh : t -> ctx:int -> int -> unit
 (** Mesh-hop picoseconds inside the context's current memory interval
@@ -126,13 +132,19 @@ type step = {
 val critical_path : t -> step list
 (** In execution order, ending at the last event of the last-finishing
     context.  Approximate when {!dropped} is non-zero (the walk bottoms
-    out at the oldest recorded ancestor). *)
+    out at the oldest recorded ancestor).  The path is walked once per
+    recorded stream: later calls and the reports ({!render},
+    {!render_path}, {!to_json}, {!flow_events}) share it until the
+    next {!record}. *)
 
 val path_span : step list -> int
 val path_by_category : step list -> int array * int array
 
 val path_contributors : step list -> (int * int * int * int * int) list
-(** [(fn_slot, line_slot, category, ps, steps)], heaviest first. *)
+(** [(fn_slot, line_slot, category, ps, steps)], heaviest first, ties
+    in [(fn_slot, line_slot, category)] order.  Raises
+    [Invalid_argument] on a step whose slots do not fit {!record}'s
+    packing. *)
 
 (** {1 What-if speedup ceilings} *)
 

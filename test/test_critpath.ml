@@ -217,6 +217,75 @@ let test_path_sanity () =
     by_cat.(Scc.Critpath.cat_sched_wait)
 
 (* ---------------------------------------------------------------- *)
+(* handles: an edge is followed only when its handle names a stored
+   event, the cap counts events over all contexts, and what does not
+   fit the packing raises *)
+
+let test_handles () =
+  let compute cp ~ctx ~dur ~end_ps ~pred =
+    Scc.Critpath.record cp ~ctx ~core:ctx ~cat:Scc.Critpath.cat_compute ~dur
+      ~end_ps ~fn:1 ~line:2 ~pred
+  in
+  let cp = Scc.Critpath.create () in
+  Alcotest.(check int) "no event, no handle" (-1)
+    (Scc.Critpath.last_event cp ~ctx:0);
+  compute cp ~ctx:0 ~dur:10 ~end_ps:10 ~pred:(-1);
+  let h0 = Scc.Critpath.last_event cp ~ctx:0 in
+  compute cp ~ctx:1 ~dur:5 ~end_ps:5 ~pred:(-1);
+  Scc.Critpath.record cp ~ctx:1 ~core:1 ~cat:Scc.Critpath.cat_lock_wait
+    ~dur:5 ~end_ps:10 ~fn:1 ~line:3 ~pred:h0;
+  compute cp ~ctx:1 ~dur:20 ~end_ps:30 ~pred:(-1);
+  let path = Scc.Critpath.critical_path cp in
+  Alcotest.(check (list (pair int int))) "the wait's edge leads to ctx 0"
+    [ (0, 10); (1, 10); (1, 30) ]
+    (List.map
+       (fun (s : Scc.Critpath.step) -> (s.st_ctx, s.st_end_ps))
+       path);
+  Alcotest.(check (list (pair int int))) "steps keep their slots"
+    [ (1, 2); (1, 3); (1, 2) ]
+    (List.map (fun (s : Scc.Critpath.step) -> (s.st_fn, s.st_line)) path);
+  (* a handle of another recorder's fifth event names nothing here *)
+  let other = Scc.Critpath.create () in
+  for i = 1 to 5 do compute other ~ctx:0 ~dur:1 ~end_ps:i ~pred:(-1) done;
+  let stale = Scc.Critpath.last_event other ~ctx:0 in
+  let cp = Scc.Critpath.create () in
+  compute cp ~ctx:0 ~dur:10 ~end_ps:10 ~pred:(-1);
+  compute cp ~ctx:1 ~dur:20 ~end_ps:20 ~pred:stale;
+  Alcotest.(check (list int)) "a stale handle is program order" [ 1 ]
+    (List.map
+       (fun (s : Scc.Critpath.step) -> s.st_ctx)
+       (Scc.Critpath.critical_path cp));
+  (* the cap counts every context's events *)
+  let cp = Scc.Critpath.create ~limit:3 () in
+  for ctx = 0 to 2 do
+    compute cp ~ctx ~dur:1 ~end_ps:1 ~pred:(-1);
+    compute cp ~ctx ~dur:1 ~end_ps:2 ~pred:(-1)
+  done;
+  Alcotest.(check (pair int int)) "3 stored, 3 dropped" (3, 3)
+    (Scc.Critpath.events cp, Scc.Critpath.dropped cp);
+  Alcotest.(check int) "a context past the cap has no handle" (-1)
+    (Scc.Critpath.last_event cp ~ctx:2);
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  let cp = Scc.Critpath.create () in
+  let record ?(core = 0) ?(fn = 0) ?(line = 0) () =
+    Scc.Critpath.record cp ~ctx:0 ~core ~cat:Scc.Critpath.cat_compute ~dur:1
+      ~end_ps:1 ~fn ~line ~pred:(-1)
+  in
+  raises "fn slot 2^24" (record ~fn:(1 lsl 24));
+  raises "line slot -1" (record ~line:(-1));
+  raises "core -2" (record ~core:(-2));
+  raises "context 2^20" (fun () ->
+      Scc.Critpath.record cp ~ctx:(1 lsl 20) ~core:0
+        ~cat:Scc.Critpath.cat_compute ~dur:1 ~end_ps:1 ~fn:0 ~line:0
+        ~pred:(-1));
+  raises "limit 2^43" (fun () ->
+      ignore (Scc.Critpath.create ~limit:(1 lsl 43) ()))
+
+(* ---------------------------------------------------------------- *)
 (* report surfaces *)
 
 let test_render_and_json () =
@@ -316,6 +385,7 @@ let suite =
     Alcotest.test_case "flows well-formed under truncation" `Quick
       test_flow_truncation;
     Alcotest.test_case "critical path sanity" `Quick test_path_sanity;
+    Alcotest.test_case "handles, cap and packing" `Quick test_handles;
     Alcotest.test_case "render + json" `Quick test_render_and_json;
     Alcotest.test_case "registry metrics" `Quick test_registry_metrics;
     Alcotest.test_case "golden reports byte-identical" `Quick
