@@ -176,6 +176,7 @@ type t = {
   mutable samp_l1_misses : int;
   mutable samp_mesh_ps : int;
   mutable samp_last_ts : int;
+  mc_series : string array;         (* "mc0".. sample series names *)
   core_freq_mhz : int array;   (* per-core DVFS state, tile-granular *)
   (* Per-event timing constants, precomputed so the hot path never
      divides or searches: picoseconds per core cycle (tracks DVFS),
@@ -261,6 +262,10 @@ let create ?(cfg = Config.default) ?(strict = true) ?trace ?profile ?critpath
     samp_l1_misses = 0;
     samp_mesh_ps = 0;
     samp_last_ts = 0;
+    mc_series =
+      (match profile with
+      | None -> [||]
+      | Some _ -> Array.init cfg.Config.n_mcs (Printf.sprintf "mc%d"));
     core_freq_mhz = Array.make n cfg.Config.core_freq_mhz;
     ps_core = Array.make n (Config.ps_per_cycle cfg.Config.core_freq_mhz);
     mc_of = Array.init n (fun core -> Mesh.mc_of_core mesh core);
@@ -320,7 +325,7 @@ let take_samples t p now =
         float_of_int (free_at - now) /. float_of_int t.mc_service_ps
       else 0.0
     in
-    depths := (Printf.sprintf "mc%d" mc, depth) :: !depths
+    depths := (t.mc_series.(mc), depth) :: !depths
   done;
   Profile.sample p ~ts:now ~name:"mc queue depth" ~series:!depths;
   let window = now - t.samp_last_ts in
