@@ -155,7 +155,8 @@ type t = {
   mutable wall_ps : int;
   mutable mpb_line_ps : int;          (* nominal MPB line round trip *)
   mutable finalized : bool;
-  (* the path of the first [len + n_dropped] records *)
+  (* the critical path, with the count of records ([len + n_dropped])
+     it was walked after *)
   mutable path : (int * path) option;
 }
 
@@ -188,6 +189,7 @@ let grow a n fill =
     bigger
   end
 
+(* fills the lane slots past [n_ctx] *)
 let no_lane = { chunks = [||]; n = 0; edges = [||]; n_edges = 0 }
 
 let ensure_ctx t ctx =
@@ -442,6 +444,7 @@ let path_contributors steps =
          let word = key lsl core_bits in
          (word_fn word, word_line word, word_cat word, c.c_ps, c.c_n))
 
+(* Walked again only after more records. *)
 let path t =
   let stamp = t.len + t.n_dropped in
   match t.path with
