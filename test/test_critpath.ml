@@ -244,6 +244,13 @@ let test_handles () =
   Alcotest.(check (list (pair int int))) "steps keep their slots"
     [ (1, 2); (1, 3); (1, 2) ]
     (List.map (fun (s : Scc.Critpath.step) -> (s.st_fn, s.st_line)) path);
+  (* a later record replaces the remembered path *)
+  compute cp ~ctx:0 ~dur:50 ~end_ps:60 ~pred:(-1);
+  Alcotest.(check (list (pair int int))) "the path follows a new record"
+    [ (0, 10); (0, 60) ]
+    (List.map
+       (fun (s : Scc.Critpath.step) -> (s.st_ctx, s.st_end_ps))
+       (Scc.Critpath.critical_path cp));
   (* a handle of another recorder's fifth event names nothing here *)
   let other = Scc.Critpath.create () in
   for i = 1 to 5 do compute other ~ctx:0 ~dur:1 ~end_ps:i ~pred:(-1) done;
