@@ -507,6 +507,71 @@ let test_spawn_after_run_rejected () =
   | _ -> Alcotest.fail "spawn after run accepted"
   | exception Invalid_argument _ -> ()
 
+(* One context on each of the chip's 48 cores, so every core's caches,
+   home controller and mesh distances are used: context i misses in its
+   private L2, reads one shared-DRAM line, writes one MPB line owned by
+   core 47 - i and takes and releases lock 47 - i.  Every context's
+   finish time and counters are pinned by a golden, which a strict and a
+   run-ahead engine must both reproduce. *)
+let engine_48_report ~strict =
+  let eng = Scc.Engine.create ~strict () in
+  let mm = Scc.Engine.memmap eng in
+  let n = Scc.Config.n_cores Scc.Config.default in
+  let line = Scc.Config.default.Scc.Config.line_bytes in
+  let shared = Scc.Memmap.alloc mm Scc.Memmap.Shared_dram ~bytes:(n * line) in
+  let priv =
+    Array.init n (fun core ->
+        Scc.Memmap.alloc mm (Scc.Memmap.Private core) ~bytes:line)
+  in
+  let mpb =
+    Array.init n (fun core ->
+        Scc.Memmap.alloc mm (Scc.Memmap.Mpb core) ~bytes:line)
+  in
+  for core = 0 to n - 1 do
+    ignore
+      (Scc.Engine.spawn eng ~core (fun api ->
+           let peer = n - 1 - api.Scc.Engine.core in
+           api.Scc.Engine.load priv.(api.Scc.Engine.core) ~bytes:4;
+           api.Scc.Engine.load (shared + (api.Scc.Engine.core * line)) ~bytes:4;
+           api.Scc.Engine.store mpb.(peer) ~bytes:4;
+           api.Scc.Engine.acquire peer;
+           api.Scc.Engine.compute 100;
+           api.Scc.Engine.release peer))
+  done;
+  Scc.Engine.run eng;
+  let b = Buffer.create 8192 in
+  Array.iteri
+    (fun i (c : Scc.Stats.ctx_stats) ->
+      Printf.bprintf b
+        "ctx %d finish %d compute %d loads %d stores %d l1 %d/%d l2 %d/%d \
+         private %d shared %d (%d loads, %d stores) mpb %d stall %d \
+         barrier %d lock %d switches %d\n"
+        i c.finish_ps c.compute_ps c.loads c.stores c.l1_hits c.l1_misses
+        c.l2_hits c.l2_misses c.private_dram_lines c.shared_dram_lines
+        c.shared_dram_loads c.shared_dram_stores c.mpb_lines c.mem_stall_ps
+        c.barrier_wait_ps c.lock_wait_ps c.context_switches)
+    (Scc.Engine.stats eng).Scc.Stats.ctxs;
+  let s = Scc.Engine.stats eng in
+  Array.iteri
+    (fun mc busy ->
+      Printf.bprintf b "mc %d busy %d requests %d\n" mc busy
+        s.Scc.Stats.mc_requests.(mc))
+    s.Scc.Stats.mc_busy_ps;
+  Printf.bprintf b "elapsed %d\n" (Scc.Engine.elapsed_ps eng);
+  Buffer.contents b
+
+let test_engine_48_core_golden () =
+  let path =
+    if Sys.file_exists "../test/golden" then "../test/golden/engine_48.txt"
+    else "test/golden/engine_48.txt"
+  in
+  let ic = open_in_bin path in
+  let golden = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Alcotest.(check string) "strict engine" golden (engine_48_report ~strict:true);
+  Alcotest.(check string) "run-ahead engine" golden
+    (engine_48_report ~strict:false)
+
 (* Set-up is paid only for what a run uses: the caches of the cores a
    run never touches are never allocated. *)
 let test_setup_pays_for_touched_cores () =
@@ -569,6 +634,8 @@ let suite =
     Alcotest.test_case "posted shared writes" `Quick
       test_posted_writes_cheaper;
     Alcotest.test_case "spawn after run" `Quick test_spawn_after_run_rejected;
+    Alcotest.test_case "48-core engine golden" `Quick
+      test_engine_48_core_golden;
     Alcotest.test_case "set-up paid for touched cores only" `Quick
       test_setup_pays_for_touched_cores;
   ]
