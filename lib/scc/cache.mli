@@ -8,7 +8,10 @@ type t
 type result = { hit : bool; evicted_dirty : bool }
 
 val create : size_bytes:int -> line_bytes:int -> assoc:int -> t
-(** @raise Invalid_argument on inconsistent geometry. *)
+(** Allocates no line storage: the sets are backed as accesses reach
+    them.
+    @raise Invalid_argument on inconsistent geometry, or when the line
+    size or the set count is not a power of two. *)
 
 val access : t -> write:bool -> int -> result
 (** Touch the line containing the byte address; fills on miss and reports

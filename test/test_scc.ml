@@ -56,6 +56,8 @@ let test_cache_bad_geometry () =
       ("lines not divisible by ways", 1024, 32, 5);
       ("less than one line", 16, 32, 1);
       ("partial last line", 100, 32, 1);
+      ("line size not a power of two", 768, 48, 1);
+      ("set count not a power of two", 384, 32, 4);
     ]
 
 (* The record-per-line LRU cache that the flat per-field layout
@@ -132,13 +134,15 @@ let diff_geometries =
 
 (* A stream op is (write, set, tag, offset), mapped onto each geometry so
    most accesses crowd a few sets and evict; [set = -1] asks for a
-   uniformly random line anywhere in 4x the cache instead. *)
+   uniformly random line anywhere in 4x the cache instead, and -2 and -3
+   for the last and the middle set, so that a stream grows the covered
+   range of sets from the top and across the flush. *)
 let qcheck_cache_matches_reference =
   let gen =
     QCheck.Gen.(
       pair
         (list_size (int_range 1 400)
-           (quad bool (int_range (-1) 3) (int_bound 17) (int_bound 1_000_000)))
+           (quad bool (int_range (-3) 3) (int_bound 17) (int_bound 1_000_000)))
         (int_bound 400))
   in
   QCheck.Test.make ~count:200
@@ -151,8 +155,12 @@ let qcheck_cache_matches_reference =
           let r = Ref_cache.create ~size_bytes ~line_bytes ~assoc in
           let sets = size_bytes / line_bytes / assoc in
           let addr set tag off =
-            if set < 0 then off mod (4 * size_bytes)
+            if set = -1 then off mod (4 * size_bytes)
             else
+              let set =
+                if set = -2 then sets - 1 else if set = -3 then sets / 2
+                else set
+              in
               (((tag mod ((2 * assoc) + 2)) * sets) + set) * line_bytes
               + (off mod line_bytes)
           in
