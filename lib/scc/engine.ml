@@ -180,7 +180,9 @@ type t = {
   core_freq_mhz : int array;   (* per-core DVFS state, tile-granular *)
   (* Per-event timing constants, precomputed so the hot path never
      divides or searches: picoseconds per core cycle (tracks DVFS),
-     each core's nearest memory controller and one-way mesh times. *)
+     each core's nearest memory controller and one-way mesh times.  The
+     mesh rows of a core are filled when it gets its first context
+     ([cover_core]); until then they hold 0 and [||]. *)
   ps_core : int array;              (* ps per core cycle, per core *)
   mc_of : int array;                (* nearest MC index, per core *)
   mc_out_ps : int array;            (* one-way mesh ps to that MC *)
@@ -268,21 +270,10 @@ let create ?(cfg = Config.default) ?(strict = true) ?trace ?profile ?critpath
       | Some _ -> Array.init cfg.Config.n_mcs (Printf.sprintf "mc%d"));
     core_freq_mhz = Array.make n cfg.Config.core_freq_mhz;
     ps_core = Array.make n (Config.ps_per_cycle cfg.Config.core_freq_mhz);
-    mc_of = Array.init n (fun core -> Mesh.mc_of_core mesh core);
-    mc_out_ps =
-      Array.init n (fun core ->
-          let mc = Mesh.mc_of_core mesh core in
-          Mesh.traverse_ps mesh ~hops:(Mesh.hops_core_to_mc mesh ~core ~mc));
-    shared_out_ps =
-      Array.init n (fun core ->
-          Array.init cfg.Config.n_mcs (fun mc ->
-              Mesh.traverse_ps mesh
-                ~hops:(Mesh.hops_core_to_mc mesh ~core ~mc)));
-    core_out_ps =
-      Array.init n (fun from_core ->
-          Array.init n (fun to_core ->
-              Mesh.traverse_ps mesh
-                ~hops:(Mesh.hops_core_to_core mesh ~from_core ~to_core)));
+    mc_of = Array.make n 0;
+    mc_out_ps = Array.make n 0;
+    shared_out_ps = Array.make n [||];
+    core_out_ps = Array.make n [||];
     mc_service_ps = Config.dram_cycles_ps cfg cfg.Config.mc_service_cycles;
     dram_access_ps = Config.dram_cycles_ps cfg cfg.Config.dram_access_cycles;
     mesh_transfer_ps =
@@ -486,6 +477,25 @@ let no_ctx : ctx =
     stats = Stats.create_ctx (); now = 0; status = Finished;
     pending = None; joiners = []; ahead = 0; ahead_end = -1 }
 
+(* Fill [core]'s nearest-MC, MC-distance and core-distance rows.  A
+   context never changes core, and every lookup ([private_line],
+   [shared_line], [mpb_line]) is made with the accessing context's own
+   core, so the rows of a core with no context are never read. *)
+let cover_core t core =
+  let mesh = t.mesh in
+  let to_mc =
+    Array.init t.cfg.Config.n_mcs (fun mc ->
+        Mesh.traverse_ps mesh ~hops:(Mesh.hops_core_to_mc mesh ~core ~mc))
+  in
+  let mc = Mesh.mc_of_core mesh core in
+  t.mc_of.(core) <- mc;
+  t.mc_out_ps.(core) <- to_mc.(mc);
+  t.shared_out_ps.(core) <- to_mc;
+  t.core_out_ps.(core) <-
+    Array.init (Config.n_cores t.cfg) (fun to_core ->
+        Mesh.traverse_ps mesh
+          ~hops:(Mesh.hops_core_to_core mesh ~from_core:core ~to_core))
+
 let add_ctx t ~core ~barrier_member ~now =
   if core < 0 || core >= Config.n_cores t.cfg then
     invalid_arg "Engine: core out of range";
@@ -507,6 +517,7 @@ let add_ctx t ~core ~barrier_member ~now =
   if barrier_member then t.n_barrier_members <- t.n_barrier_members + 1;
   let proc = t.procs.(core) in
   proc.ctx_count <- proc.ctx_count + 1;
+  if proc.ctx_count = 1 then cover_core t core;
   if proc.ctx_count = 2 then t.shared_cores <- core :: t.shared_cores;
   ready_enqueue t ctx;
   ctx
