@@ -32,33 +32,55 @@ type lvalue = { addr : int; ty : Ctype.t }
 
 type outcome = Normal | Returned of Value.t | Broke | Continued
 
-(* One region's backing store: values indexed directly by byte offset.
-   Offsets come from the memmap's bump allocators, so they are small and
-   dense; an empty cell reads as the type's zero (C-style zero-filled
-   memory).  Indexing an array beats hashing the full 63-bit address on
-   every load and store.
+(* One region's backing store: values indexed by byte offset, in pages
+   of 256 cells.  Offsets come from the memmap's bump allocators, so they
+   are small and dense; a page is allocated on its first write, and an
+   empty cell reads as the type's zero (C-style zero-filled memory).  A
+   run touches a few pages of a few of its 97 regions (shared DRAM and
+   each core's private and MPB space), so it pays for those only, and a
+   growing region adds pages instead of copying its cells.  A 256-cell
+   page is small enough for the minor heap.  Indexing beats hashing the
+   full 63-bit address on every load and store.
 
    Empty cells hold a physically-unique sentinel instead of [None]: a
    store writes the value directly with no [Some] wrapper, which removes
-   one allocation from every simulated store. *)
+   one allocation from every simulated store.  Every page not yet
+   written is the one shared [empty_page], which is never written, so a
+   read needs no test for a missing page. *)
 let absent : Value.t = Value.Vint (Sys.opaque_identity 0)
 
-type region_store = { mutable cells : Value.t array }
+let page_bits = 8
+let page_mask = (1 lsl page_bits) - 1
+let empty_page : Value.t array = Array.make (1 lsl page_bits) absent
 
-let region_store_create () = { cells = Array.make 1024 absent }
+type region_store = { mutable pages : Value.t array array }
+
+let region_store_create () = { pages = [||] }
 
 (* Returns [absent] (physical identity) when the cell was never written. *)
 let region_store_get rs offset =
-  if offset < Array.length rs.cells then rs.cells.(offset) else absent
+  let p = offset lsr page_bits in
+  if p < Array.length rs.pages then rs.pages.(p).(offset land page_mask)
+  else absent
 
 let region_store_set rs offset v =
-  let n = Array.length rs.cells in
-  if offset >= n then begin
-    let grown = Array.make (max (n * 2) (offset + 1)) absent in
-    Array.blit rs.cells 0 grown 0 n;
-    rs.cells <- grown
+  let p = offset lsr page_bits in
+  let n = Array.length rs.pages in
+  if p >= n then begin
+    let grown = Array.make (max (n * 2) (p + 1)) empty_page in
+    Array.blit rs.pages 0 grown 0 n;
+    rs.pages <- grown
   end;
-  rs.cells.(offset) <- v
+  let page = rs.pages.(p) in
+  let page =
+    if page != empty_page then page
+    else begin
+      let fresh = Array.make (1 lsl page_bits) absent in
+      rs.pages.(p) <- fresh;
+      fresh
+    end
+  in
+  page.(offset land page_mask) <- v
 
 (* State shared by every task of one simulated run. *)
 type shared = {
@@ -194,8 +216,16 @@ let read_mem_at task addr ty =
 
 let read_mem task { addr; ty } = read_mem_at task addr ty
 
+(* A store needs a cell to land in: one at or past the end of its
+   region's allocations is an error, where a wild pointer would otherwise
+   grow the region's store to its offset. *)
+let check_store sh addr =
+  if addr land 0xffffffff >= Scc.Memmap.extent (Scc.Engine.memmap sh.eng) addr
+  then runtime_error "store outside every allocation (address %#x)" addr
+
 let write_mem_at task addr ty v =
   check_addr addr;
+  check_store task.proc.sh addr;
   flush task;
   observe task ~write:true addr;
   task.api.Scc.Engine.store addr ~bytes:(value_bytes ty);
@@ -206,6 +236,7 @@ let write_mem task { addr; ty } v = write_mem_at task addr ty v
 
 (* Untimed store initialization (global initializers run at load time). *)
 let poke task addr ty v =
+  check_store task.proc.sh addr;
   region_store_set
     (store_of task.proc.sh addr)
     (addr land 0xffffffff) (Value.convert ty v)

@@ -92,6 +92,17 @@ let alloc t region ~bytes =
       t.mpb_off.(core) <- offset + rounded;
       addr_of ~region ~offset
 
+(* One past the highest allocated byte of [addr]'s region (its bump
+   offset); 0 for an address no region decodes to, or a core the chip
+   does not have. *)
+let extent t addr =
+  let core = (addr lsr core_shift) land 0xff in
+  match (addr lsr kind_shift) land 0x3 with
+  | 1 -> t.shared_off
+  | 0 when core < Array.length t.private_off -> t.private_off.(core)
+  | 2 when core < Array.length t.mpb_off -> t.mpb_off.(core)
+  | _ -> 0
+
 let mpb_used t core = t.mpb_off.(core)
 
 let shared_used t = t.shared_off

@@ -417,9 +417,10 @@ let test_end_to_end_example () =
 
 (* A program that parks every context ends in a diagnostic and exit 1
    from [hsmcc run], like a runtime error, never an uncaught exception. *)
-(* Run [hsmcc run <src> args] and return its exit status and stderr;
-   [None] when the binary is not built next to the tests. *)
-let hsmcc_run ?(args = "") source =
+(* Run [hsmcc run <src> args] after the shell commands [prefix] and
+   return its exit status and stderr; [None] when the binary is not built
+   next to the tests. *)
+let hsmcc_run ?(prefix = "") ?(args = "") source =
   let exe =
     if Sys.file_exists "../bin/hsmcc.exe" then "../bin/hsmcc.exe"
     else "_build/default/bin/hsmcc.exe"
@@ -436,7 +437,7 @@ let hsmcc_run ?(args = "") source =
     close_out oc;
     let code =
       Sys.command
-        (Printf.sprintf "%s run %s %s >/dev/null 2>%s" exe
+        (Printf.sprintf "%s%s run %s %s >/dev/null 2>%s" prefix exe
            (Filename.quote src) args (Filename.quote err))
     in
     let ic = open_in err in
@@ -454,8 +455,8 @@ let contains ~needle hay =
 
 (* [hsmcc run] fails cleanly: exit 1, the expected diagnostic, never an
    uncaught exception. *)
-let check_run_fails ?args ~diagnostic source =
-  match hsmcc_run ?args source with
+let check_run_fails ?prefix ?args ~diagnostic source =
+  match hsmcc_run ?prefix ?args source with
   | None -> ()
   | Some (code, stderr_text) ->
       Alcotest.(check int) "exit status" 1 code;
@@ -504,6 +505,23 @@ let test_cli_mpb_exhausted () =
     \  return 0;\n\
      }\n"
 
+(* A store outside every allocation is an error, not a store that grows
+   its region to the offset: under a 2 GB address-space limit a
+   regression fails fast instead of allocating gigabytes. *)
+let wild_store_prefix = "ulimit -v 2000000; "
+
+let test_cli_wild_pointer_store () =
+  check_run_fails ~prefix:wild_store_prefix
+    ~diagnostic:"hsmcc: runtime error: store outside every allocation \
+                 (address 0x77359400)"
+    "int main(void) {\n  int *p = (int *) 2000000000;\n  *p = 1;\n\
+    \  return 0;\n}\n"
+
+let test_cli_store_past_global () =
+  check_run_fails ~prefix:wild_store_prefix
+    ~diagnostic:"hsmcc: runtime error: store outside every allocation"
+    "int g[4];\nint main(void) {\n  g[100000000] = 2;\n  return 0;\n}\n"
+
 let suite =
   [
     Alcotest.test_case "arithmetic" `Quick test_arithmetic;
@@ -532,6 +550,10 @@ let suite =
       test_cli_release_unheld;
     Alcotest.test_case "run MPB exhaustion exits 1" `Quick
       test_cli_mpb_exhausted;
+    Alcotest.test_case "run wild pointer store exits 1" `Quick
+      test_cli_wild_pointer_store;
+    Alcotest.test_case "run store past a global exits 1" `Quick
+      test_cli_store_past_global;
     Alcotest.test_case "pthread example 4.1" `Quick test_pthread_example_4_1;
     Alcotest.test_case "pthread mutex counter" `Quick
       test_pthread_mutex_counter;
