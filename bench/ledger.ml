@@ -6,7 +6,8 @@
    Each row does a fixed amount of work and reports a timed value
    (higher is better) and exact counters: figures only the code can
    move, such as simulated operations (Scc.Engine.events), simulated
-   picoseconds, shared-DRAM loads and facts computed.  Timed values are
+   picoseconds, shared-DRAM loads, facts computed and the words the
+   work allocates directly on the major heap.  Timed values are
    best-of-N wall time, each sample repeating the work for at least
    50 ms: the simulator is deterministic, so the fastest sample is the
    least-noise estimate.
@@ -40,10 +41,21 @@ let count = string_of_int
 
 (* --- timing -------------------------------------------------------------- *)
 
-(* Runs [work] once for its result, then returns that result and the
-   best seconds per run over N samples of at least 50 ms each. *)
-let timed ~quick work =
+(* Words allocated directly on the major heap while [work] runs: major
+   minus promoted words, counted in the calling domain.  Unlike the
+   minor-word count this is exact: the same work gives the same count
+   in every run and every process. *)
+let major_words work =
+  let _, promoted0, major0 = Gc.counters () in
   let result = work () in
+  let _, promoted1, major1 = Gc.counters () in
+  (result, count (int_of_float (major1 -. promoted1 -. (major0 -. promoted0))))
+
+(* Runs [work] once for its result and its [major_words], then returns
+   those and the best seconds per run over N samples of at least 50 ms
+   each. *)
+let timed ~quick work =
+  let result, words = major_words work in
   let best = ref infinity in
   for _ = 1 to if quick then 3 else 10 do
     let t0 = Unix.gettimeofday () in
@@ -55,7 +67,7 @@ let timed ~quick work =
     done;
     best := Float.min !best (!dt /. float_of_int !runs)
   done;
-  (result, !best)
+  (result, words, !best)
 
 (* --- the simulator ------------------------------------------------------- *)
 
@@ -65,12 +77,14 @@ let pi ~nt ~quick =
 
 (* Simulated operations per second, the count and the simulated time. *)
 let interp_row ~quick ~label run =
-  let r, s = timed ~quick run in
+  let r, words, s = timed ~quick run in
   let events = Scc.Engine.events r.Cexec.Interp.engine in
   {
     label;
     value = float_of_int events /. s;
-    counters = [ ("events", count events); ("elapsed_ps", count r.elapsed_ps) ];
+    counters =
+      [ ("events", count events); ("elapsed_ps", count r.elapsed_ps);
+        ("major_words", words) ];
   }
 
 let interp ~nt ~quick =
@@ -98,7 +112,7 @@ let interp_rcce ~quick =
    bytes. *)
 let explain ~quick =
   let translated = pi_rcce ~quick in
-  let (r, cp, report), s =
+  let (r, cp, report), words, s =
     timed ~quick (fun () ->
         let profile = Scc.Profile.create () in
         let cp = Scc.Critpath.create () in
@@ -119,7 +133,8 @@ let explain ~quick =
         ("path_steps", count (List.length (Scc.Critpath.critical_path cp)));
         ("dropped", count (Scc.Critpath.dropped cp));
         ("report_digest",
-         Printf.sprintf "%S" (Digest.to_hex (Digest.string report))) ];
+         Printf.sprintf "%S" (Digest.to_hex (Digest.string report)));
+        ("major_words", words) ];
   }
 
 (* The engine with no interpreter in front of it: contexts time-sharing
@@ -146,17 +161,17 @@ let sched_raw ~quick =
     Scc.Engine.run eng;
     Scc.Engine.events eng
   in
-  let events, s = timed ~quick run in
+  let events, words, s = timed ~quick run in
   {
     label = Printf.sprintf "raw-%d-ctx-compute-load" nctx;
     value = float_of_int events /. s;
-    counters = [ ("events", count events) ];
+    counters = [ ("events", count events); ("major_words", words) ];
   }
 
 (* Figure 6.1 end to end: each benchmark as a Pthread baseline and in
    RCCE form, with the simulated times the figure reports. *)
 let fig61 ~quick =
-  let rows, s =
+  let rows, words, s =
     timed ~quick (fun () ->
         Exp.Experiments.fig_6_1_data ~scale:Exp.Experiments.Quick ())
   in
@@ -175,7 +190,8 @@ let fig61 ~quick =
            (fun (r : Exp.Experiments.fig_6_1_row) ->
              [ (r.name ^ "_pthread_ps", ps r.baseline_ms);
                (r.name ^ "_rcce_ps", ps r.rcce_ms) ])
-           rows;
+           rows
+      @ [ ("major_words", words) ];
   }
 
 (* Wall-clock speedup of four independent pi runs on the domain pool:
@@ -187,7 +203,8 @@ let pool ~quick =
   in
   let jobs = min 4 (Exp.Pool.default_jobs ()) in
   let time jobs =
-    snd (timed ~quick (fun () -> Exp.Pool.map_fixed ~jobs runs))
+    let _, _, s = timed ~quick (fun () -> Exp.Pool.map_fixed ~jobs runs) in
+    s
   in
   let seq_s = time 1 in
   {
@@ -250,7 +267,7 @@ let synth ~quick =
   let specs =
     List.filteri (fun i _ -> i < n) (Synth.Spec.grid Synth.Spec.Quick)
   in
-  let groups, s =
+  let groups, words, s =
     timed ~quick (fun () -> List.map Synth.Sweep.rows_of_spec specs)
   in
   let unverified =
@@ -287,7 +304,8 @@ let synth ~quick =
     counters =
       [ ("configs", count n);
         ("losses", count (List.length losses));
-        ("mean_greedy_speedup", Printf.sprintf "%.3f" mean) ];
+        ("mean_greedy_speedup", Printf.sprintf "%.3f" mean);
+        ("major_words", words) ];
   }
 
 (* --- the translator ------------------------------------------------------ *)
@@ -318,7 +336,7 @@ let translate ~quick =
         facts + Session.facts_computed session)
       0 sources
   in
-  let facts, s = timed ~quick pass in
+  let facts, _, s = timed ~quick pass in
   let n = List.length sources in
   {
     label = "csrc-8-programs";
