@@ -599,7 +599,21 @@ let test_setup_pays_for_touched_cores () =
   in
   let run = words (fun () -> Cexec.Interp.run_pthread program) in
   if run >= 1024. *. 1024. then
-    Alcotest.failf "one-core pi run allocated %.0f words" run
+    Alcotest.failf "one-core pi run allocated %.0f words" run;
+  (* nothing a trivial 8-rank run builds is large enough to go straight
+     to the major heap: no whole L2, no dense store (major minus
+     promoted words, exact where the minor count is not) *)
+  let trivial =
+    Cfront.Parser.program ~file:"trivial.c"
+      "int RCCE_APP(int argc, char **argv) {\n\
+      \  RCCE_init(&argc, &argv);\n  RCCE_finalize();\n  return 0;\n}\n"
+  in
+  let _, promoted0, major0 = Gc.counters () in
+  ignore (Sys.opaque_identity (Cexec.Interp.run_rcce ~ncores:8 trivial));
+  let _, promoted1, major1 = Gc.counters () in
+  let direct = major1 -. promoted1 -. (major0 -. promoted0) in
+  if direct > 10_000. then
+    Alcotest.failf "trivial 8-rank run allocated %.0f major words" direct
 
 let suite =
   [
