@@ -26,9 +26,8 @@ let parse_source path =
   | exception Sys_error msg -> Error msg
 
 let options_of ~ncores ~capacity ~density ~sound_locals ~many_to_one
-    ~optimize ~opt_pre ~opt_mpb_cache ~sharpen =
+    ~optimize ~sharpen =
   {
-    Translate.Pass.default_options with
     Translate.Pass.ncores;
     capacity;
     strategy =
@@ -37,8 +36,6 @@ let options_of ~ncores ~capacity ~density ~sound_locals ~many_to_one
     sound_locals;
     many_to_one;
     optimize;
-    opt_pre;
-    opt_mpb_cache;
     sharpen;
   }
 
@@ -84,12 +81,12 @@ let emit_diags ~out ~warn_error ~diag_format diags =
 (* --- translate ------------------------------------------------------------ *)
 
 let translate_cmd path ncores capacity density sound_locals many_to_one
-    optimize opt_pre opt_mpb_cache sharpen race_check warn_error diag_format
-    timings timings_format trace_out verbose =
+    optimize sharpen race_check warn_error diag_format timings timings_format
+    trace_out verbose =
   let program = or_die (parse_source path) in
   let options =
     options_of ~ncores ~capacity ~density ~sound_locals ~many_to_one
-      ~optimize ~opt_pre ~opt_mpb_cache ~sharpen
+      ~optimize ~sharpen
   in
   (* one session carries the whole command: the race check below reuses
      the very facts the translator demanded — nothing runs twice *)
@@ -333,24 +330,7 @@ let run_cmd path ncores detect_races diag_format profile_on trace_out
           (if critpath <> None then
              "; critical-path flow arrows clipped to the retained window"
            else "");
-      let events =
-        Scc.Trace.to_chrome_events tr
-        @ (match profile with
-          | None -> []
-          | Some p -> Scc.Profile.counter_events p)
-        @ (match critpath with
-          | None -> []
-          | Some cp ->
-              (* clip the flow chain at the trace horizon so no arrow
-                 points at a dropped slice *)
-              let max_end_ps =
-                if Scc.Trace.dropped tr > 0 then
-                  Some (Scc.Trace.max_end_ps tr)
-                else None
-              in
-              Scc.Critpath.flow_events ?max_end_ps cp)
-      in
-      Obs.Chrome.write_merge out events;
+      Obs.Chrome.write_merge out (Scc.Timeline.events ?profile ?critpath tr);
       Printf.eprintf "-- trace: %d events -> %s (Perfetto)\n"
         (Scc.Trace.length tr) out
   | _, _ -> ());
@@ -408,16 +388,6 @@ let optimize_arg =
                  of shared loads, then constant folding and dead-branch \
                  elimination (the paper's section 7.3).")
 
-let opt_pre_arg =
-  Arg.(value & flag
-       & info [ "opt-pre" ]
-           ~doc:"Just the PRE/load-hoisting pass (a subset of $(b,-O)).")
-
-let opt_mpb_cache_arg =
-  Arg.(value & flag
-       & info [ "opt-mpb-cache" ]
-           ~doc:"Just the MPB software-cache pass (a subset of $(b,-O)).")
-
 let sharpen_arg =
   Arg.(value & flag
        & info [ "sharpen" ]
@@ -470,7 +440,7 @@ let trace_out_arg =
 let translate_term =
   Term.(const translate_cmd $ file_arg $ cores_arg $ capacity_arg
         $ density_arg $ sound_locals_arg $ many_to_one_arg $ optimize_arg
-        $ opt_pre_arg $ opt_mpb_cache_arg $ sharpen_arg $ race_check_arg
+        $ sharpen_arg $ race_check_arg
         $ warn_error_arg $ diag_format_arg $ timings_arg
         $ timings_format_arg $ trace_out_arg $ verbose_arg)
 

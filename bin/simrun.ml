@@ -121,26 +121,10 @@ let run_cmd name name_flag mode units trace_out profile_on
                  "; critical-path flow arrows clipped to the retained \
                   window"
                else "");
-          let events =
-            Scc.Trace.to_chrome_events tr
-            @ (match profile with
-              | None -> []
-              | Some p -> Scc.Profile.counter_events p)
-            @ (match critpath with
-              | None -> []
-              | Some cp ->
-                  (* clip the flow chain at the trace horizon so no arrow
-                     points at a dropped slice *)
-                  let max_end_ps =
-                    if Scc.Trace.dropped tr > 0 then
-                      Some (Scc.Trace.max_end_ps tr)
-                    else None
-                  in
-                  Scc.Critpath.flow_events ?max_end_ps cp)
-          in
           (* merge-write: lands in the same JSON array as compiler spans
              when the file came from `hsmcc translate --trace` *)
-          Obs.Chrome.write_merge path events;
+          Obs.Chrome.write_merge path
+            (Scc.Timeline.events ?profile ?critpath tr);
           Printf.printf "trace:      %d events -> %s (Perfetto)\n"
             (Scc.Trace.length tr) path
       | _, _ -> ());

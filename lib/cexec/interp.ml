@@ -191,10 +191,12 @@ let observe task ~write addr =
       Lockset.access detector ~ctx:task.api.Scc.Engine.self
         ~held:task.held_locks ~write addr
 
-(* Offset 0 of every region is a guard line (see Scc.Memmap.create), so
-   a small address can only come from NULL or NULL-adjacent pointer
-   arithmetic. *)
-let check_addr addr =
+(* An access must name memory of this chip.  Offset 0 of every region is
+   a guard line (see Scc.Memmap.create), so a small address can only come
+   from NULL or NULL-adjacent pointer arithmetic. *)
+let check_addr sh addr =
+  if not (Scc.Memmap.on_chip (Scc.Engine.memmap sh.eng) addr) then
+    runtime_error "access outside the chip's memory (address %#x)" addr;
   (* offset < 32 on a private or shared page; MPB (kind 2) is unguarded *)
   if addr land 0xffffffff < 32 && (addr lsr 40) land 0x3 <> 2 then
     runtime_error "null pointer dereference (address %#x)" addr
@@ -207,7 +209,7 @@ let store_of sh addr =
     if kind = 0 then sh.private_stores.(core) else sh.mpb_stores.(core)
 
 let read_mem_at task addr ty =
-  check_addr addr;
+  check_addr task.proc.sh addr;
   flush task;
   observe task ~write:false addr;
   task.api.Scc.Engine.load addr ~bytes:(value_bytes ty);
@@ -224,7 +226,7 @@ let check_store sh addr =
   then runtime_error "store outside every allocation (address %#x)" addr
 
 let write_mem_at task addr ty v =
-  check_addr addr;
+  check_addr task.proc.sh addr;
   check_store task.proc.sh addr;
   flush task;
   observe task ~write:true addr;

@@ -1,100 +1,38 @@
-(* The RCCE runtime on the simulator.
+(* RCCE message passing on the simulator, for OCaml programs.
 
-   Mirrors the C library the paper targets (van der Wijngaart et al.,
-   "Light-weight communications on Intel's single-chip cloud computer
-   processor"): units of execution (UEs) tied one-to-one to cores, a
-   collective off-chip shared allocator (RCCE_shmalloc), an on-chip MPB
-   allocator (RCCE_malloc), one-sided put/get moving data through the
-   MPB, flag-based barriers, and the per-core test-and-set locks.
+   Units of execution (UEs) tied one-to-one to cores, one-sided put/get
+   through the MPB, and RCCE's blocking send/recv built on MPB flags
+   (van der Wijngaart et al., "Light-weight communications on Intel's
+   single-chip cloud computer processor").  Collective allocation, the
+   barrier, the locks and the frequency divider of a translated C program
+   are the interpreter's RCCE builtins (lib/cexec/interp.ml); an OCaml
+   program reaches the engine's barrier, locks and DVFS through [api]. *)
 
-   Collective allocations must return the same address in every UE: the
-   runtime keeps one allocation log keyed by per-UE call sequence — the
-   first UE to reach the k-th collective call performs the real
-   allocation, later UEs' k-th calls return the logged address. *)
-
-type runtime = {
+type t = {
   eng : Scc.Engine.t;
-  cores : int array;                   (* participating cores, rank order *)
-  mutable shm_log : int list;          (* collective shmalloc results *)
-  mutable mpb_log : int list list;     (* collective striped MPB results *)
-  shm_counter : int array;             (* per-UE collective call index *)
-  mpb_counter : int array;
-  comm_buf : int option array;         (* per-UE MPB message buffer *)
+  api : Scc.Engine.api;
+  num_ues : int;
+  comm_buf : int option array;   (* per-UE MPB message buffer, shared *)
 }
-
-let create_runtime eng ~cores =
-  let n = Array.length cores in
-  {
-    eng;
-    cores;
-    shm_log = [];
-    mpb_log = [];
-    shm_counter = Array.make n 0;
-    mpb_counter = Array.make n 0;
-    comm_buf = Array.make n None;
-  }
-
-type t = { rt : runtime; api : Scc.Engine.api }
-
-let attach rt api = { rt; api }
 
 let ue t = t.api.Scc.Engine.self
 
-let num_ues t = Array.length t.rt.cores
+let num_ues t = t.num_ues
 
 let api t = t.api
-
-(* --- collective allocation ---------------------------------------------- *)
-
-let shmalloc t ~bytes =
-  let rank = ue t in
-  let k = t.rt.shm_counter.(rank) in
-  t.rt.shm_counter.(rank) <- k + 1;
-  let log_len = List.length t.rt.shm_log in
-  if k < log_len then List.nth t.rt.shm_log k
-  else begin
-    assert (k = log_len);
-    let addr =
-      Scc.Memmap.alloc (Scc.Engine.memmap t.rt.eng) Scc.Memmap.Shared_dram
-        ~bytes
-    in
-    t.rt.shm_log <- t.rt.shm_log @ [ addr ];
-    addr
-  end
-
-(* On-chip allocation: the block is striped across the participating
-   cores' MPB slices; returns the per-chunk bases (rank order).
-   @raise Scc.Memmap.Out_of_memory when a slice is exhausted. *)
-let malloc_mpb t ~bytes =
-  let rank = ue t in
-  let k = t.rt.mpb_counter.(rank) in
-  t.rt.mpb_counter.(rank) <- k + 1;
-  let log_len = List.length t.rt.mpb_log in
-  if k < log_len then List.nth t.rt.mpb_log k
-  else begin
-    assert (k = log_len);
-    let chunks =
-      Scc.Memmap.alloc_mpb_striped (Scc.Engine.memmap t.rt.eng)
-        ~cores:(Array.to_list t.rt.cores) ~bytes
-    in
-    t.rt.mpb_log <- t.rt.mpb_log @ [ chunks ];
-    chunks
-  end
 
 (* --- one-sided communication -------------------------------------------- *)
 
 (* RCCE_put: move [bytes] from the caller into the MPB slice of the
-   target UE. *)
+   target UE (UE k runs on core k). *)
 let put t ~dest_ue ~offset ~bytes =
-  let core = t.rt.cores.(dest_ue) in
-  let addr = Scc.Memmap.addr_of_mpb ~core ~offset in
+  let addr = Scc.Memmap.addr_of_mpb ~core:dest_ue ~offset in
   t.api.Scc.Engine.store addr ~bytes
 
 (* RCCE_get: move [bytes] from the MPB slice of the source UE into the
    caller. *)
 let get t ~src_ue ~offset ~bytes =
-  let core = t.rt.cores.(src_ue) in
-  let addr = Scc.Memmap.addr_of_mpb ~core ~offset in
+  let addr = Scc.Memmap.addr_of_mpb ~core:src_ue ~offset in
   t.api.Scc.Engine.load addr ~bytes
 
 (* --- two-sided send/recv ------------------------------------------------- *)
@@ -108,14 +46,14 @@ let get t ~src_ue ~offset ~bytes =
 let comm_buf_bytes = 1024
 
 let comm_buf t ~ue =
-  match t.rt.comm_buf.(ue) with
+  match t.comm_buf.(ue) with
   | Some addr -> addr
   | None ->
       let addr =
-        Scc.Memmap.alloc (Scc.Engine.memmap t.rt.eng)
-          (Scc.Memmap.Mpb t.rt.cores.(ue)) ~bytes:comm_buf_bytes
+        Scc.Memmap.alloc (Scc.Engine.memmap t.eng) (Scc.Memmap.Mpb ue)
+          ~bytes:comm_buf_bytes
       in
-      t.rt.comm_buf.(ue) <- Some addr;
+      t.comm_buf.(ue) <- Some addr;
       addr
 
 let flag_ready t ~src ~dest = 2 * ((src * num_ues t) + dest)
@@ -155,37 +93,17 @@ let recv t ~src_ue ~bytes =
   in
   chunk bytes
 
-(* --- synchronization ----------------------------------------------------- *)
-
-let barrier t = t.api.Scc.Engine.barrier ()
-
-let acquire_lock t id = t.api.Scc.Engine.acquire (t.rt.cores.(id mod num_ues t))
-
-let release_lock t id = t.api.Scc.Engine.release (t.rt.cores.(id mod num_ues t))
-
-(* --- power management ------------------------------------------------------ *)
-
-(* RCCE's power API expresses frequency as a divider of the 1600 MHz
-   mesh clock: divider 2 = 800 MHz (the paper's operating point), 3 =
-   533 MHz, and so on.  The change applies to the caller's whole tile. *)
-let set_frequency_divider t ~divider =
-  if divider < 2 || divider > 16 then
-    invalid_arg "Rcce.set_frequency_divider: divider outside 2..16";
-  let mhz = 1600 / divider in
-  t.api.Scc.Engine.set_frequency ~core:t.api.Scc.Engine.core ~mhz
-
 (* --- running ------------------------------------------------------------- *)
 
 (* Spawn one UE per core and run to completion; [program] is the RCCE_APP
    body. *)
 let run ?cfg ~ncores program =
   let eng = Scc.Engine.create ?cfg () in
-  let cores = Array.init ncores (fun i -> i) in
-  let rt = create_runtime eng ~cores in
-  Array.iter
-    (fun core ->
-      ignore
-        (Scc.Engine.spawn eng ~core (fun api -> program (attach rt api))))
-    cores;
+  let comm_buf = Array.make ncores None in
+  for core = 0 to ncores - 1 do
+    ignore
+      (Scc.Engine.spawn eng ~core (fun api ->
+           program { eng; api; num_ues = ncores; comm_buf }))
+  done;
   Scc.Engine.run eng;
   eng

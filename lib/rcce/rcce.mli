@@ -1,34 +1,19 @@
-(** The RCCE runtime on the simulator.
+(** RCCE message passing on the simulator, for OCaml programs.
 
-    Mirrors the C library the paper targets: units of execution (UEs) tied
-    one-to-one to cores, collective off-chip shared allocation
-    ([RCCE_shmalloc]), striped on-chip MPB allocation ([RCCE_malloc]),
-    one-sided put/get through the MPB, barriers, and the per-core
-    test-and-set locks. *)
-
-type runtime
-
-val create_runtime : Scc.Engine.t -> cores:int array -> runtime
-(** [cores] are the participating cores in rank order. *)
+    Units of execution (UEs) tied one-to-one to cores, one-sided put/get
+    through the MPB, and blocking two-sided send/recv.  A translated C
+    program's collective allocation, barrier, locks and frequency divider
+    are the interpreter's RCCE builtins ([Cexec.Interp]); an OCaml
+    program reaches the engine's barrier, locks and DVFS through {!api}. *)
 
 type t
 (** A per-UE handle. *)
 
-val attach : runtime -> Scc.Engine.api -> t
-(** Bind a spawned context to the runtime (call inside the program). *)
-
 val ue : t -> int
 val num_ues : t -> int
+
 val api : t -> Scc.Engine.api
-
-val shmalloc : t -> bytes:int -> int
-(** Collective off-chip shared allocation: the k-th call returns the same
-    address in every UE. *)
-
-val malloc_mpb : t -> bytes:int -> int list
-(** Collective on-chip allocation, striped across the participating
-    cores' MPB slices; returns the per-chunk base addresses.
-    @raise Scc.Memmap.Out_of_memory when a slice is exhausted. *)
+(** The engine operations of the UE's context. *)
 
 val put : t -> dest_ue:int -> offset:int -> bytes:int -> unit
 (** [RCCE_put]: write into the MPB slice of the target UE. *)
@@ -44,19 +29,7 @@ val send : t -> dest_ue:int -> bytes:int -> unit
 val recv : t -> src_ue:int -> bytes:int -> unit
 (** Blocking receive matching {!send}. *)
 
-val barrier : t -> unit
-
-val acquire_lock : t -> int -> unit
-(** Acquire the test-and-set register of the core hosting lock [id]. *)
-
-val release_lock : t -> int -> unit
-
-val set_frequency_divider : t -> divider:int -> unit
-(** RCCE's power API: set the caller's tile frequency to
-    1600 MHz / divider (divider 2..16 — 2 is the paper's 800 MHz
-    operating point). *)
-
 val run :
   ?cfg:Scc.Config.t -> ncores:int -> (t -> unit) -> Scc.Engine.t
-(** Spawn one UE per core, run to completion, return the engine for
-    inspection. *)
+(** Spawn one UE per core (UE k on core k), run to completion, return the
+    engine for inspection. *)

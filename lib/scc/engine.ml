@@ -21,7 +21,8 @@
      + DRAM round trip, controllers chosen by line interleaving;
    - MPB: base access cost plus mesh round trip to the owning tile plus
      a transfer slot at the owning slice's port;
-   - barrier: gather/release among the statically spawned contexts;
+   - barriers: one gather/release, over the statically spawned contexts
+     ([barrier]) or over a counted group ([barrier_n]);
    - locks: the per-core test-and-set registers, FIFO handoff.
 
    Block accesses are performed line-by-line from the coroutine so the
@@ -67,13 +68,11 @@ type api = {
 }
 
 type _ Effect.t +=
-  | E_barrier : unit Effect.t
   | E_acquire : int -> unit Effect.t
   | E_release : int -> unit Effect.t
   | E_now : int Effect.t
   | E_spawn : (api -> unit) -> int Effect.t
   | E_join : int -> unit Effect.t
-  | E_barrier_n : (int * int) -> unit Effect.t   (* barrier id, group size *)
   | E_set_freq : (int * int) -> unit Effect.t    (* core, MHz (whole tile) *)
   | E_flag_set : (int * bool) -> unit Effect.t   (* flag id, value *)
   | E_flag_wait : int -> unit Effect.t           (* until the flag is set *)
@@ -134,12 +133,18 @@ exception Deadlock of string
 
 exception Order_conflict of string
 
-(* A counted barrier's per-group bookkeeping: arrivals are counted, not
-   re-measured with [List.length] on every entry. *)
+(* A barrier group's bookkeeping: arrivals are counted, not re-measured
+   with [List.length] on every entry.  The global group of statically
+   spawned contexts has a cell of its own; [barrier_n] groups are keyed
+   by id. *)
 type counted_barrier = {
+  cb_key : int;   (* profiler key: the [barrier_n] id, -1 for the global *)
   mutable cb_arrived : int;
   mutable cb_waiters : (ctx * (unit, unit) Effect.Deep.continuation) list;
 }
+
+type _ Effect.t +=
+  | E_arrive : (counted_barrier * int) -> unit Effect.t  (* cell, size *)
 
 type t = {
   cfg : Config.t;
@@ -154,8 +159,7 @@ type t = {
   mc_busy_ps : int array;
   mc_requests : int array;
   mpb_free_at : int array;
-  mutable barrier_waiting : (ctx * (unit, unit) Effect.Deep.continuation) list;
-  mutable n_barrier_waiting : int;
+  global_barrier : counted_barrier;
   mutable n_barrier_members : int;  (* statically spawned contexts *)
   counted_barriers : (int, counted_barrier) Hashtbl.t;
   flags : (int, flag) Hashtbl.t;
@@ -237,8 +241,7 @@ let create ?(cfg = Config.default) ?(strict = true) ?trace ?profile ?critpath
     mc_busy_ps = Array.make cfg.Config.n_mcs 0;
     mc_requests = Array.make cfg.Config.n_mcs 0;
     mpb_free_at = Array.make n 0;
-    barrier_waiting = [];
-    n_barrier_waiting = 0;
+    global_barrier = { cb_key = -1; cb_arrived = 0; cb_waiters = [] };
     n_barrier_members = 0;
     counted_barriers = Hashtbl.create 8;
     flags = Hashtbl.create 16;
@@ -829,8 +832,6 @@ let charge_access t ctx ~write addr =
 
 (* --- synchronization ---------------------------------------------------- *)
 
-let barrier_group_size t = t.n_barrier_members
-
 let barrier_cost t = cc t t.cfg.Config.mpb_base_cycles
 
 (* Release every waiter of a full barrier at the propagation time.
@@ -879,40 +880,29 @@ let release_barrier_waiters t ~key waiters =
       ready_enqueue t c)
     waiters
 
-let arrive_barrier t ctx k =
-  t.barrier_waiting <- (ctx, k) :: t.barrier_waiting;
-  t.n_barrier_waiting <- t.n_barrier_waiting + 1;
-  if t.n_barrier_waiting = barrier_group_size t then begin
-    release_barrier_waiters t ~key:(-1) t.barrier_waiting;
-    t.barrier_waiting <- [];
-    t.n_barrier_waiting <- 0
-  end
-  else begin
-    ctx.status <- Parked;
-    ctx.pending <- Some (Cont k)
-  end
-
 let park_ready t ctx k =
   ctx.status <- Ready;
   ctx.pending <- Some (Cont k);
   ready_enqueue t ctx
 
-(* A counted barrier: like the global barrier but over an explicit group
-   size, keyed by barrier id (pthread_barrier_t instances, sub-groups). *)
-let arrive_barrier_n t ctx ~id ~count k =
+(* The cell of [barrier_n] group [id] (pthread_barrier_t instances,
+   sub-groups). *)
+let counted_barrier t id =
+  match Hashtbl.find_opt t.counted_barriers id with
+  | Some cell -> cell
+  | None ->
+      let cell = { cb_key = id; cb_arrived = 0; cb_waiters = [] } in
+      Hashtbl.replace t.counted_barriers id cell;
+      cell
+
+(* [ctx] arrives at a barrier of [count] members: the last arrival
+   releases the group, every other one parks. *)
+let arrive t ctx cell ~count k =
   if count < 1 then invalid_arg "Engine: barrier group must be positive";
-  let cell =
-    match Hashtbl.find_opt t.counted_barriers id with
-    | Some cell -> cell
-    | None ->
-        let cell = { cb_arrived = 0; cb_waiters = [] } in
-        Hashtbl.replace t.counted_barriers id cell;
-        cell
-  in
   cell.cb_waiters <- (ctx, k) :: cell.cb_waiters;
   cell.cb_arrived <- cell.cb_arrived + 1;
   if cell.cb_arrived >= count then begin
-    release_barrier_waiters t ~key:id cell.cb_waiters;
+    release_barrier_waiters t ~key:cell.cb_key cell.cb_waiters;
     cell.cb_waiters <- [];
     cell.cb_arrived <- 0
   end
@@ -1108,10 +1098,10 @@ let rec handler t ctx : (unit, unit) Effect.Deep.handler =
             (* the performer ([api.compute]/[load]/[store]) already
                applied the operation's charge; this is pure scheduling *)
             park_opt
-        | E_barrier ->
+        | E_arrive (cell, count) ->
             Some
               (fun (k : (a, unit) Effect.Deep.continuation) ->
-                arrive_barrier t ctx k)
+                arrive t ctx cell ~count k)
         | E_acquire lock_id ->
             Some
               (fun (k : (a, unit) Effect.Deep.continuation) ->
@@ -1172,10 +1162,6 @@ let rec handler t ctx : (unit, unit) Effect.Deep.handler =
                   charge_compute t ctx (ccx t ctx 1_000);
                   park_ready t ctx k
                 end)
-        | E_barrier_n (id, count) ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                arrive_barrier_n t ctx ~id ~count k)
         | E_flag_set (id, value) ->
             Some
               (fun (k : (a, unit) Effect.Deep.continuation) ->
@@ -1253,14 +1239,17 @@ and make_api t ctx =
           end);
       load = (fun addr ~bytes -> access false addr ~bytes);
       store = (fun addr ~bytes -> access true addr ~bytes);
-      barrier = (fun () -> Effect.perform E_barrier);
+      barrier =
+        (fun () ->
+          Effect.perform (E_arrive (t.global_barrier, t.n_barrier_members)));
       acquire = (fun lock_id -> Effect.perform (E_acquire lock_id));
       release = (fun lock_id -> Effect.perform (E_release lock_id));
       now_ps = (fun () -> Effect.perform E_now);
       spawn_child = (fun program -> Effect.perform (E_spawn program));
       join = (fun target -> Effect.perform (E_join target));
       barrier_n =
-        (fun ~id ~count -> Effect.perform (E_barrier_n (id, count)));
+        (fun ~id ~count ->
+          Effect.perform (E_arrive (counted_barrier t id, count)));
       flag_set = (fun ~id value -> Effect.perform (E_flag_set (id, value)));
       flag_wait = (fun ~id -> Effect.perform (E_flag_wait id));
       set_frequency =
@@ -1307,13 +1296,15 @@ and make_api t ctx =
           end);
       load = (fun addr ~bytes -> access false addr ~bytes);
       store = (fun addr ~bytes -> access true addr ~bytes);
-      barrier = (fun () -> sync E_barrier);
+      barrier =
+        (fun () -> sync (E_arrive (t.global_barrier, t.n_barrier_members)));
       acquire = (fun lock_id -> sync (E_acquire lock_id));
       release = (fun lock_id -> sync (E_release lock_id));
       now_ps = (fun () -> Effect.perform E_now);
       spawn_child = (fun program -> sync (E_spawn program));
       join = (fun target -> sync (E_join target));
-      barrier_n = (fun ~id ~count -> sync (E_barrier_n (id, count)));
+      barrier_n =
+        (fun ~id ~count -> sync (E_arrive (counted_barrier t id, count)));
       flag_set = (fun ~id value -> sync (E_flag_set (id, value)));
       flag_wait = (fun ~id -> sync (E_flag_wait id));
       set_frequency = (fun ~core ~mhz -> sync (E_set_freq (core, mhz)));
@@ -1419,7 +1410,7 @@ let run t =
                  (barrier waiting: %d, join waiting: %d)"
                 (n_ctxs t - t.n_finished)
                 (n_ctxs t)
-                t.n_barrier_waiting t.n_join_waiting))
+                t.global_barrier.cb_arrived t.n_join_waiting))
     end
   in
   if n_ctxs t > 0 then loop ();

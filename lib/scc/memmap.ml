@@ -92,16 +92,23 @@ let alloc t region ~bytes =
       t.mpb_off.(core) <- offset + rounded;
       addr_of ~region ~offset
 
+(* Whether [addr] names a region of this chip: a region kind (no bit set
+   above it) and an owning core the chip has.  Shared DRAM addresses
+   carry owner 0. *)
+let on_chip t addr =
+  addr lsr kind_shift <= 2
+  && (addr lsr core_shift) land 0xff < Array.length t.mpb_off
+
 (* One past the highest allocated byte of [addr]'s region (its bump
-   offset); 0 for an address no region decodes to, or a core the chip
-   does not have. *)
+   offset); 0 for an address that names no region of this chip. *)
 let extent t addr =
-  let core = (addr lsr core_shift) land 0xff in
-  match (addr lsr kind_shift) land 0x3 with
-  | 1 -> t.shared_off
-  | 0 when core < Array.length t.private_off -> t.private_off.(core)
-  | 2 when core < Array.length t.mpb_off -> t.mpb_off.(core)
-  | _ -> 0
+  if not (on_chip t addr) then 0
+  else
+    let core = (addr lsr core_shift) land 0xff in
+    match addr lsr kind_shift with
+    | 0 -> t.private_off.(core)
+    | 1 -> t.shared_off
+    | _ -> t.mpb_off.(core)
 
 let mpb_used t core = t.mpb_off.(core)
 

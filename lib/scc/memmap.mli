@@ -33,10 +33,14 @@ val alloc_mpb_striped : t -> cores:int list -> bytes:int -> int list
 (** Allocate shared space striped across the MPB slices of [cores];
     returns per-chunk base addresses. *)
 
+val on_chip : t -> int -> bool
+(** Whether [addr] names a region of this chip: its region kind is one
+    of the three and its owning core is one the chip has. *)
+
 val extent : t -> int -> int
 (** [extent t addr]: one past the highest allocated byte offset of the
     region [addr] decodes to (the region's line-aligned bump offset), or
-    0 when it decodes to no region of this chip. *)
+    0 when it names no region of this chip (see {!on_chip}). *)
 
 val mpb_used : t -> int -> int
 val shared_used : t -> int

@@ -109,23 +109,6 @@ let max_end_ps t =
   done;
   !acc
 
-let to_chrome_json t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "[";
-  for i = 0 to t.len - 1 do
-    let e = t.buf.(i) in
-    if i > 0 then Buffer.add_string buf ",\n";
-    Buffer.add_string buf
-      (Printf.sprintf
-         {|{"name":"%s","ph":"X","ts":%.3f,"dur":%.3f,"pid":%d,"tid":%d}|}
-         (kind_to_string e.kind)
-         (float_of_int e.start_ps /. 1e6)
-         (float_of_int (e.end_ps - e.start_ps) /. 1e6)
-         e.core e.ctx)
-  done;
-  Buffer.add_string buf "]\n";
-  Buffer.contents buf
-
 (* The same intervals as [Obs.Chrome] events, for merging with other
    tracks (compiler spans, profiler counter timelines) in one file. *)
 let to_chrome_events t =

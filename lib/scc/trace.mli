@@ -55,8 +55,6 @@ val busy_by_kind : t -> ctx:int -> (kind * int) list
 val max_end_ps : t -> int
 (** Latest interval end over every recorded event (0 when empty). *)
 
-val to_chrome_json : t -> string
-
 val to_chrome_events : t -> Obs.Chrome.event list
 (** The same intervals as [Obs.Chrome] events, for merging with compiler
     spans and profiler counter timelines in one trace file. *)

@@ -16,11 +16,8 @@ type options = {
   capacity : int;
   strategy : Partition.Partitioner.strategy;
   sound_locals : bool;
-  include_possible : bool;
   many_to_one : bool;
   optimize : bool;
-  opt_pre : bool;
-  opt_mpb_cache : bool;
   sharpen : bool;
 }
 
@@ -30,11 +27,8 @@ let default_options =
     capacity = 0;   (* all-off-chip, the Figure 6.1 configuration *)
     strategy = Partition.Partitioner.Size_ascending;
     sound_locals = false;
-    include_possible = false;
     many_to_one = false;
     optimize = false;
-    opt_pre = false;
-    opt_mpb_cache = false;
     sharpen = false;
   }
 
@@ -221,8 +215,7 @@ let points_to_snap t =
   (* Stage 3 refines on top of Stage 2's refinement: force the order. *)
   let (_ : Analysis.Thread_analysis.t) = threads t in
   demand t t.points_to_c "points-to" [ "symtab"; "scope"; "threads" ]
-    (fun () -> Analysis.Pipeline.stage3
-        ~include_possible:t.opts.include_possible st sc)
+    (fun () -> Analysis.Pipeline.stage3 st sc)
 
 let points_to t = fst (points_to_snap t)
 

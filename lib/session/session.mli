@@ -24,17 +24,12 @@ type options = {
   sound_locals : bool;
       (** hoist shared locals into shared memory (the thesis's example
           output leaves them on the process stack) *)
-  include_possible : bool; (** propagate sharing via Possible relations *)
   many_to_one : bool;
       (** map several threads onto one core with a task loop instead of
           rejecting programs with more threads than cores *)
   optimize : bool;
       (** the full optimizer bundle: MPB software caching, PRE of shared
           loads, constant folding + dead-branch elimination *)
-  opt_pre : bool;
-      (** just the PRE/load-hoisting pass (also implied by [optimize]) *)
-  opt_mpb_cache : bool;
-      (** just the MPB software-cache pass (also implied by [optimize]) *)
   sharpen : bool;
       (** feed proven thread-locality facts from the abstract
           interpretation back into the sharing lattice before

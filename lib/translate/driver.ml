@@ -48,18 +48,13 @@ let passes =
   ]
 
 let passes_for (options : Pass.options) =
-  let mpb = options.Pass.optimize || options.Pass.opt_mpb_cache in
-  let pre = options.Pass.optimize || options.Pass.opt_pre in
-  if mpb || pre || options.Pass.optimize then
+  if options.Pass.optimize then
     [ Thread_to_process.pass; Mutex_convert.pass; Remove_pthread.pass;
-      Shared_rewrite.pass; Add_rcce.pass ]
-    @ (if mpb then [ Opt_mpb_cache.pass ] else [])
-    @ (if pre then [ Opt_pre.pass ] else [])
-    (* folding runs after the locality passes (it can clean up their
-       emitted code) and before cleanup so folded-away uses make
-       declarations dead *)
-    @ (if options.Pass.optimize then [ Optimize.pass ] else [])
-    @ [ Cleanup.pass ]
+      Shared_rewrite.pass; Add_rcce.pass; Opt_mpb_cache.pass; Opt_pre.pass;
+      (* folding runs after the locality passes (it can clean up their
+         emitted code) and before cleanup so folded-away uses make
+         declarations dead *)
+      Optimize.pass; Cleanup.pass ]
   else passes
 
 let translate_session session =

@@ -18,11 +18,8 @@ type options = Session.options = {
   capacity : int;
   strategy : Partition.Partitioner.strategy;
   sound_locals : bool;
-  include_possible : bool;
   many_to_one : bool;
   optimize : bool;
-  opt_pre : bool;
-  opt_mpb_cache : bool;
   sharpen : bool;
 }
 

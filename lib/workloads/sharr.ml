@@ -5,7 +5,7 @@
    Layouts:
    - [Contiguous]: one base address — private DRAM or off-chip shared;
    - [Striped]: round-robin chunks across MPB slices, the layout
-     [Rcce.malloc_mpb] produces. *)
+     [Scc.Memmap.alloc_mpb_striped] produces. *)
 
 type layout =
   | Contiguous of int                               (* base address *)

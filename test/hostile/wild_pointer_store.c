@@ -1,3 +1,4 @@
+/* expect: store outside every allocation */
 /* A store through a pointer made from an integer: no allocation holds
    the address, so the run must stop with a runtime error. */
 int main(void) {

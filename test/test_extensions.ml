@@ -352,23 +352,6 @@ let test_set_frequency_bounds () =
   | _ -> Alcotest.fail "50 MHz should be rejected"
   | exception Invalid_argument _ -> ()
 
-let test_rcce_frequency_divider () =
-  let slow_elapsed = ref 0 and fast_elapsed = ref 0 in
-  let run ~divider =
-    let finish = ref 0 in
-    let _eng =
-      Rcce.run ~ncores:1 (fun t ->
-          Rcce.set_frequency_divider t ~divider;
-          (Rcce.api t).Scc.Engine.compute 10_000;
-          finish := (Rcce.api t).Scc.Engine.now_ps ())
-    in
-    !finish
-  in
-  fast_elapsed := run ~divider:2;
-  slow_elapsed := run ~divider:4;
-  Alcotest.(check bool) "divider 4 slower than divider 2" true
-    (!slow_elapsed > !fast_elapsed)
-
 let test_interp_program_slows_itself () =
   let src =
     {|int RCCE_APP(int argc, char **argv) {
@@ -395,6 +378,36 @@ let test_interp_program_slows_itself () =
   let fast = Cexec.Interp.run_rcce ~ncores:1 (Parser.program fast_src) in
   Alcotest.(check bool) "the divider slowed the program" true
     (slow.Cexec.Interp.elapsed_ps > fast.Cexec.Interp.elapsed_ps)
+
+(* --- the extensions tour ------------------------------------------------------- *)
+
+(* The tour's whole output -- its ring line times RCCE send/recv -- is
+   pinned by a golden. *)
+let test_tour_golden () =
+  (* the test process runs in _build/default/test *)
+  let exe, golden =
+    if Sys.file_exists "../examples/extensions_tour.exe" then
+      ("../examples/extensions_tour.exe", "../test/golden/extensions_tour.txt")
+    else
+      ( "_build/default/examples/extensions_tour.exe",
+        "test/golden/extensions_tour.txt" )
+  in
+  if not (Sys.file_exists exe) then
+    Printf.eprintf "skipping tour golden: %s not built\n" exe
+  else begin
+    let out = Filename.temp_file "extensions_tour" ".txt" in
+    let code = Sys.command (exe ^ " > " ^ Filename.quote out) in
+    let read path =
+      let ic = open_in_bin path in
+      let s = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      s
+    in
+    let printed = read out in
+    Sys.remove out;
+    Alcotest.(check int) "exit status" 0 code;
+    Alcotest.(check string) "tour output" (read golden) printed
+  end
 
 let suite =
   [
@@ -432,8 +445,7 @@ let suite =
     Alcotest.test_case "DVFS tile granularity" `Quick
       test_set_frequency_is_tile_granular;
     Alcotest.test_case "DVFS bounds" `Quick test_set_frequency_bounds;
-    Alcotest.test_case "RCCE frequency divider" `Quick
-      test_rcce_frequency_divider;
     Alcotest.test_case "interp self-slowing program" `Quick
       test_interp_program_slows_itself;
+    Alcotest.test_case "extensions tour golden" `Quick test_tour_golden;
   ]

@@ -522,6 +522,48 @@ let test_cli_store_past_global () =
     ~diagnostic:"hsmcc: runtime error: store outside every allocation"
     "int g[4];\nint main(void) {\n  g[100000000] = 2;\n  return 0;\n}\n"
 
+(* A load from an address that names no memory of the chip -- an owner
+   core the chip does not have, or a region kind the layout does not
+   have -- is an error before the memory model sees it, and before the
+   null-pointer test, which would misreport kind 3 at offset 0. *)
+let check_off_chip_load ~address pointer =
+  check_run_fails
+    ~diagnostic:
+      ("hsmcc: runtime error: access outside the chip's memory (address "
+      ^ address ^ ")")
+    (Printf.sprintf
+       "int main(void) {\n  int *p = (int *) (%s);\n  return *p;\n}\n"
+       pointer)
+
+let test_cli_load_unknown_owner () =
+  check_off_chip_load ~address:"0x2c800000040"
+    "(2L << 40) | (200L << 32) | 64"
+
+let test_cli_load_unknown_kind () =
+  check_off_chip_load ~address:"0x30000000040" "(3L << 40) + 64"
+
+let test_cli_load_unknown_kind_offset0 () =
+  check_off_chip_load ~address:"0x30000000000" "3L << 40"
+
+(* RCCE's power API takes a divider of the 1600 MHz mesh clock in
+   2..16. *)
+let check_divider_rejected divider =
+  check_run_fails ~args:"--cores 2"
+    ~diagnostic:
+      "hsmcc: runtime error: RCCE_set_frequency_divider: divider outside \
+       2..16"
+    (Printf.sprintf
+       "int RCCE_APP(int argc, char **argv) {\n\
+       \  RCCE_init(&argc, &argv);\n\
+       \  RCCE_set_frequency_divider(%d);\n\
+       \  RCCE_finalize();\n\
+       \  return 0;\n\
+        }\n"
+       divider)
+
+let test_cli_divider_1 () = check_divider_rejected 1
+let test_cli_divider_17 () = check_divider_rejected 17
+
 let suite =
   [
     Alcotest.test_case "arithmetic" `Quick test_arithmetic;
@@ -554,6 +596,16 @@ let suite =
       test_cli_wild_pointer_store;
     Alcotest.test_case "run store past a global exits 1" `Quick
       test_cli_store_past_global;
+    Alcotest.test_case "run load from an unknown owner exits 1" `Quick
+      test_cli_load_unknown_owner;
+    Alcotest.test_case "run load from an unknown region kind exits 1" `Quick
+      test_cli_load_unknown_kind;
+    Alcotest.test_case "run load at offset 0 of an unknown kind exits 1"
+      `Quick test_cli_load_unknown_kind_offset0;
+    Alcotest.test_case "run frequency divider 1 exits 1" `Quick
+      test_cli_divider_1;
+    Alcotest.test_case "run frequency divider 17 exits 1" `Quick
+      test_cli_divider_17;
     Alcotest.test_case "pthread example 4.1" `Quick test_pthread_example_4_1;
     Alcotest.test_case "pthread mutex counter" `Quick
       test_pthread_mutex_counter;

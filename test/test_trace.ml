@@ -53,7 +53,7 @@ let test_busy_accounting () =
 
 let test_chrome_json_shape () =
   let _, trace = run_traced () in
-  let json = Scc.Trace.to_chrome_json trace in
+  let json = Obs.Chrome.to_json (Scc.Trace.to_chrome_events trace) in
   Alcotest.(check bool) "array brackets" true
     (String.length json > 2 && json.[0] = '[');
   let contains needle =
@@ -156,6 +156,7 @@ let qcheck_chrome_events_well_formed =
     (fun l ->
       let trace = trace_of_intervals l in
       let horizon_us = float_of_int (Scc.Trace.max_end_ps trace) /. 1e6 in
+      let events = Scc.Trace.to_chrome_events trace in
       List.iter
         (fun (e : Obs.Chrome.event) ->
           match e with
@@ -167,8 +168,8 @@ let qcheck_chrome_events_well_formed =
                 QCheck.Test.fail_reportf "event past max_end_ps: %f+%f > %f"
                   ts_us dur_us horizon_us
           | _ -> ())
-        (Scc.Trace.to_chrome_events trace);
-      if not (json_balanced (Scc.Trace.to_chrome_json trace)) then
+        events;
+      if not (json_balanced (Obs.Chrome.to_json events)) then
         QCheck.Test.fail_report "unbalanced chrome json";
       true)
 
