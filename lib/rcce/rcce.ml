@@ -23,17 +23,21 @@ let api t = t.api
 
 (* --- one-sided communication -------------------------------------------- *)
 
+(* Address of [offset] in the MPB slice of UE [ue], which runs on core
+   [ue]. *)
+let mpb_addr t ~ue ~offset =
+  if ue < 0 || ue >= t.num_ues then invalid_arg "Rcce: no such UE";
+  Scc.Memmap.addr_of_mpb ~core:ue ~offset
+
 (* RCCE_put: move [bytes] from the caller into the MPB slice of the
-   target UE (UE k runs on core k). *)
+   target UE. *)
 let put t ~dest_ue ~offset ~bytes =
-  let addr = Scc.Memmap.addr_of_mpb ~core:dest_ue ~offset in
-  t.api.Scc.Engine.store addr ~bytes
+  t.api.Scc.Engine.store (mpb_addr t ~ue:dest_ue ~offset) ~bytes
 
 (* RCCE_get: move [bytes] from the MPB slice of the source UE into the
    caller. *)
 let get t ~src_ue ~offset ~bytes =
-  let addr = Scc.Memmap.addr_of_mpb ~core:src_ue ~offset in
-  t.api.Scc.Engine.load addr ~bytes
+  t.api.Scc.Engine.load (mpb_addr t ~ue:src_ue ~offset) ~bytes
 
 (* --- two-sided send/recv ------------------------------------------------- *)
 

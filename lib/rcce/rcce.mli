@@ -16,10 +16,12 @@ val api : t -> Scc.Engine.api
 (** The engine operations of the UE's context. *)
 
 val put : t -> dest_ue:int -> offset:int -> bytes:int -> unit
-(** [RCCE_put]: write into the MPB slice of the target UE. *)
+(** [RCCE_put]: write into the MPB slice of the target UE.
+    @raise Invalid_argument when there is no such UE. *)
 
 val get : t -> src_ue:int -> offset:int -> bytes:int -> unit
-(** [RCCE_get]: read from the MPB slice of the source UE. *)
+(** [RCCE_get]: read from the MPB slice of the source UE.
+    @raise Invalid_argument when there is no such UE. *)
 
 val send : t -> dest_ue:int -> bytes:int -> unit
 (** Blocking two-sided send: waits for the receiver's "ready" flag, moves

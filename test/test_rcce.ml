@@ -26,6 +26,14 @@ let test_put_get_cost_asymmetry () =
        !own)
     true (!remote > !own)
 
+let test_put_to_missing_ue_rejected () =
+  match
+    Rcce.run ~ncores:2 (fun t ->
+        if Rcce.ue t = 0 then Rcce.put t ~dest_ue:2 ~offset:0 ~bytes:32)
+  with
+  | _ -> Alcotest.fail "put to UE 2 of 2 accepted"
+  | exception Invalid_argument _ -> ()
+
 let test_rcce_num_ues () =
   let seen = ref 0 in
   let _eng =
@@ -39,5 +47,7 @@ let suite =
   [
     Alcotest.test_case "put/get cost asymmetry" `Quick
       test_put_get_cost_asymmetry;
+    Alcotest.test_case "put to a missing UE rejected" `Quick
+      test_put_to_missing_ue_rejected;
     Alcotest.test_case "num_ues" `Quick test_rcce_num_ues;
   ]
