@@ -440,9 +440,8 @@ let trace_out_arg =
 let translate_term =
   Term.(const translate_cmd $ file_arg $ cores_arg $ capacity_arg
         $ density_arg $ sound_locals_arg $ many_to_one_arg $ optimize_arg
-        $ sharpen_arg $ race_check_arg
-        $ warn_error_arg $ diag_format_arg $ timings_arg
-        $ timings_format_arg $ trace_out_arg $ verbose_arg)
+        $ sharpen_arg $ race_check_arg $ warn_error_arg $ diag_format_arg
+        $ timings_arg $ timings_format_arg $ trace_out_arg $ verbose_arg)
 
 let translate_cmd_info =
   Cmd.v (Cmd.info "translate" ~doc:"Translate a Pthread program to RCCE")
