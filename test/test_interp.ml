@@ -475,6 +475,18 @@ let test_cli_deadlock_exit () =
     \  return 0;\n\
      }\n"
 
+(* The deadlock report counts the ranks parked at the global barrier. *)
+let test_cli_barrier_deadlock () =
+  check_run_fails ~args:"--cores 3"
+    ~diagnostic:"hsmcc: deadlock: 2 of 3 contexts parked with no runnable \
+                 context (barrier waiting: 2, join waiting: 0)"
+    "int RCCE_APP(int argc, char **argv) {\n\
+    \  RCCE_init(&argc, &argv);\n\
+    \  if (RCCE_ue() != 0) { RCCE_barrier(&RCCE_COMM_WORLD); }\n\
+    \  RCCE_finalize();\n\
+    \  return 0;\n\
+     }\n"
+
 let test_cli_printf_cut_off () =
   check_run_fails
     ~diagnostic:"hsmcc: runtime error: printf: incomplete conversion"
@@ -584,6 +596,8 @@ let suite =
     Alcotest.test_case "unknown function" `Quick
       test_unknown_function_reported;
     Alcotest.test_case "run deadlock exits 1" `Quick test_cli_deadlock_exit;
+    Alcotest.test_case "run barrier deadlock exits 1" `Quick
+      test_cli_barrier_deadlock;
     Alcotest.test_case "run printf cut-off conversion exits 1" `Quick
       test_cli_printf_cut_off;
     Alcotest.test_case "run division by zero exits 1" `Quick
