@@ -84,6 +84,7 @@ let interp_row ~quick ~label run =
     value = float_of_int events /. s;
     counters =
       [ ("events", count events); ("elapsed_ps", count r.elapsed_ps);
+        ("round_trips", count (Scc.Engine.round_trips r.engine));
         ("major_words", words) ];
   }
 
@@ -134,6 +135,7 @@ let explain ~quick =
         ("dropped", count (Scc.Critpath.dropped cp));
         ("report_digest",
          Printf.sprintf "%S" (Digest.to_hex (Digest.string report)));
+        ("round_trips", count (Scc.Engine.round_trips r.engine));
         ("major_words", words) ];
   }
 
@@ -159,13 +161,15 @@ let sched_raw ~quick =
              done))
     done;
     Scc.Engine.run eng;
-    Scc.Engine.events eng
+    (Scc.Engine.events eng, Scc.Engine.round_trips eng)
   in
-  let events, words, s = timed ~quick run in
+  let (events, round_trips), words, s = timed ~quick run in
   {
     label = Printf.sprintf "raw-%d-ctx-compute-load" nctx;
     value = float_of_int events /. s;
-    counters = [ ("events", count events); ("major_words", words) ];
+    counters =
+      [ ("events", count events); ("round_trips", count round_trips);
+        ("major_words", words) ];
   }
 
 (* Figure 6.1 end to end: each benchmark as a Pthread baseline and in
@@ -191,7 +195,13 @@ let fig61 ~quick =
              [ (r.name ^ "_pthread_ps", ps r.baseline_ms);
                (r.name ^ "_rcce_ps", ps r.rcce_ms) ])
            rows
-      @ [ ("major_words", words) ];
+      @ [ ("round_trips",
+           count
+             (List.fold_left
+                (fun acc (r : Exp.Experiments.fig_6_1_row) ->
+                  acc + r.round_trips)
+                0 rows));
+          ("major_words", words) ];
   }
 
 (* Wall-clock speedup of four independent pi runs on the domain pool:
@@ -305,6 +315,11 @@ let synth ~quick =
       [ ("configs", count n);
         ("losses", count (List.length losses));
         ("mean_greedy_speedup", Printf.sprintf "%.3f" mean);
+        ("round_trips",
+         count
+           (List.fold_left
+              (fun acc r -> acc + r.Synth.Sweep.r_m.m_round_trips)
+              0 (List.concat groups)));
         ("major_words", words) ];
   }
 

@@ -74,6 +74,7 @@ type fig_6_1_row = {
   rcce_ms : float;
   speedup : float;
   verified : bool;
+  round_trips : int;
 }
 
 let fig_6_1_data ?(scale = Full) ?(units = 32) () =
@@ -94,6 +95,9 @@ let fig_6_1_data ?(scale = Full) ?(units = 32) () =
         verified =
           baseline.Workloads.Workload.verified
           && rcce.Workloads.Workload.verified;
+        round_trips =
+          baseline.Workloads.Workload.round_trips
+          + rcce.Workloads.Workload.round_trips;
       })
     (suite scale)
 

@@ -26,6 +26,8 @@ type fig_6_1_row = {
   rcce_ms : float;
   speedup : float;
   verified : bool;
+  round_trips : int;
+      (** {!Scc.Engine.round_trips} of the two runs together *)
 }
 
 val fig_6_1_data :

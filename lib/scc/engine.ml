@@ -168,6 +168,7 @@ type t = {
   mutable n_finished : int;
   mutable started : bool;
   mutable n_events : int;           (* operations processed *)
+  mutable round_trips : int;        (* parked continuations resumed *)
   strict : bool;                    (* no run-ahead: global time order *)
   trace : Trace.t option;
   profile : Profile.t option;
@@ -253,6 +254,7 @@ let create ?(cfg = Config.default) ?(strict = true) ?trace ?profile ?critpath
     n_finished = 0;
     started = false;
     n_events = 0;
+    round_trips = 0;
     (* the recorders log intervals in processing order *)
     strict = strict || trace <> None || profile <> None || critpath <> None;
     trace;
@@ -375,6 +377,8 @@ let mesh t = t.mesh
 let n_ctxs t = t.n_ctx
 
 let events t = t.n_events
+
+let round_trips t = t.round_trips
 
 (* --- the ready heap ------------------------------------------------------ *)
 
@@ -1379,6 +1383,7 @@ let resume t ctx =
       Effect.Deep.match_with main () (handler t ctx)
   | Some (Cont k) ->
       ctx.pending <- None;
+      t.round_trips <- t.round_trips + 1;
       Effect.Deep.continue k ()
   | None -> invalid_arg "Engine.resume: context has nothing to run"
 

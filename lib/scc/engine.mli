@@ -127,3 +127,9 @@ val events : t -> int
     operation continued in place counts once, and waiting for the turn
     counts nothing, so the figure is the same in strict and run-ahead
     engines. *)
+
+val round_trips : t -> int
+(** Number of parked continuations the run loop resumed so far: the
+    operations that ended in an effect round trip through the scheduler
+    rather than continuing in place.  Unlike {!events} it depends on the
+    engine's mode: a context running ahead resumes less often. *)

@@ -291,6 +291,7 @@ type measurement = {
   m_shared_dram_loads : int;
   m_mpb_lines : int;
   m_verified : bool;
+  m_round_trips : int;
   m_notes : string list;
 }
 
@@ -313,6 +314,7 @@ let run_one ?critpath (sp : Spec.t) traces policy =
       Scc.Stats.total_shared_dram_loads r.Workload.stats;
     m_mpb_lines = Scc.Stats.total_mpb_lines r.Workload.stats;
     m_verified = r.Workload.verified;
+    m_round_trips = r.Workload.round_trips;
     m_notes = r.Workload.notes;
   }
 

@@ -68,6 +68,7 @@ type measurement = {
   m_shared_dram_loads : int;
   m_mpb_lines : int;
   m_verified : bool;
+  m_round_trips : int;  (** {!Scc.Engine.round_trips} of the run *)
   m_notes : string list;
 }
 

@@ -96,6 +96,7 @@ type result = {
   elapsed_ps : int;
   verified : bool;
   stats : Scc.Stats.t;
+  round_trips : int;
   notes : string list;
 }
 
@@ -136,6 +137,7 @@ let run ?cfg ?trace ?profile ?critpath (w : t) mode =
     elapsed_ps = Scc.Engine.elapsed_ps eng;
     verified = instance.verify ();
     stats = Scc.Engine.stats eng;
+    round_trips = Scc.Engine.round_trips eng;
     notes = List.rev ctx.notes;
   }
 

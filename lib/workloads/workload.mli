@@ -46,6 +46,7 @@ type result = {
   elapsed_ps : int;
   verified : bool;
   stats : Scc.Stats.t;
+  round_trips : int;   (** {!Scc.Engine.round_trips} of the run *)
   notes : string list;
 }
 
