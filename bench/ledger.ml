@@ -101,16 +101,16 @@ let pi_rcce ~quick =
   in
   fst (Translate.Driver.translate_program ~options (pi ~nt:8 ~quick))
 
-(* The only row whose contexts run ahead on their own cores. *)
+(* Ranks that run ahead on their own cores. *)
 let interp_rcce ~quick =
   let translated = pi_rcce ~quick in
   interp_row ~quick ~label:"pi-rcce-O-8-cores" (fun () ->
       Cexec.Interp.run_rcce ~ncores:8 translated)
 
 (* The recorders' enabled cost: the interp_rcce program with the profiler
-   and the critical-path recorder attached, which keep its engine strict,
-   and the --explain report rendered.  The digest pins the report's
-   bytes. *)
+   and the critical-path recorder attached, which run ahead with its
+   ranks, and the --explain report rendered.  The digest pins the
+   report's bytes; round_trips equals interp_rcce's. *)
 let explain ~quick =
   let translated = pi_rcce ~quick in
   let (r, cp, report), words, s =

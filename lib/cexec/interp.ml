@@ -140,7 +140,8 @@ let flush_threshold = 8192
 
 (* Wait for the engine turn before touching state every task of the run
    shares and no engine operation guards: the output, the literal pool,
-   the collective allocation logs and the sync-object id tables. *)
+   the collective allocation logs, the sync-object id tables and the
+   profiler's lock names. *)
 let take_turn task = task.api.Scc.Engine.take_turn ()
 
 let flush task =
@@ -898,6 +899,7 @@ and call_builtin task name args ast_args =
       (match task.proc.sh.profile with
       | None -> ()
       | Some p ->
+          take_turn task;
           Scc.Profile.name_lock p ~lock:(rank_to_core task id)
             (Printf.sprintf "rcce-lock-%d" id));
       flush task;
@@ -1094,6 +1096,11 @@ let run_rcce ?cfg ?trace ?profile ?critpath ?(detect_races = false) ~ncores
       races = race_reports sh;
     }
   in
-  (* a rank ran ahead past another's DVFS change or cross-core access:
-     replay in global order *)
-  try run ~strict:false with Scc.Engine.Order_conflict _ -> run ~strict:true
+  (* a rank ran ahead past another's DVFS change or cross-core access, or
+     the critical-path recorder dropped events: replay in global order,
+     with the recorders as the caller created them *)
+  try run ~strict:false
+  with Scc.Engine.Order_conflict _ ->
+    Option.iter Scc.Profile.reset profile;
+    Option.iter Scc.Critpath.reset critpath;
+    run ~strict:true

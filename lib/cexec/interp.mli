@@ -35,7 +35,10 @@ val run_rcce :
 (** One process per core, each interpreting the whole program ([RCCE_APP]
     if present, else [main]), with collective [RCCE_shmalloc] /
     [RCCE_malloc], barriers, and test-and-set locks.  Ranks run ahead
-    on their own cores (see {!Scc.Engine}); if one ran past another's
-    DVFS change or cross-core private access, the program is run again
-    in a strict engine, so the result always equals the global-order
-    one.  [detect_races] and the recorders make the first run strict. *)
+    on their own cores (see {!Scc.Engine}), with or without [profile]
+    and [critpath]; if one ran past another's DVFS change or cross-core
+    private access, or the critical-path recorder dropped an event, the
+    recorders are reset ({!Scc.Profile.reset}, {!Scc.Critpath.reset})
+    and the program is run again in a strict engine, so the result and
+    every report always equal the global-order ones.  [detect_races]
+    and [trace] make the first run strict. *)

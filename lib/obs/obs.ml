@@ -153,6 +153,10 @@ module Registry = struct
 
   let create () = { tbl = Hashtbl.create 16; order = [] }
 
+  let clear t =
+    Hashtbl.reset t.tbl;
+    t.order <- []
+
   let register t key item =
     Hashtbl.replace t.tbl key item;
     t.order <- key :: t.order

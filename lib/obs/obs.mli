@@ -67,6 +67,9 @@ module Registry : sig
 
   val create : unit -> t
 
+  val clear : t -> unit
+  (** Drop every instrument: the registry is as {!create} left it. *)
+
   val counter :
     t -> ?help:string -> ?labels:(string * string) list -> string -> Counter.t
   (** Idempotent per (name, label set): a second call with the same name

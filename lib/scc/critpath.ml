@@ -180,6 +180,22 @@ let create ?(limit = 1_000_000) () =
     path = None;
   }
 
+let reset t =
+  let f = create ~limit:t.limit () in
+  t.lanes <- f.lanes;
+  t.len <- f.len;
+  t.n_dropped <- f.n_dropped;
+  t.fin <- f.fin;
+  t.acct <- f.acct;
+  t.acct_n <- f.acct_n;
+  t.mesh_ps <- f.mesh_ps;
+  t.shared_n <- f.shared_n;
+  t.n_ctx <- f.n_ctx;
+  t.wall_ps <- f.wall_ps;
+  t.mpb_line_ps <- f.mpb_line_ps;
+  t.finalized <- f.finalized;
+  t.path <- f.path
+
 let grow a n fill =
   let cap = Array.length a in
   if n <= cap then a

@@ -27,7 +27,16 @@ type t
 val create : ?limit:int -> unit -> t
 (** [limit] caps the event-dependency buffer (default 1_000_000
     events, counted over all contexts); accounting stays exact past
-    it.  A limit above 2{^42} raises [Invalid_argument]. *)
+    it.  A limit above 2{^42} raises [Invalid_argument].
+
+    The cap keeps the events recorded first in processing order, which
+    only a strict {!Engine} fixes: a run whose contexts run ahead raises
+    [Engine.Order_conflict] when it dropped any event, so that the run
+    is replayed strictly (see {!reset}). *)
+
+val reset : t -> unit
+(** Back to the state {!create} left, with the same limit: what a
+    strict replay after [Engine.Order_conflict] starts from. *)
 
 (** {1 Categories}
 

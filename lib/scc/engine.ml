@@ -44,8 +44,18 @@
    another core's private page.  Both check whether the affected context
    already ran past them and raise [Order_conflict] if it did; the
    caller re-runs with [~strict:true].  Engines are strict unless created
-   with [~strict:false], and one with a recorder attached stays strict;
-   a strict engine never runs ahead. *)
+   with [~strict:false], and one with a trace attached stays strict: the
+   trace logs intervals, and drops them past its cap, in processing
+   order.  A strict engine never runs ahead.
+
+   The profiler and the critical-path recorder do not depend on
+   processing order, so they run ahead too.  Each keeps its state per
+   context, and what spans contexts (lock and barrier tables, causal
+   edges) is recorded at synchronization steps, which take the turn.
+   Two exceptions are handled here: machine samples read global state,
+   so they are taken only with a trace; and the critical-path cap drops
+   events in processing order, so a run ahead that dropped any event
+   raises [Order_conflict] at its end. *)
 
 type api = {
   self : int;
@@ -173,8 +183,9 @@ type t = {
   trace : Trace.t option;
   profile : Profile.t option;
   critpath : Critpath.t option;
-  (* machine-metric sampling state; [next_sample_ps] is [max_int] when
-     profiling is off, so the hot path pays one compare *)
+  (* machine-metric sampling state; [next_sample_ps] is [max_int] unless
+     both a profile and a trace are attached, so the hot path pays one
+     compare *)
   mutable next_sample_ps : int;
   mutable mesh_busy_ps : int;       (* accumulated link-traversal ps *)
   mutable samp_l1_hits : int;
@@ -221,6 +232,10 @@ let create ?(cfg = Config.default) ?(strict = true) ?trace ?profile ?critpath
     () =
   let n = Config.n_cores cfg in
   let mesh = Mesh.create cfg in
+  (* samples read the whole machine at whatever point processing has
+     reached, so only a traced, strict engine takes them; their one
+     reader, the Perfetto timeline, needs the trace anyway *)
+  let sampled = match trace with None -> None | Some _ -> profile in
   {
     cfg;
     mesh;
@@ -255,13 +270,12 @@ let create ?(cfg = Config.default) ?(strict = true) ?trace ?profile ?critpath
     started = false;
     n_events = 0;
     round_trips = 0;
-    (* the recorders log intervals in processing order *)
-    strict = strict || trace <> None || profile <> None || critpath <> None;
+    strict = strict || trace <> None;
     trace;
     profile;
     critpath;
     next_sample_ps =
-      (match profile with
+      (match sampled with
       | None -> max_int
       | Some p -> Profile.sample_interval_ps p);
     mesh_busy_ps = 0;
@@ -270,7 +284,7 @@ let create ?(cfg = Config.default) ?(strict = true) ?trace ?profile ?critpath
     samp_mesh_ps = 0;
     samp_last_ts = 0;
     mc_series =
-      (match profile with
+      (match sampled with
       | None -> [||]
       | Some _ -> Array.init cfg.Config.n_mcs (Printf.sprintf "mc%d"));
     core_freq_mhz = Array.make n cfg.Config.core_freq_mhz;
@@ -1419,6 +1433,17 @@ let run t =
     end
   in
   if n_ctxs t > 0 then loop ();
+  (* the cap keeps the events recorded first in processing order, which
+     running ahead changes *)
+  (match t.critpath with
+  | Some cp when (not t.strict) && Critpath.dropped cp > 0 ->
+      raise
+        (Order_conflict
+           (Printf.sprintf
+              "the critical-path recorder dropped %d events while running \
+               ahead"
+              (Critpath.dropped cp)))
+  | _ -> ());
   (* complete inclusive times for frames still open at the end *)
   (match t.profile with None -> () | Some p -> Profile.finalize p);
   (* close the causal account: idle tails up to the wall and the nominal

@@ -59,9 +59,10 @@ exception Order_conflict of string
 (** Raised by {!run} in a non-strict engine when a context changed what
     another context's already-processed core-local operations read: a
     frequency change on a tile whose other core ran past it, or an
-    access to another core's private page whose owner ran past it.
-    Nothing about the run is usable; run the program again in a strict
-    engine. *)
+    access to another core's private page whose owner ran past it; and
+    at the end of a run whose critical-path recorder dropped events.
+    Nothing about the run is usable, its recorders included; reset them
+    and run the program again in a strict engine. *)
 
 type t
 
@@ -71,16 +72,21 @@ val create :
 (** With [strict] (default [true]), every operation is processed in
     global time order and {!run} never raises {!Order_conflict}.
     [~strict:false] lets a context alone on its core run ahead (see
-    above); then {!run} may raise {!Order_conflict}.  An engine with any
-    recorder attached is strict, since recorders log in processing
-    order.
+    above); then {!run} may raise {!Order_conflict}.  An engine is
+    strict exactly when [strict] is true or a [trace] is attached: the
+    trace logs, and past its cap drops, intervals in processing order.
+    A profiler and a critical-path recorder run ahead with the contexts
+    and report what a strict run reports, except that a critical-path
+    recorder that drops an event past its cap while running ahead makes
+    {!run} raise {!Order_conflict}.
 
     With [trace], every compute burst, memory access, barrier wait and
     lock wait is recorded as a timed interval.  With [profile], the same
     picoseconds are additionally attributed to each context's current
-    source frame (see {!Profile}), lock and barrier contention is
-    tabulated, and machine metrics (L1 hit rate, memory-controller queue
-    depth, mesh utilization) are sampled on the profile's interval.
+    source frame (see {!Profile}) and lock and barrier contention is
+    tabulated; with [trace] as well, machine metrics (L1 hit rate,
+    memory-controller queue depth, mesh utilization) are sampled on the
+    profile's interval.
 
     With [critpath], {e every} local-clock advance — including scheduler
     waits, sync protocol costs and idle padding the trace never sees —
@@ -105,7 +111,8 @@ val run : t -> unit
     escaping a context's program is re-raised here once every operation
     ordered before it has been processed.
     @raise Deadlock when parked contexts can never resume.
-    @raise Order_conflict in a non-strict engine, see above. *)
+    @raise Order_conflict in a non-strict engine, see above and
+    {!create}. *)
 
 val stats : t -> Stats.t
 

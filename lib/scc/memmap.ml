@@ -10,7 +10,8 @@
    Private pages are cacheable; shared DRAM pages are uncacheable (the
    SCC's page-table configuration for shared memory); MPB space is the
    on-die SRAM.  Each region has a simple line-aligned bump allocator; the
-   MPB enforces its 8 KB-per-core capacity. *)
+   MPB enforces its 8 KB-per-core capacity, and a DRAM region ends where
+   its offset no longer fits the 32-bit field. *)
 
 type region =
   | Private of int      (* owning core *)
@@ -72,25 +73,32 @@ let create (cfg : Config.t) =
 
 let align_up line n = (n + line - 1) / line * line
 
+(* Bytes a region holds: an MPB slice its configured share, a DRAM region
+   what the offset field reaches.  Past that, a DRAM offset would carry
+   into the owner bits and name another core's region. *)
+let capacity t = function
+  | Mpb _ -> t.cfg.Config.mpb_bytes_per_core
+  | Private _ | Shared_dram -> offset_mask + 1
+
 let alloc t region ~bytes =
   if bytes <= 0 then invalid_arg "Memmap.alloc: non-positive size";
-  let line = t.cfg.Config.line_bytes in
-  let rounded = align_up line bytes in
-  match region with
-  | Shared_dram ->
-      let offset = t.shared_off in
-      t.shared_off <- offset + rounded;
-      addr_of ~region ~offset
-  | Private core ->
-      let offset = t.private_off.(core) in
-      t.private_off.(core) <- offset + rounded;
-      addr_of ~region ~offset
-  | Mpb core ->
-      let offset = t.mpb_off.(core) in
-      if offset + rounded > t.cfg.Config.mpb_bytes_per_core then
-        raise (Out_of_memory region);
-      t.mpb_off.(core) <- offset + rounded;
-      addr_of ~region ~offset
+  let offset =
+    match region with
+    | Shared_dram -> t.shared_off
+    | Private core -> t.private_off.(core)
+    | Mpb core -> t.mpb_off.(core)
+  in
+  let room = capacity t region - offset in
+  (* [bytes] first: rounding a size near [max_int] up would wrap *)
+  if bytes > room then raise (Out_of_memory region);
+  let rounded = align_up t.cfg.Config.line_bytes bytes in
+  if rounded > room then raise (Out_of_memory region);
+  let next = offset + rounded in
+  (match region with
+  | Shared_dram -> t.shared_off <- next
+  | Private core -> t.private_off.(core) <- next
+  | Mpb core -> t.mpb_off.(core) <- next);
+  addr_of ~region ~offset
 
 (* Whether [addr] names a region of this chip: a region kind (no bit set
    above it) and an owning core the chip has.  Shared DRAM addresses

@@ -3,7 +3,8 @@
     Addresses identify the physical resource serving them: a core's
     cacheable private DRAM, the uncacheable shared DRAM, or a core's MPB
     slice.  Each region has a line-aligned bump allocator; the MPB
-    enforces its per-core capacity. *)
+    enforces its per-core capacity, and a DRAM region holds 2{^32}
+    bytes, what the address's offset field reaches. *)
 
 type region =
   | Private of int  (** owning core *)
@@ -26,7 +27,8 @@ val create : Config.t -> t
 
 val alloc : t -> region -> bytes:int -> int
 (** Line-aligned allocation; returns the base address.
-    @raise Out_of_memory when an MPB slice is exhausted.
+    @raise Out_of_memory when an MPB slice is exhausted, or when a
+    private or shared-DRAM allocation would end past 2{^32} bytes.
     @raise Invalid_argument on non-positive sizes. *)
 
 val alloc_mpb_striped : t -> cores:int list -> bytes:int -> int list

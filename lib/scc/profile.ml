@@ -11,14 +11,14 @@
 type t = {
   (* function slots *)
   mutable fn_names : string array;
-  fn_tbl : (string, int) Hashtbl.t;
+  mutable fn_tbl : (string, int) Hashtbl.t;
   mutable n_fns : int;
   mutable flat : int array array;   (* [kind].[slot] *)
   mutable incl : int array;         (* [slot] *)
   mutable calls : int array;        (* [slot] *)
   (* line slots *)
   mutable line_names : string array;
-  line_tbl : (string, int) Hashtbl.t;
+  mutable line_tbl : (string, int) Hashtbl.t;
   mutable n_lines : int;
   mutable line_ps : int array;
   (* per-context state *)
@@ -38,19 +38,18 @@ type t = {
   mutable lock_max_holder : int array;
   mutable n_locks : int;
   (* barriers, keyed by barrier id (-1 = the global barrier) *)
-  barrier_tbl : (int, barrier_cell) Hashtbl.t;
+  mutable barrier_tbl : (int, barrier_cell) Hashtbl.t;
   (* sampled timelines, reverse recording order *)
   mutable samples : (int * string * (string * float) list) list;
-  mutable n_samples : int;
   interval_ps : int;
   (* aggregate metrics *)
   reg : Obs.Registry.t;
-  kind_ctr : Obs.Counter.t array;    (* attributed ps per Trace.kind *)
-  lock_acq_ctr : Obs.Counter.t;
-  lock_contended_ctr : Obs.Counter.t;
-  lock_wait_hist : Obs.Histogram.t;
-  barrier_ctr : Obs.Counter.t;
-  barrier_spread_hist : Obs.Histogram.t;
+  mutable kind_ctr : Obs.Counter.t array;  (* attributed ps per Trace.kind *)
+  mutable lock_acq_ctr : Obs.Counter.t;
+  mutable lock_contended_ctr : Obs.Counter.t;
+  mutable lock_wait_hist : Obs.Histogram.t;
+  mutable barrier_ctr : Obs.Counter.t;
+  mutable barrier_spread_hist : Obs.Histogram.t;
 }
 
 and barrier_cell = {
@@ -74,10 +73,9 @@ let all_kinds =
   [ Trace.Compute; Trace.Mem_private; Trace.Mem_shared; Trace.Mem_mpb;
     Trace.Barrier_wait; Trace.Lock_wait ]
 
-let create ?(sample_interval_ps = 1_000_000) () =
-  if sample_interval_ps <= 0 then
-    invalid_arg "Profile.create: sample interval must be positive";
-  let reg = Obs.Registry.create () in
+(* A profiler as [create] leaves it, registering its instruments in
+   [reg]. *)
+let fresh ~sample_interval_ps reg =
   let kind_ctr =
     Array.of_list
       (List.map
@@ -116,7 +114,6 @@ let create ?(sample_interval_ps = 1_000_000) () =
       n_locks = 0;
       barrier_tbl = Hashtbl.create 8;
       samples = [];
-      n_samples = 0;
       interval_ps = sample_interval_ps;
       reg;
       kind_ctr;
@@ -147,6 +144,47 @@ let create ?(sample_interval_ps = 1_000_000) () =
   t.line_names.(0) <- "<unknown>";
   t.n_lines <- 1;
   t
+
+let create ?(sample_interval_ps = 1_000_000) () =
+  if sample_interval_ps <= 0 then
+    invalid_arg "Profile.create: sample interval must be positive";
+  fresh ~sample_interval_ps (Obs.Registry.create ())
+
+let reset t =
+  Obs.Registry.clear t.reg;
+  let f = fresh ~sample_interval_ps:t.interval_ps t.reg in
+  t.fn_names <- f.fn_names;
+  t.fn_tbl <- f.fn_tbl;
+  t.n_fns <- f.n_fns;
+  t.flat <- f.flat;
+  t.incl <- f.incl;
+  t.calls <- f.calls;
+  t.line_names <- f.line_names;
+  t.line_tbl <- f.line_tbl;
+  t.n_lines <- f.n_lines;
+  t.line_ps <- f.line_ps;
+  t.stacks <- f.stacks;
+  t.marks <- f.marks;
+  t.depths <- f.depths;
+  t.onstack <- f.onstack;
+  t.cur_line <- f.cur_line;
+  t.attr <- f.attr;
+  t.n_ctx <- f.n_ctx;
+  t.lock_names <- f.lock_names;
+  t.lock_acqs <- f.lock_acqs;
+  t.lock_contended <- f.lock_contended;
+  t.lock_wait <- f.lock_wait;
+  t.lock_max_wait <- f.lock_max_wait;
+  t.lock_max_holder <- f.lock_max_holder;
+  t.n_locks <- f.n_locks;
+  t.barrier_tbl <- f.barrier_tbl;
+  t.samples <- f.samples;
+  t.kind_ctr <- f.kind_ctr;
+  t.lock_acq_ctr <- f.lock_acq_ctr;
+  t.lock_contended_ctr <- f.lock_contended_ctr;
+  t.lock_wait_hist <- f.lock_wait_hist;
+  t.barrier_ctr <- f.barrier_ctr;
+  t.barrier_spread_hist <- f.barrier_spread_hist
 
 let sample_interval_ps t = t.interval_ps
 
@@ -336,9 +374,7 @@ let barrier_episode t ~key ~spread_ps =
   Obs.Counter.incr t.barrier_ctr;
   Obs.Histogram.observe t.barrier_spread_hist spread_ps
 
-let sample t ~ts ~name ~series =
-  t.samples <- (ts, name, series) :: t.samples;
-  t.n_samples <- t.n_samples + 1
+let sample t ~ts ~name ~series = t.samples <- (ts, name, series) :: t.samples
 
 (* --- reports ----------------------------------------------------------------- *)
 

@@ -12,13 +12,25 @@
     controller queue depth, mesh utilization) exportable as Chrome
     counter events; aggregate counters and wait histograms are exposed
     through an {!Obs.Registry} for the Prometheus-style text
-    exposition. *)
+    exposition.
+
+    Every report but the samples is independent of the order in which
+    the engine processes contexts, so a profiled run may run ahead.  A
+    sample reads the whole machine at one point of processing, so the
+    engine takes samples only when a trace is attached too, which keeps
+    it strict. *)
 
 type t
 
 val create : ?sample_interval_ps:int -> unit -> t
 (** [sample_interval_ps] (default 1_000_000 = 1 µs of simulated time)
     spaces the machine-metric timeline samples. *)
+
+val reset : t -> unit
+(** Back to the state {!create} left, with the same sample interval:
+    every table, the samples and the {!registry}'s instruments (the
+    registry itself stays the same value).  What a strict replay after
+    [Engine.Order_conflict] starts from. *)
 
 val sample_interval_ps : t -> int
 
@@ -55,7 +67,8 @@ val lock_acquired : t -> lock:int -> wait_ps:int -> holder:int -> unit
     [-1] when uncontended, otherwise the context that held the lock. *)
 
 val name_lock : t -> lock:int -> string -> unit
-(** Attach a source name to an engine lock id (first name wins). *)
+(** Attach a source name to an engine lock id.  The first name wins, so
+    a context that runs ahead takes its turn before naming. *)
 
 val barrier_episode : t -> key:int -> spread_ps:int -> unit
 (** One completed barrier: [spread_ps] is the fastest-vs-slowest arrival
@@ -63,7 +76,8 @@ val barrier_episode : t -> key:int -> spread_ps:int -> unit
     barrier. *)
 
 val sample : t -> ts:int -> name:string -> series:(string * float) list -> unit
-(** Append one timeline sample (a named Chrome counter event). *)
+(** Append one timeline sample (a named Chrome counter event).  The
+    engine samples only when a trace is attached as well. *)
 
 (** {1 Reports} *)
 
@@ -132,7 +146,8 @@ val registry : t -> Obs.Registry.t
 
 val counter_events : t -> Obs.Chrome.event list
 (** The sampled timelines as Chrome counter events (plus a process-name
-    metadata event), mergeable into a trace file. *)
+    metadata event), mergeable into a trace file.  Only the metadata
+    event when the run had no trace. *)
 
 val render_functions : t -> string
 val render_lines : ?limit:int -> t -> string

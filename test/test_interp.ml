@@ -557,6 +557,34 @@ let test_cli_load_unknown_kind () =
 let test_cli_load_unknown_kind_offset0 () =
   check_off_chip_load ~address:"0x30000000000" "3L << 40"
 
+(* A DRAM region holds the 2^32 bytes its offset field reaches: the
+   third 1.5 GB allocation fails instead of carrying into the owner bits,
+   where the fourth landed in core 1's private region.  Nothing is
+   written, so the address-space limit is never approached. *)
+let dram_offset_overflow =
+  "int main(void) {\n\
+  \  char *a = malloc(1500000000);\n\
+  \  char *b = malloc(1500000000);\n\
+  \  char *c = malloc(1500000000);\n\
+  \  int *p = malloc(64);\n\
+  \  return *p;\n\
+   }\n"
+
+let test_cli_dram_offset_overflow () =
+  let diagnostic = "hsmcc: runtime error: out of memory in private(core 0)" in
+  List.iter
+    (fun args ->
+      check_run_fails ~prefix:wild_store_prefix ~args ~diagnostic
+        dram_offset_overflow)
+    [ "--cores 1"; "--cores 2" ];
+  (* a size whose line-rounding would wrap past [max_int] *)
+  check_run_fails ~prefix:wild_store_prefix ~diagnostic
+    "int main(void) {\n\
+    \  char *a = malloc(4611686018427387903L);\n\
+    \  int *p = malloc(64);\n\
+    \  return *p;\n\
+     }\n"
+
 (* RCCE's power API takes a divider of the 1600 MHz mesh clock in
    2..16. *)
 let check_divider_rejected divider =
@@ -638,4 +666,6 @@ let suite =
     Alcotest.test_case "end-to-end mutex" `Quick test_end_to_end_mutex;
     Alcotest.test_case "end-to-end example 4.1" `Quick
       test_end_to_end_example;
+    Alcotest.test_case "run DRAM offset overflow exits 1" `Quick
+      test_cli_dram_offset_overflow;
   ]

@@ -1,15 +1,20 @@
 (* Core-local run-ahead is exact: [Interp.run_rcce], where a rank alone
    on its core processes its core-local operations out of global order,
-   gives the same simulated results as a strict run (a recorder attached
-   keeps the engine strict), and the cases where one context's action
-   changes another's core-local operations are caught and replayed. *)
+   gives the same simulated results as a strict run, and the cases where
+   one context's action changes another's core-local operations are
+   caught and replayed.  A profiler and a critical-path recorder run
+   ahead with the ranks, and report what they report in a strict run: a
+   trace attached keeps the engine strict, so each program also runs
+   with fresh recorders and a trace, and every report must match byte
+   for byte. *)
 
 open Cfront
 
 (* --- the differential check ----------------------------------------------- *)
 
 (* Everything a run reports: output, time, operations, per-context
-   statistics and the memory controllers' load. *)
+   statistics, the memory controllers' load and, with recorders
+   attached, each recorder report. *)
 type print = {
   output : string;
   elapsed_ps : int;
@@ -17,9 +22,17 @@ type print = {
   ctxs : Scc.Stats.ctx_stats array;
   mc_busy_ps : int array;
   mc_requests : int array;
+  reports : (string * string) list;  (* name, bytes; [] without recorders *)
 }
 
-let print_of (r : Cexec.Interp.result) =
+let reports profile cp =
+  [ ("profile report", Scc.Profile.render profile);
+    ("explain report", Scc.Critpath.render ~profile cp);
+    ("explain JSON", Scc.Critpath.to_json ~profile cp);
+    ("Prometheus text",
+     Obs.Registry.to_prometheus (Scc.Profile.registry profile)) ]
+
+let print_of (r : Cexec.Interp.result) reports =
   let eng = r.Cexec.Interp.engine in
   let st = Scc.Engine.stats eng in
   { output = r.Cexec.Interp.output;
@@ -27,15 +40,37 @@ let print_of (r : Cexec.Interp.result) =
     events = Scc.Engine.events eng;
     ctxs = st.Scc.Stats.ctxs;
     mc_busy_ps = st.Scc.Stats.mc_busy_ps;
-    mc_requests = st.Scc.Stats.mc_requests }
+    mc_requests = st.Scc.Stats.mc_requests;
+    reports }
 
-let outcome run =
-  match run () with
-  | r -> Ok (print_of r)
+(* A run as [run ?trace ?profile ?critpath ()] makes it. *)
+type run =
+  ?trace:Scc.Trace.t -> ?profile:Scc.Profile.t -> ?critpath:Scc.Critpath.t ->
+  unit -> Cexec.Interp.result
+
+(* [run]'s outcome, with fresh recorders (the critical-path one capped
+   at [limit]) when [recorders], and a trace when [trace]. *)
+let outcome ?(recorders = false) ?(trace = false) ?limit (run : run) =
+  let trace = if trace then Some (Scc.Trace.create ()) else None in
+  let recorders =
+    if recorders then Some (Scc.Profile.create (), Scc.Critpath.create ?limit ())
+    else None
+  in
+  match
+    run ?trace ?profile:(Option.map fst recorders)
+      ?critpath:(Option.map snd recorders) ()
+  with
+  | r ->
+      Ok
+        (print_of r
+           (match recorders with
+           | None -> []
+           | Some (profile, cp) -> reports profile cp))
   | exception e -> Error (Printexc.to_string e)
 
-let check_same name ~default ~strict =
-  match outcome default, outcome strict with
+(* [a] must equal the strict outcome [b]. *)
+let check_same name a b =
+  match a, b with
   | Ok a, Ok b ->
       let field what same =
         if not same then Alcotest.failf "%s: %s differs from strict" name what
@@ -45,27 +80,41 @@ let check_same name ~default ~strict =
       field "events" (a.events = b.events);
       field "ctx stats" (a.ctxs = b.ctxs);
       field "mc_busy_ps" (a.mc_busy_ps = b.mc_busy_ps);
-      field "mc_requests" (a.mc_requests = b.mc_requests)
+      field "mc_requests" (a.mc_requests = b.mc_requests);
+      List.iter2 (fun (what, x) (_, y) -> field what (x = y)) a.reports
+        b.reports
   | Error a, Error b -> Alcotest.(check string) (name ^ ": error") b a
   | Ok _, Error e -> Alcotest.failf "%s: only the strict run failed: %s" name e
   | Error e, Ok _ -> Alcotest.failf "%s: only the default run failed: %s" name e
+
+(* [run] in a default engine against the same run with a trace, which
+   is strict: once with no recorder, and once with fresh ones.  (The
+   profiler flushes compute at frame boundaries, so recorders change
+   the operations; each pair is compared on its own.) *)
+let check_run ?limit name (run : run) =
+  check_same name (outcome run) (outcome ~trace:true run);
+  check_same (name ^ " with recorders")
+    (outcome ~recorders:true ?limit run)
+    (outcome ~recorders:true ~trace:true ?limit run)
 
 let translate ~options program =
   let session = Session.create ~file:"t.c" ~options program in
   fst (Translate.Driver.translate_session session)
 
-(* The translation at [ncores] ranks and the Pthread original, each
-   run in a default and in a traced (strict) engine. *)
+let rcce ~ncores program : run =
+ fun ?trace ?profile ?critpath () ->
+  Cexec.Interp.run_rcce ?trace ?profile ?critpath ~ncores program
+
+(* The translation at [ncores] ranks, run as [check_run] does, and the
+   Pthread original, whose one core keeps every engine strict, in a
+   default and in a traced engine. *)
 let check_program name ~options ~ncores program =
-  let translated = translate ~options program in
-  check_same (name ^ " rcce")
-    ~default:(fun () -> Cexec.Interp.run_rcce ~ncores translated)
-    ~strict:(fun () ->
-      Cexec.Interp.run_rcce ~trace:(Scc.Trace.create ()) ~ncores translated);
-  check_same (name ^ " pthread")
-    ~default:(fun () -> Cexec.Interp.run_pthread program)
-    ~strict:(fun () ->
-      Cexec.Interp.run_pthread ~trace:(Scc.Trace.create ()) program)
+  check_run (name ^ " rcce") (rcce ~ncores (translate ~options program));
+  let pthread : run =
+   fun ?trace ?profile ?critpath () ->
+    Cexec.Interp.run_pthread ?trace ?profile ?critpath program
+  in
+  check_same (name ^ " pthread") (outcome pthread) (outcome ~trace:true pthread)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -292,10 +341,7 @@ let printf_burst =
 
 let run_both ~ncores src =
   let program = Parser.program ~file:"guard.c" src in
-  check_same "guarded program"
-    ~default:(fun () -> Cexec.Interp.run_rcce ~ncores program)
-    ~strict:(fun () ->
-      Cexec.Interp.run_rcce ~trace:(Scc.Trace.create ()) ~ncores program);
+  check_run "guarded program" (rcce ~ncores program);
   Cexec.Interp.run_rcce ~ncores program
 
 let test_pointer_race () =
@@ -339,6 +385,92 @@ let test_printf_burst () =
 let test_private_spin () =
   let r = run_both ~ncores:2 private_spin in
   Alcotest.(check string) "spin released" "released\n" r.Cexec.Interp.output
+
+(* --- recorders that run ahead ------------------------------------------------ *)
+
+(* The round trips of [run]'s result: equal to a strict run's only when
+   the result came from a strict replay, since running ahead resumes
+   fewer parked continuations. *)
+let round_trips (r : Cexec.Interp.result) =
+  Scc.Engine.round_trips r.Cexec.Interp.engine
+
+(* A capped critical-path recorder keeps the events recorded first in
+   processing order: a run ahead that drops any is replayed strictly. *)
+let test_capped_recorder () =
+  let file = "golden/hot_loop.opt.rcce.c" in
+  let run = rcce ~ncores:8 (Parser.program ~file (read_file file)) in
+  check_run ~limit:2000 "capped recorder" run;
+  let cp = Scc.Critpath.create ~limit:2000 () in
+  let r = run ~critpath:cp () in
+  Alcotest.(check bool) "events dropped" true (Scc.Critpath.dropped cp > 0);
+  Alcotest.(check int) "replayed strictly"
+    (round_trips (run ~trace:(Scc.Trace.create ()) ()))
+    (round_trips r)
+
+(* The pointer race conflicts with recorders attached too: the strict
+   replay starts from empty recorders, so the profile counts one entry
+   into RCCE_APP per rank. *)
+let test_conflict_with_recorders () =
+  let run = rcce ~ncores:4 (Parser.program ~file:"guard.c" pointer_race) in
+  check_run "pointer race" run;
+  let profile = Scc.Profile.create () and cp = Scc.Critpath.create () in
+  let r = run ~profile ~critpath:cp () in
+  Alcotest.(check int) "replayed strictly"
+    (round_trips (run ~trace:(Scc.Trace.create ()) ()))
+    (round_trips r);
+  let app =
+    List.find
+      (fun (f : Scc.Profile.fn_row) -> f.Scc.Profile.fn_name = "RCCE_APP")
+      (Scc.Profile.functions profile)
+  in
+  Alcotest.(check int) "one entry per rank" 4 app.Scc.Profile.fn_calls;
+  Alcotest.(check bool) "identity" true (Scc.Critpath.identity_ok cp)
+
+(* Locks 0 and 2 are one test-and-set register at 2 ranks.  Rank 0 runs
+   ahead through a long private loop to lock 0; rank 1 takes lock 2
+   after a short one, earlier in simulated time.  The register's name
+   is the first one in global order. *)
+let two_lock_names =
+  rcce_app
+    "  int i;\n\
+    \  int x = 0;\n\
+    \  if (me == 0) {\n\
+    \    for (i = 0; i < 2000; i++) x = x + i;\n\
+    \    RCCE_acquire_lock(0);\n\
+    \    RCCE_release_lock(0);\n\
+    \  } else {\n\
+    \    for (i = 0; i < 50; i++) x = x + i;\n\
+    \    RCCE_acquire_lock(2);\n\
+    \    RCCE_release_lock(2);\n\
+    \  }"
+
+let test_lock_names () =
+  let run = rcce ~ncores:2 (Parser.program ~file:"guard.c" two_lock_names) in
+  check_run "two lock names" run;
+  let profile = Scc.Profile.create () in
+  ignore (run ~profile ());
+  Alcotest.(check (list string)) "named by the earlier acquirer"
+    [ "rcce-lock-2" ]
+    (List.map
+       (fun (l : Scc.Profile.lock_row) -> l.Scc.Profile.lk_name)
+       (Scc.Profile.locks profile))
+
+(* Machine samples read the whole machine at one point of processing:
+   only a traced, and so strict, run takes them. *)
+let test_samples_need_trace () =
+  let options =
+    { Translate.Pass.default_options with Translate.Pass.ncores = 8 }
+  in
+  let pi = Parser.program ~file:"pi.c" (Exp.Csrc.pi ~nt:8 ~steps:256) in
+  let run = rcce ~ncores:8 (translate ~options pi) in
+  let samples ?trace () =
+    let profile = Scc.Profile.create ~sample_interval_ps:10_000 () in
+    ignore (run ?trace ~profile ());
+    List.length (Scc.Profile.counter_events profile) - 1
+  in
+  Alcotest.(check int) "no samples without a trace" 0 (samples ());
+  Alcotest.(check bool) "samples with a trace" true
+    (samples ~trace:(Scc.Trace.create ()) () > 0)
 
 (* --- engine-level conflicts ------------------------------------------------- *)
 
@@ -414,4 +546,11 @@ let suite =
       test_dvfs_conflict;
     Alcotest.test_case "cross-core private access conflict" `Quick
       test_cross_core_conflict;
+    Alcotest.test_case "capped recorder replays strictly" `Quick
+      test_capped_recorder;
+    Alcotest.test_case "conflict with recorders replays from empty" `Quick
+      test_conflict_with_recorders;
+    Alcotest.test_case "lock named in global order" `Quick test_lock_names;
+    Alcotest.test_case "machine samples only with a trace" `Quick
+      test_samples_need_trace;
   ]
