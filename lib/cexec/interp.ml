@@ -67,7 +67,7 @@ let region_store_set rs offset v =
   let p = offset lsr page_bits in
   let n = Array.length rs.pages in
   if p >= n then begin
-    let grown = Array.make (max (n * 2) (p + 1)) empty_page in
+    let grown = Array.make (Int.max (n * 2) (p + 1)) empty_page in
     Array.blit rs.pages 0 grown 0 n;
     rs.pages <- grown
   end;
@@ -192,29 +192,29 @@ let observe task ~write addr =
       Lockset.access detector ~ctx:task.api.Scc.Engine.self
         ~held:task.held_locks ~write addr
 
-(* An access must name memory of this chip.  Offset 0 of every region is
-   a guard line (see Scc.Memmap.create), so a small address can only come
-   from NULL or NULL-adjacent pointer arithmetic. *)
-let check_addr sh addr =
+(* The store of [addr]'s region, decoded once for the checks every
+   access makes first, in this order: the address must name memory of
+   this chip, and must not lie in a DRAM region's guard line.  Offset 0
+   of every DRAM region is a guard line (see Scc.Memmap.create), so a
+   small offset there can only come from NULL or NULL-adjacent pointer
+   arithmetic; the MPB (kind 2) is unguarded. *)
+let store_at sh addr =
   if not (Scc.Memmap.on_chip (Scc.Engine.memmap sh.eng) addr) then
     runtime_error "access outside the chip's memory (address %#x)" addr;
-  (* offset < 32 on a private or shared page; MPB (kind 2) is unguarded *)
-  if addr land 0xffffffff < 32 && (addr lsr 40) land 0x3 <> 2 then
+  (* on the chip, no bit is set above the region kind *)
+  let kind = addr lsr 40 in
+  if kind = 2 then sh.mpb_stores.((addr lsr 32) land 0xff)
+  else if addr land 0xffffffff < 32 then
     runtime_error "null pointer dereference (address %#x)" addr
-
-let store_of sh addr =
-  let kind = (addr lsr 40) land 0x3 in
-  if kind = 1 then sh.shared_store
-  else
-    let core = (addr lsr 32) land 0xff in
-    if kind = 0 then sh.private_stores.(core) else sh.mpb_stores.(core)
+  else if kind = 0 then sh.private_stores.((addr lsr 32) land 0xff)
+  else sh.shared_store
 
 let read_mem_at task addr ty =
-  check_addr task.proc.sh addr;
+  let rs = store_at task.proc.sh addr in
   flush task;
   observe task ~write:false addr;
   task.api.Scc.Engine.load addr ~bytes:(value_bytes ty);
-  let v = region_store_get (store_of task.proc.sh addr) (addr land 0xffffffff) in
+  let v = region_store_get rs (addr land 0xffffffff) in
   if v == absent then Value.zero_of ty else v
 
 let read_mem task { addr; ty } = read_mem_at task addr ty
@@ -227,22 +227,21 @@ let check_store sh addr =
   then runtime_error "store outside every allocation (address %#x)" addr
 
 let write_mem_at task addr ty v =
-  check_addr task.proc.sh addr;
+  let rs = store_at task.proc.sh addr in
   check_store task.proc.sh addr;
   flush task;
   observe task ~write:true addr;
   task.api.Scc.Engine.store addr ~bytes:(value_bytes ty);
-  region_store_set (store_of task.proc.sh addr) (addr land 0xffffffff)
-    (Value.convert ty v)
+  region_store_set rs (addr land 0xffffffff) (Value.convert ty v)
 
 let write_mem task { addr; ty } v = write_mem_at task addr ty v
 
-(* Untimed store initialization (global initializers run at load time). *)
+(* Untimed store initialization (global initializers run at load time,
+   into their own allocations, which pass [store_at]'s checks). *)
 let poke task addr ty v =
   check_store task.proc.sh addr;
-  region_store_set
-    (store_of task.proc.sh addr)
-    (addr land 0xffffffff) (Value.convert ty v)
+  region_store_set (store_at task.proc.sh addr) (addr land 0xffffffff)
+    (Value.convert ty v)
 
 let alloc_private task ~bytes =
   Scc.Memmap.alloc
@@ -291,7 +290,7 @@ let name_region task ?loc ~base ~bytes name =
   | Some detector -> Lockset.name_region detector ?loc ~base ~bytes name
 
 let declare task ?loc ~slot name ty =
-  let bytes = max (Ctype.sizeof ty) 4 in
+  let bytes = Int.max (Ctype.sizeof ty) 4 in
   let lv = { addr = alloc_private task ~bytes; ty } in
   name_region task ?loc ~base:lv.addr ~bytes name;
   (match task.frames with
@@ -742,7 +741,7 @@ and call_builtin task name args ast_args =
       | None -> runtime_error "printf: format is not a string literal"
     end
   | "malloc", [ size ] ->
-      let bytes = max 4 (Value.as_int (eval task size)) in
+      let bytes = Int.max 4 (Value.as_int (eval task size)) in
       charge task 200;
       Value.Vptr { addr = alloc_private task ~bytes; elt = Ctype.Void }
   | "free", [ _ ] -> Value.Vvoid
@@ -841,14 +840,14 @@ and call_builtin task name args ast_args =
   | "RCCE_ue", [] -> Value.Vint task.proc.rank
   | "RCCE_num_ues", [] -> Value.Vint task.proc.sh.ncores
   | "RCCE_shmalloc", [ size ] ->
-      let bytes = max 4 (Value.as_int (eval task size)) in
+      let bytes = Int.max 4 (Value.as_int (eval task size)) in
       charge task 200;
       let k = task.shm_count in
       let addr = collective_shmalloc task bytes in
       name_region task ~base:addr ~bytes (Printf.sprintf "shmalloc#%d" k);
       Value.Vptr { addr; elt = Ctype.Void }
   | "RCCE_malloc", [ size ] ->
-      let bytes = max 4 (Value.as_int (eval task size)) in
+      let bytes = Int.max 4 (Value.as_int (eval task size)) in
       charge task 200;
       Value.Vptr
         { addr = collective_mpb_malloc task bytes; elt = Ctype.Void }
@@ -926,7 +925,7 @@ let setup_globals task =
   Array.iter
     (fun (g : Resolve.rglobal) ->
       let ty = g.Resolve.rg_type in
-      let bytes = max (Ctype.sizeof ty) 4 in
+      let bytes = Int.max (Ctype.sizeof ty) 4 in
       let lv = { addr = alloc_private task ~bytes; ty } in
       name_region task ~loc:g.Resolve.rg_loc ~base:lv.addr ~bytes
         g.Resolve.rg_name;

@@ -71,7 +71,7 @@ let create ~size_bytes ~line_bytes ~assoc =
 
 (* Double [covered] until it includes [set]; the new sets are invalid. *)
 let cover t set =
-  let covered = ref (max 1 t.covered) in
+  let covered = ref (Int.max 1 t.covered) in
   while !covered <= set do
     covered := 2 * !covered
   done;

@@ -400,11 +400,11 @@ let round_trips t = t.round_trips
    live keys compare equal, so a heap's minimum is unique and pop order
    is independent of insertion order — the property that keeps scheduling
    bit-identical to the old fold over the context array. *)
-let heap_less h i j =
+let[@inline] heap_less h i j =
   h.hnow.(i) < h.hnow.(j)
   || (h.hnow.(i) = h.hnow.(j) && h.hid.(i) < h.hid.(j))
 
-let heap_swap h i j =
+let[@inline] heap_swap h i j =
   let n = h.hnow.(i) and d = h.hid.(i) in
   h.hnow.(i) <- h.hnow.(j);
   h.hid.(i) <- h.hid.(j);
@@ -529,7 +529,7 @@ let add_ctx t ~core ~barrier_member ~now =
   if t.n_ctx = cap then begin
     (* amortized-O(1) growth; the fresh context doubles as filler for the
        slots beyond [n_ctx], which are never read *)
-    let bigger = Array.make (max 8 (2 * cap)) ctx in
+    let bigger = Array.make (Int.max 8 (2 * cap)) ctx in
     Array.blit t.ctx_arr 0 bigger 0 t.n_ctx;
     t.ctx_arr <- bigger
   end;
@@ -558,7 +558,7 @@ let ccx t ctx n = n * t.ps_core.(ctx.core)
    particular) start from when the operation actually issues. *)
 let acquire_processor t ctx =
   let proc = t.procs.(ctx.core) in
-  let start = max ctx.now proc.free_at in
+  let start = Int.max ctx.now proc.free_at in
   let start =
     if proc.ctx_count > 1 && proc.last_ctx <> ctx.id then begin
       ctx.stats.Stats.context_switches <-
@@ -674,7 +674,7 @@ let run_ahead_limit = 65_536
    in place?  Only another context on the same core could see them, and
    a context can only gain a core-mate by spawning one itself, which
    takes its turn first. *)
-let runs_ahead t ctx = t.procs.(ctx.core).ctx_count = 1
+let[@inline] runs_ahead t ctx = t.procs.(ctx.core).ctx_count = 1
 
 (* Wait until the scheduler would pick [ctx]: called before anything
    another context can observe.  A context that has not run ahead since
@@ -730,7 +730,7 @@ let check_conflict t ctx ~lo ~hi what =
    Returns the completion time of the data return. *)
 let mc_round_trip t ~mc ~arrive =
   let service = t.mc_service_ps in
-  let start = max arrive t.mc_free_at.(mc) in
+  let start = Int.max arrive t.mc_free_at.(mc) in
   t.mc_free_at.(mc) <- start + service;
   t.mc_busy_ps.(mc) <- t.mc_busy_ps.(mc) + service;
   t.mc_requests.(mc) <- t.mc_requests.(mc) + 1;
@@ -817,7 +817,7 @@ let mpb_line t ctx ~write:_ ~owner _addr =
   let base = ccx t ctx t.cfg.Config.mpb_base_cycles in
   let transfer = t.mesh_transfer_ps in
   let arrive = ctx.now + base + out in
-  let start = max arrive t.mpb_free_at.(owner) in
+  let start = Int.max arrive t.mpb_free_at.(owner) in
   t.mpb_free_at.(owner) <- start + transfer;
   start + transfer + out - ctx.now
 
@@ -857,17 +857,17 @@ let barrier_cost t = cc t t.cfg.Config.mpb_base_cycles
    counted-barrier id, or [-1] for the global barrier. *)
 let release_barrier_waiters t ~key waiters =
   let release =
-    List.fold_left (fun acc (c, _) -> max acc c.now) 0 waiters
+    List.fold_left (fun acc (c, _) -> Int.max acc c.now) 0 waiters
     + barrier_cost t
   in
   (match t.profile with
   | None -> ()
   | Some p ->
       let first =
-        List.fold_left (fun acc (c, _) -> min acc c.now) max_int waiters
+        List.fold_left (fun acc (c, _) -> Int.min acc c.now) max_int waiters
       in
       let last = release - barrier_cost t in
-      Profile.barrier_episode p ~key ~spread_ps:(max 0 (last - first)));
+      Profile.barrier_episode p ~key ~spread_ps:(Int.max 0 (last - first)));
   (* every waiter's release is enabled by the last arriver: capture its
      latest event before the release intervals overwrite the cursors *)
   let pred =
@@ -955,7 +955,7 @@ let do_flag_set t ctx id value k =
     List.iter
       (fun (w, wk) ->
         let wbefore = w.now in
-        w.now <- max w.now ctx.now + ccx t w t.cfg.Config.mpb_base_cycles;
+        w.now <- Int.max w.now ctx.now + ccx t w t.cfg.Config.mpb_base_cycles;
         (match t.critpath with
         | None -> ()
         | Some cp ->
@@ -974,7 +974,7 @@ let do_flag_wait t ctx id k =
   if f.value then begin
     let before = ctx.now in
     ctx.now <-
-      max ctx.now f.set_time + ccx t ctx t.cfg.Config.mpb_base_cycles;
+      Int.max ctx.now f.set_time + ccx t ctx t.cfg.Config.mpb_base_cycles;
     (match t.critpath with
     | None -> ()
     | Some cp ->
@@ -1003,7 +1003,7 @@ let do_acquire t ctx lock_id k =
   | None ->
       lock.held_by <- Some ctx.id;
       let before = ctx.now in
-      ctx.now <- max ctx.now lock.free_time + lock_cost t ctx lock_id;
+      ctx.now <- Int.max ctx.now lock.free_time + lock_cost t ctx lock_id;
       (match t.critpath with
       | None -> ()
       | Some cp ->
@@ -1049,7 +1049,7 @@ let do_release t ctx lock_id k =
   | Some (waiter, wk) ->
       lock.held_by <- Some waiter.id;
       let wake =
-        max waiter.now lock.free_time + lock_cost t waiter lock_id
+        Int.max waiter.now lock.free_time + lock_cost t waiter lock_id
       in
       waiter.stats.Stats.lock_wait_ps <-
         waiter.stats.Stats.lock_wait_ps + (wake - waiter.now);
@@ -1077,7 +1077,7 @@ let finish_ctx t ctx =
     (fun (waiter, k) ->
       t.n_join_waiting <- t.n_join_waiting - 1;
       let before = waiter.now in
-      waiter.now <- max waiter.now ctx.now;
+      waiter.now <- Int.max waiter.now ctx.now;
       (match t.critpath with
       | None -> ()
       | Some cp ->
@@ -1197,7 +1197,7 @@ let rec handler t ctx : (unit, unit) Effect.Deep.handler =
                   let child = t.ctx_arr.(target) in
                   if child.status = Finished then begin
                     let before = ctx.now in
-                    ctx.now <- max ctx.now child.now;
+                    ctx.now <- Int.max ctx.now child.now;
                     (match t.critpath with
                     | None -> ()
                     | Some cp ->
@@ -1232,12 +1232,14 @@ and make_api t ctx =
     else Effect.perform E_yield
   in
   (* a block access issues one scheduling point per line, so the
-     scheduler can interleave other contexts' requests between them *)
+     scheduler can interleave other contexts' requests between them; an
+     access that fits in a line (every interpreted one) is one line
+     without a division *)
   if t.strict then begin
     (* global order: every operation settles, and a context holds the
        turn whenever it runs *)
     let access write addr ~bytes =
-      let nlines = max 1 ((bytes + line - 1) / line) in
+      let nlines = if bytes <= line then 1 else (bytes + line - 1) / line in
       for i = 0 to nlines - 1 do
         charge_access t ctx ~write (addr + (i * line));
         settle ()
@@ -1277,7 +1279,7 @@ and make_api t ctx =
   end
   else begin
     let access write addr ~bytes =
-      let nlines = max 1 ((bytes + line - 1) / line) in
+      let nlines = if bytes <= line then 1 else (bytes + line - 1) / line in
       for i = 0 to nlines - 1 do
         let a = addr + (i * line) in
         (* region kind and owning core: equal to [ctx.core] exactly for
@@ -1453,7 +1455,7 @@ let run t =
   | Some cp ->
       let wall = ref 0 in
       for i = 0 to t.n_ctx - 1 do
-        wall := max !wall t.ctx_arr.(i).stats.Stats.finish_ps
+        wall := Int.max !wall t.ctx_arr.(i).stats.Stats.finish_ps
       done;
       let mpb_line_ps =
         cc t t.cfg.Config.mpb_base_cycles
@@ -1474,7 +1476,7 @@ let stats t =
 let elapsed_ps t =
   let acc = ref 0 in
   for i = 0 to t.n_ctx - 1 do
-    acc := max !acc t.ctx_arr.(i).stats.Stats.finish_ps
+    acc := Int.max !acc t.ctx_arr.(i).stats.Stats.finish_ps
   done;
   !acc
 

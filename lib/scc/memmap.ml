@@ -4,7 +4,7 @@
    identify which physical resource serves it.  Addresses are 63-bit ints:
 
      bits 40..41  region kind (0 private, 1 shared DRAM, 2 MPB)
-     bits 32..39  owning core (private and MPB regions)
+     bits 32..39  owning core (private and MPB regions; 0 for shared)
      bits  0..31  byte offset within the region
 
    Private pages are cacheable; shared DRAM pages are uncacheable (the
@@ -101,11 +101,13 @@ let alloc t region ~bytes =
   addr_of ~region ~offset
 
 (* Whether [addr] names a region of this chip: a region kind (no bit set
-   above it) and an owning core the chip has.  Shared DRAM addresses
-   carry owner 0. *)
-let on_chip t addr =
-  addr lsr kind_shift <= 2
-  && (addr lsr core_shift) land 0xff < Array.length t.mpb_off
+   above it) and an owning core the chip has.  Shared DRAM is one region,
+   so its addresses carry owner 0: another owner would alias it.  Every
+   interpreted load and store asks, hence the inlining. *)
+let[@inline] on_chip t addr =
+  let kind = addr lsr kind_shift and owner = (addr lsr core_shift) land 0xff in
+  if kind = 1 then owner = 0
+  else kind <= 2 && owner < Array.length t.mpb_off
 
 (* One past the highest allocated byte of [addr]'s region (its bump
    offset); 0 for an address that names no region of this chip. *)

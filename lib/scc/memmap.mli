@@ -37,7 +37,8 @@ val alloc_mpb_striped : t -> cores:int list -> bytes:int -> int list
 
 val on_chip : t -> int -> bool
 (** Whether [addr] names a region of this chip: its region kind is one
-    of the three and its owning core is one the chip has. *)
+    of the three and its owning core is one the chip has, 0 for shared
+    DRAM. *)
 
 val extent : t -> int -> int
 (** [extent t addr]: one past the highest allocated byte offset of the

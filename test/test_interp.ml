@@ -557,6 +557,24 @@ let test_cli_load_unknown_kind () =
 let test_cli_load_unknown_kind_offset0 () =
   check_off_chip_load ~address:"0x30000000000" "3L << 40"
 
+(* Shared DRAM is one region, so its addresses carry owner 0: pointer
+   arithmetic that carries into the owner byte leaves the chip's memory
+   instead of aliasing the allocation 2^32 bytes below. *)
+let test_cli_load_shared_owner () =
+  check_run_fails ~args:"--cores 2"
+    ~diagnostic:
+      "hsmcc: runtime error: access outside the chip's memory (address \
+       0x10100000020)"
+    "int RCCE_APP(int argc, char **argv) {\n\
+    \  RCCE_init(&argc, &argv);\n\
+    \  int *s = (int *) RCCE_shmalloc(64);\n\
+    \  s[0] = 7;\n\
+    \  int *q = s + 1073741824;\n\
+    \  printf(\"%d\\n\", *q);\n\
+    \  RCCE_finalize();\n\
+    \  return 0;\n\
+     }\n"
+
 (* A DRAM region holds the 2^32 bytes its offset field reaches: the
    third 1.5 GB allocation fails instead of carrying into the owner bits,
    where the fourth landed in core 1's private region.  Nothing is
@@ -644,6 +662,8 @@ let suite =
       test_cli_load_unknown_kind;
     Alcotest.test_case "run load at offset 0 of an unknown kind exits 1"
       `Quick test_cli_load_unknown_kind_offset0;
+    Alcotest.test_case "run load past shared DRAM's owner byte exits 1"
+      `Quick test_cli_load_shared_owner;
     Alcotest.test_case "run frequency divider 1 exits 1" `Quick
       test_cli_divider_1;
     Alcotest.test_case "run frequency divider 17 exits 1" `Quick

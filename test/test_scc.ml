@@ -224,6 +224,41 @@ let test_mpb_striping () =
         (Scc.Memmap.region_of_addr addr = Scc.Memmap.Mpb i))
     chunks
 
+(* The decoder's edges: a region kind the layout lacks, an owner one past
+   the last core, and a shared-DRAM address whose owner byte is not 0
+   (shared DRAM is one region, so it would alias it) name no memory of
+   the chip; the last core's own regions and shared DRAM do. *)
+let test_memmap_decoder_boundaries () =
+  let cfg = Scc.Config.default in
+  let n = Scc.Config.n_cores cfg in
+  let last = n - 1 in
+  let mm = Scc.Memmap.create cfg in
+  let on_chip =
+    List.map
+      (fun (what, region) -> (what, Scc.Memmap.alloc mm region ~bytes:64))
+      [ ("last core's private", Scc.Memmap.Private last);
+        ("last core's MPB", Scc.Memmap.Mpb last);
+        ("shared DRAM", Scc.Memmap.Shared_dram) ]
+  in
+  List.iter
+    (fun (what, addr) ->
+      Alcotest.(check bool) (what ^ " on chip") true
+        (Scc.Memmap.on_chip mm addr);
+      Alcotest.(check int) (what ^ " extent")
+        (Scc.Memmap.offset_of_addr addr + 64)
+        (Scc.Memmap.extent mm addr))
+    on_chip;
+  let addr ~kind ~owner = (kind lsl 40) lor (owner lsl 32) lor 64 in
+  List.iter
+    (fun (what, addr) ->
+      Alcotest.(check bool) (what ^ " off chip") false
+        (Scc.Memmap.on_chip mm addr);
+      Alcotest.(check int) (what ^ " extent") 0 (Scc.Memmap.extent mm addr))
+    [ ("kind 3", addr ~kind:3 ~owner:0);
+      ("private, owner = core count", addr ~kind:0 ~owner:n);
+      ("MPB, owner = core count", addr ~kind:2 ~owner:n);
+      ("shared DRAM, owner 1", addr ~kind:1 ~owner:1) ]
+
 (* --- mesh ----------------------------------------------------------------- *)
 
 let test_mesh_hops () =
@@ -630,6 +665,8 @@ let suite =
     Alcotest.test_case "memmap alignment" `Quick test_memmap_line_alignment;
     Alcotest.test_case "MPB capacity" `Quick test_mpb_capacity_enforced;
     Alcotest.test_case "MPB striping" `Quick test_mpb_striping;
+    Alcotest.test_case "memmap decoder boundaries" `Quick
+      test_memmap_decoder_boundaries;
     Alcotest.test_case "mesh hops" `Quick test_mesh_hops;
     Alcotest.test_case "mesh core mapping" `Quick test_mesh_core_mapping;
     Alcotest.test_case "mesh MC quadrants" `Quick test_mesh_mc_quadrants;
