@@ -662,8 +662,6 @@ let suite =
       test_cli_load_unknown_kind;
     Alcotest.test_case "run load at offset 0 of an unknown kind exits 1"
       `Quick test_cli_load_unknown_kind_offset0;
-    Alcotest.test_case "run load past shared DRAM's owner byte exits 1"
-      `Quick test_cli_load_shared_owner;
     Alcotest.test_case "run frequency divider 1 exits 1" `Quick
       test_cli_divider_1;
     Alcotest.test_case "run frequency divider 17 exits 1" `Quick
@@ -688,4 +686,6 @@ let suite =
       test_end_to_end_example;
     Alcotest.test_case "run DRAM offset overflow exits 1" `Quick
       test_cli_dram_offset_overflow;
+    Alcotest.test_case "run load past shared DRAM's owner byte exits 1"
+      `Quick test_cli_load_shared_owner;
   ]
