@@ -204,6 +204,40 @@ let sched_ahead ~quick =
         ("major_words", words) ];
   }
 
+(* The scheduler's round trip with no interpreter in front of it: a
+   strict engine with one context on each of cores 0-7, each alternating
+   a compute burst with a load of a shared-DRAM line, so nearly every
+   operation hands the turn to another context through the run loop.
+   This row is to synth, whose workload engines are strict, what
+   sched_raw is to interp. *)
+let sched_turns ~quick =
+  let ncores = 8 and rounds = if quick then 20_000 else 80_000 in
+  let run () =
+    let eng = Scc.Engine.create () in
+    for core = 0 to ncores - 1 do
+      let addr =
+        Scc.Memmap.alloc (Scc.Engine.memmap eng) Scc.Memmap.Shared_dram
+          ~bytes:64
+      in
+      ignore
+        (Scc.Engine.spawn eng ~core (fun api ->
+             for _ = 1 to rounds do
+               api.Scc.Engine.compute 20;
+               api.Scc.Engine.load addr ~bytes:4
+             done))
+    done;
+    Scc.Engine.run eng;
+    (Scc.Engine.events eng, Scc.Engine.round_trips eng)
+  in
+  let (events, round_trips), words, s = timed ~quick run in
+  {
+    label = Printf.sprintf "turns-%d-cores-compute-shared-load" ncores;
+    value = float_of_int events /. s;
+    counters =
+      [ ("events", count events); ("round_trips", count round_trips);
+        ("major_words", words) ];
+  }
+
 (* Figure 6.1 end to end: each benchmark as a Pthread baseline and in
    RCCE form, with the simulated times the figure reports. *)
 let fig61 ~quick =
@@ -402,6 +436,8 @@ let rows =
     { name = "sched_raw"; unit = "events/s"; gate = sim; run = sched_raw };
     { name = "sched_ahead"; unit = "events/s"; gate = sim;
       run = sched_ahead };
+    { name = "sched_turns"; unit = "events/s"; gate = sim;
+      run = sched_turns };
     { name = "fig61"; unit = "configs/s"; gate = sim; run = fig61 };
     { name = "pool"; unit = "speedup"; gate = Reported; run = pool };
     { name = "opt"; unit = "speedup"; gate = Floor (1.10, 0.9); run = opt };

@@ -615,6 +615,194 @@ let test_engine_48_core_golden () =
   Alcotest.(check string) "run-ahead engine" golden
     (engine_48_report ~strict:false)
 
+(* --- scheduling order ------------------------------------------------------ *)
+
+(* One step of a seeded random engine program. *)
+type sched_op =
+  | Compute of int
+  | Private of bool * int        (* write?, line of the core's private block *)
+  | Block of bool * int          (* write?, bytes from the private block *)
+  | Shared of bool * int         (* write?, shared-DRAM line *)
+  | Mpb of bool * int * int      (* write?, owner index, line *)
+
+(* What one statically spawned context does in one phase: [pre], a
+   critical section under [lock] (when >= 0), then with [child] <> []
+   a spawn of a context on its core that runs [child] while this one
+   runs [post] and joins it, and [post]; then, when a member,
+   [barrier_n] with the phase's group, then the global barrier. *)
+type sched_phase = {
+  pre : sched_op list;
+  lock : int;
+  locked : sched_op list;
+  child : sched_op list;
+  post : sched_op list;
+  group : bool;
+}
+
+let sched_cores = [| 0; 0; 0; 1; 7; 7; 12; 23; 40; 47 |]
+let sched_locks = [| 0; 3; 47 |]
+let sched_mpb_owners = [| 0; 5; 47 |]
+
+let sched_program seed =
+  let st = Random.State.make [| seed |] in
+  let int n = Random.State.int st n and flip () = Random.State.bool st in
+  let op () =
+    match int 11 with
+    | 0 | 1 | 2 -> Compute (1 + int 120)
+    | 3 | 4 -> Private (flip (), int 256)
+    | 5 -> Block (flip (), 1 + int 128)
+    | 6 | 7 -> Shared (flip (), int 16)
+    | _ -> Mpb (flip (), int (Array.length sched_mpb_owners), int 4)
+  in
+  let ops n = List.init (int (n + 1)) (fun _ -> op ()) in
+  let nctx = 3 + int 10 in
+  let cores = Array.init nctx (fun _ -> sched_cores.(int (Array.length sched_cores))) in
+  let phases =
+    List.init (2 + int 4) (fun _ ->
+        let grouped = flip () in
+        Array.init nctx (fun _ ->
+            (* one draw per binding, in order *)
+            let pre = ops 24 in
+            let lock =
+              if flip () then sched_locks.(int (Array.length sched_locks))
+              else -1
+            in
+            let locked = ops 6 in
+            let child =
+              if int 4 = 0 then
+                let first = op () in
+                first :: ops 7
+              else []
+            in
+            let post = ops 6 in
+            let group = grouped && flip () in
+            { pre; lock; locked; child; post; group }))
+  in
+  (cores, phases)
+
+(* Runs [sched_program seed] on a fresh engine; with a trace when
+   [strict], run ahead otherwise. *)
+let sched_report b seed ~strict =
+  let cores, phases = sched_program seed in
+  let trace = if strict then Some (Scc.Trace.create ()) else None in
+  let eng = Scc.Engine.create ~strict ?trace () in
+  let mm = Scc.Engine.memmap eng in
+  let n = Scc.Config.n_cores Scc.Config.default in
+  let line = Scc.Config.default.Scc.Config.line_bytes in
+  let priv =
+    Array.init n (fun core ->
+        Scc.Memmap.alloc mm (Scc.Memmap.Private core) ~bytes:(256 * line))
+  in
+  let shared = Scc.Memmap.alloc mm Scc.Memmap.Shared_dram ~bytes:(16 * line) in
+  let mpb =
+    Array.map
+      (fun owner -> Scc.Memmap.alloc mm (Scc.Memmap.Mpb owner) ~bytes:(4 * line))
+      sched_mpb_owners
+  in
+  let run_op api op =
+    let access write addr ~bytes =
+      if write then api.Scc.Engine.store addr ~bytes
+      else api.Scc.Engine.load addr ~bytes
+    in
+    match op with
+    | Compute c -> api.Scc.Engine.compute c
+    | Private (w, i) -> access w (priv.(api.Scc.Engine.core) + (i * line)) ~bytes:4
+    | Block (w, bytes) -> access w priv.(api.Scc.Engine.core) ~bytes
+    | Shared (w, i) -> access w (shared + (i * line)) ~bytes:4
+    | Mpb (w, o, i) -> access w (mpb.(o) + (i * line)) ~bytes:4
+  in
+  Array.iteri
+    (fun i core ->
+      ignore
+        (Scc.Engine.spawn eng ~core (fun api ->
+             List.iteri
+               (fun p (phase : sched_phase array) ->
+                 let ph = phase.(i) in
+                 List.iter (run_op api) ph.pre;
+                 if ph.lock >= 0 then begin
+                   api.Scc.Engine.acquire ph.lock;
+                   List.iter (run_op api) ph.locked;
+                   api.Scc.Engine.release ph.lock
+                 end;
+                 let child =
+                   if ph.child = [] then -1
+                   else
+                     api.Scc.Engine.spawn_child (fun capi ->
+                         List.iter (run_op capi) ph.child)
+                 in
+                 List.iter (run_op api) ph.post;
+                 if child >= 0 then api.Scc.Engine.join child;
+                 if ph.group then begin
+                   let count =
+                     Array.fold_left
+                       (fun acc (x : sched_phase) ->
+                         if x.group then acc + 1 else acc)
+                       0 phase
+                   in
+                   api.Scc.Engine.barrier_n ~id:p ~count
+                 end;
+                 api.Scc.Engine.barrier ())
+               phases)))
+    cores;
+  Scc.Engine.run eng;
+  Printf.bprintf b "%s events %d round_trips %d elapsed %d\n"
+    (if strict then "strict" else "run-ahead")
+    (Scc.Engine.events eng) (Scc.Engine.round_trips eng)
+    (Scc.Engine.elapsed_ps eng);
+  Array.iteri
+    (fun i (c : Scc.Stats.ctx_stats) ->
+      Printf.bprintf b
+        "ctx %d finish %d compute %d ld/st %d/%d l1 %d/%d l2 %d/%d \
+         private %d shared %d mpb %d stall %d barrier %d lock %d \
+         switches %d\n"
+        i c.finish_ps c.compute_ps c.loads c.stores c.l1_hits c.l1_misses
+        c.l2_hits c.l2_misses c.private_dram_lines c.shared_dram_lines
+        c.mpb_lines c.mem_stall_ps c.barrier_wait_ps c.lock_wait_ps
+        c.context_switches)
+    (Scc.Engine.stats eng).Scc.Stats.ctxs;
+  match trace with
+  | None -> ()
+  | Some tr ->
+      let intervals = Buffer.create 65536 in
+      Scc.Trace.iter tr (fun e ->
+          Printf.bprintf intervals "%d %d %d %d %d\n" e.Scc.Trace.ctx e.core
+            e.start_ps e.end_ps (Scc.Trace.kind_index e.kind));
+      Printf.bprintf b "trace %d intervals md5 %s\n" (Scc.Trace.length tr)
+        (Digest.to_hex (Digest.string (Buffer.contents intervals)))
+
+(* The order in which the run loop picks contexts, pinned: seeded random
+   programs that mix lone and time-sliced cores, spawned children and
+   joins, locks, the global barrier, [barrier_n] groups and private,
+   shared-DRAM and MPB lines, each run strict with a trace and again
+   run ahead.  Any change to the ready heap or the pick path that
+   changes one decision changes a finish time, a counter or the trace's
+   interval sequence. *)
+let sched_golden_report () =
+  let b = Buffer.create 65536 in
+  for seed = 1 to 12 do
+    let cores, _ = sched_program seed in
+    Printf.bprintf b "program %d on cores %s\n" seed
+      (String.concat "," (Array.to_list (Array.map string_of_int cores)));
+    sched_report b seed ~strict:true;
+    sched_report b seed ~strict:false
+  done;
+  Buffer.contents b
+
+let test_engine_sched_golden () =
+  let path =
+    if Sys.file_exists "../test/golden" then "../test/golden/engine_sched.txt"
+    else "test/golden/engine_sched.txt"
+  in
+  let got = sched_golden_report () in
+  match open_in_bin path with
+  | ic ->
+      let golden = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      Alcotest.(check string) "scheduling order" golden got
+  | exception Sys_error _ ->
+      Alcotest.failf "missing %s (the report is %d bytes)" path
+        (String.length got)
+
 (* Set-up is paid only for what a run uses: the caches of the cores a
    run never touches are never allocated. *)
 let test_setup_pays_for_touched_cores () =
@@ -697,4 +885,6 @@ let suite =
       test_engine_48_core_golden;
     Alcotest.test_case "set-up paid for touched cores only" `Quick
       test_setup_pays_for_touched_cores;
+    Alcotest.test_case "scheduling order golden" `Quick
+      test_engine_sched_golden;
   ]
