@@ -93,7 +93,10 @@ type _ Effect.t +=
          pick this context again; [wait_turn] performs it with no
          operation to count *)
 
+(* What a context runs when it is next resumed.  [Nothing] is a
+   constant, so clearing the field allocates nothing. *)
 type pending =
+  | Nothing
   | Start of (unit -> unit)
   | Cont of (unit, unit) Effect.Deep.continuation
 
@@ -106,7 +109,7 @@ type ctx = {
   stats : Stats.ctx_stats;
   mutable now : int;
   mutable status : ctx_status;
-  mutable pending : pending option;
+  mutable pending : pending;
   mutable joiners : (ctx * (unit, unit) Effect.Deep.continuation) list;
       (* contexts blocked in [join] on this one *)
   mutable ahead : int;
@@ -213,10 +216,12 @@ type t = {
      equals the old linear scan's tie-break: smaller time first, then
      smaller context id. *)
   ready : heap;
-  (* Contexts made Ready since the last scheduling decision; the run loop
-     pushes them into the heap — except the one it resumes next, which
-     skips the heap round trip entirely. *)
-  mutable just_ready : ctx list;
+  (* The ids of the contexts made Ready since the last scheduling
+     decision, in [stash.(0 .. n_stash - 1)]; the run loop moves them
+     into the heap — except the one it resumes next, which skips the
+     heap entirely. *)
+  mutable stash : int array;
+  mutable n_stash : int;
   mutable shared_cores : int list;  (* cores with more than one context *)
 }
 
@@ -298,7 +303,8 @@ let create ?(cfg = Config.default) ?(strict = true) ?trace ?profile ?critpath
     mesh_transfer_ps =
       Config.mesh_cycles_ps cfg cfg.Config.mesh_cycles_per_hop;
     ready = heap_make ();
-    just_ready = [];
+    stash = Array.make 16 0;
+    n_stash = 0;
     shared_cores = [];
   }
 
@@ -396,20 +402,14 @@ let round_trips t = t.round_trips
 
 (* --- the ready heap ------------------------------------------------------ *)
 
-(* Strict total order on (time, ctx id): with distinct context ids no two
-   live keys compare equal, so a heap's minimum is unique and pop order
-   is independent of insertion order — the property that keeps scheduling
-   bit-identical to the old fold over the context array. *)
-let[@inline] heap_less h i j =
-  h.hnow.(i) < h.hnow.(j)
-  || (h.hnow.(i) = h.hnow.(j) && h.hid.(i) < h.hid.(j))
-
-let[@inline] heap_swap h i j =
-  let n = h.hnow.(i) and d = h.hid.(i) in
-  h.hnow.(i) <- h.hnow.(j);
-  h.hid.(i) <- h.hid.(j);
-  h.hnow.(j) <- n;
-  h.hid.(j) <- d
+(* The key (time, ctx id) is a strict total order: with distinct context
+   ids no two live keys compare equal, so a heap's minimum is unique and
+   pop order is independent of insertion order — the property that keeps
+   scheduling bit-identical to the old fold over the context array.  The
+   sifts move entries into a hole rather than swapping, and like every
+   step of the pick path they allocate nothing. *)
+let[@inline] key_less (now : int) (id : int) now' id' =
+  now < now' || (now = now' && id < id')
 
 let heap_push h ~now ~id =
   let cap = Array.length h.hnow in
@@ -421,82 +421,86 @@ let heap_push h ~now ~id =
     h.hnow <- bigger_now;
     h.hid <- bigger_id
   end;
-  let i = h.hlen in
-  h.hnow.(i) <- now;
-  h.hid.(i) <- id;
+  let hnow = h.hnow and hid = h.hid in
+  let i = ref h.hlen and placed = ref false in
   h.hlen <- h.hlen + 1;
-  let rec up i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if heap_less h i parent then begin
-        heap_swap h i parent;
-        up parent
+  while not !placed do
+    if !i = 0 then placed := true
+    else begin
+      let parent = (!i - 1) / 2 in
+      if key_less now id hnow.(parent) hid.(parent) then begin
+        hnow.(!i) <- hnow.(parent);
+        hid.(!i) <- hid.(parent);
+        i := parent
       end
+      else placed := true
     end
-  in
-  up i
+  done;
+  hnow.(!i) <- now;
+  hid.(!i) <- id
 
-(* Remove and return the root; caller checks liveness. *)
-let heap_pop_root h =
-  let now = h.hnow.(0) and id = h.hid.(0) in
-  h.hlen <- h.hlen - 1;
-  if h.hlen > 0 then begin
-    h.hnow.(0) <- h.hnow.(h.hlen);
-    h.hid.(0) <- h.hid.(h.hlen);
-    let rec down i =
-      let l = (2 * i) + 1 and r = (2 * i) + 2 in
-      let smallest = ref i in
-      if l < h.hlen && heap_less h l !smallest then smallest := l;
-      if r < h.hlen && heap_less h r !smallest then smallest := r;
-      if !smallest <> i then begin
-        heap_swap h i !smallest;
-        down !smallest
+(* Put (now, id) in the root's slot, dropping the root's entry, and sift
+   it down among the first [hlen] entries. *)
+let heap_replace_root h ~now ~id =
+  let hnow = h.hnow and hid = h.hid and len = h.hlen in
+  let i = ref 0 and placed = ref false in
+  while not !placed do
+    let l = (2 * !i) + 1 in
+    if l >= len then placed := true
+    else begin
+      let r = l + 1 in
+      let c =
+        if r < len && key_less hnow.(r) hid.(r) hnow.(l) hid.(l) then r else l
+      in
+      if key_less hnow.(c) hid.(c) now id then begin
+        hnow.(!i) <- hnow.(c);
+        hid.(!i) <- hid.(c);
+        i := c
       end
-    in
-    down 0
-  end;
-  (now, id)
+      else placed := true
+    end
+  done;
+  hnow.(!i) <- now;
+  hid.(!i) <- id
+
+(* Remove the root; the caller reads it first. *)
+let heap_pop_root h =
+  let last = h.hlen - 1 in
+  h.hlen <- last;
+  if last > 0 then heap_replace_root h ~now:h.hnow.(last) ~id:h.hid.(last)
 
 (* Drop stale roots until the root is live (the context is still Ready at
    exactly the recorded time); the heap's live minimum is then at the
    root.  Returns false when the heap ran empty. *)
-let heap_settle t h =
-  let rec go () =
-    if h.hlen = 0 then false
-    else begin
-      let c = t.ctx_arr.(h.hid.(0)) in
-      if c.status = Ready && c.now = h.hnow.(0) then true
-      else begin
-        ignore (heap_pop_root h);
-        go ()
-      end
-    end
-  in
-  go ()
+let rec heap_settle t h =
+  h.hlen > 0
+  &&
+  let c = t.ctx_arr.(h.hid.(0)) in
+  (c.status = Ready && c.now = h.hnow.(0))
+  || begin
+    heap_pop_root h;
+    heap_settle t h
+  end
 
 (* Record that [ctx] is runnable at its current local time.  The context
    is stashed rather than pushed: the run loop pushes stashed contexts
-   into the heap, except the one it resumes immediately —
-   which is the common case on a quantum-sliced shared core and skips
-   the heap round trip entirely. *)
-let ready_enqueue t ctx = t.just_ready <- ctx :: t.just_ready
-
-(* Move stashed ready contexts into the heap; [except] (physical
-   identity, the context about to be resumed) skips the heap. *)
-let flush_ready t except =
-  match t.just_ready with
-  | [] -> ()
-  | cs ->
-      t.just_ready <- [];
-      List.iter
-        (fun c ->
-          if c != except then heap_push t.ready ~now:c.now ~id:c.id)
-        cs
+   into the heap, except the one it resumes immediately — which is the
+   common case (the context that just yielded, or a quantum-sliced
+   core's slice owner) and skips the heap entirely. *)
+let ready_enqueue t ctx =
+  let n = t.n_stash in
+  if n = Array.length t.stash then begin
+    let bigger = Array.make (2 * n) 0 in
+    Array.blit t.stash 0 bigger 0 n;
+    t.stash <- bigger
+  end;
+  t.stash.(n) <- ctx.id;
+  t.n_stash <- n + 1
 
 let no_ctx : ctx =
   { id = -1; core = 0; barrier_member = false;
     stats = Stats.create_ctx (); now = 0; status = Finished;
-    pending = None; joiners = []; ahead = 0; ahead_end = -1 }
+    pending = Nothing; joiners = []; ahead = 0; ahead_end = -1 }
 
 (* Fill [core]'s nearest-MC, MC-distance and core-distance rows.  A
    context never changes core, and every lookup ([private_line],
@@ -522,7 +526,7 @@ let add_ctx t ~core ~barrier_member ~now =
     invalid_arg "Engine: core out of range";
   let ctx =
     { id = t.n_ctx; core; barrier_member; stats = Stats.create_ctx ();
-      now; status = Ready; pending = None; joiners = []; ahead = 0;
+      now; status = Ready; pending = Nothing; joiners = []; ahead = 0;
       ahead_end = -1 }
   in
   let cap = Array.length t.ctx_arr in
@@ -614,6 +618,34 @@ let charge_compute t ctx dur =
   occupy_processor t ctx ~until:(start + dur);
   record_interval t ctx ~start_ps:start ~end_ps:(start + dur) Trace.Compute
 
+(* The slice-owner scans of [fast_self_pick], walking [shared_cores]
+   with no closure.  A core's slice owner is eligible while it is Ready
+   within its slice. *)
+let rec no_eligible_slice_owner t = function
+  | [] -> true
+  | core :: cores ->
+      (let p = t.procs.(core) in
+       p.last_ctx < 0
+       ||
+       let c = t.ctx_arr.(p.last_ctx) in
+       c.status <> Ready || c.now > p.slice_end)
+      && no_eligible_slice_owner t cores
+
+(* ... and [ctx], a slice owner, beats every other eligible one on
+   (time, id). *)
+let rec beats_slice_owners t ctx = function
+  | [] -> true
+  | core :: cores ->
+      (core = ctx.core
+      ||
+      let p = t.procs.(core) in
+      p.last_ctx < 0
+      ||
+      let c = t.ctx_arr.(p.last_ctx) in
+      c.status <> Ready || c.now > p.slice_end
+      || key_less ctx.now ctx.id c.now c.id)
+      && beats_slice_owners t ctx cores
+
 (* Would the run loop, with [ctx] parked ready right now, pick [ctx]
    again as the very next context?  This emulates the scheduling
    decision exactly — slice owners always outrank heap contexts, and
@@ -626,7 +658,7 @@ let charge_compute t ctx dur =
    never changes the answer; a [false] merely forfeits the shortcut,
    never correctness. *)
 let fast_self_pick t ctx =
-  (match t.just_ready with [] -> true | _ :: _ -> false)
+  t.n_stash = 0
   &&
   let proc = t.procs.(ctx.core) in
   if proc.ctx_count > 1 then
@@ -634,36 +666,15 @@ let fast_self_pick t ctx =
        eligible slice owner on (time, id) — mirrors [slice_pick] *)
     proc.last_ctx = ctx.id
     && ctx.now <= proc.slice_end
-    && List.for_all
-         (fun core ->
-           core = ctx.core
-           ||
-           let p = t.procs.(core) in
-           p.last_ctx < 0
-           ||
-           let c = t.ctx_arr.(p.last_ctx) in
-           c.status <> Ready || c.now > p.slice_end
-           || ctx.now < c.now
-           || (ctx.now = c.now && ctx.id < c.id))
-         t.shared_cores
+    && beats_slice_owners t ctx t.shared_cores
   else
     (* [ctx] alone on its core: no slice owner anywhere may be eligible
        (they would outrank it), and it must beat the heap's live
        minimum — mirrors [slice_pick] + [heap_pick] *)
-    List.for_all
-      (fun core ->
-        let p = t.procs.(core) in
-        p.last_ctx < 0
-        ||
-        let c = t.ctx_arr.(p.last_ctx) in
-        c.status <> Ready || c.now > p.slice_end)
-      t.shared_cores
+    no_eligible_slice_owner t t.shared_cores
     &&
     let h = t.ready in
-    (not (heap_settle t h))
-    ||
-    let rn = h.hnow.(0) in
-    ctx.now < rn || (ctx.now = rn && ctx.id < h.hid.(0))
+    (not (heap_settle t h)) || key_less ctx.now ctx.id h.hnow.(0) h.hid.(0)
 
 (* A lone context takes its turn anyway after this many operations run
    ahead, so a spin on a private location that only another core writes
@@ -894,13 +905,13 @@ let release_barrier_waiters t ~key waiters =
         Trace.Barrier_wait;
       c.now <- release;
       c.status <- Ready;
-      c.pending <- Some (Cont k);
+      c.pending <- Cont k;
       ready_enqueue t c)
     waiters
 
 let park_ready t ctx k =
   ctx.status <- Ready;
-  ctx.pending <- Some (Cont k);
+  ctx.pending <- Cont k;
   ready_enqueue t ctx
 
 (* The cell of [barrier_n] group [id] (pthread_barrier_t instances,
@@ -926,7 +937,7 @@ let arrive t ctx cell ~count k =
   end
   else begin
     ctx.status <- Parked;
-    ctx.pending <- Some (Cont k)
+    ctx.pending <- Cont k
   end
 
 let get_flag t id =
@@ -962,7 +973,7 @@ let do_flag_set t ctx id value k =
             cp_record t w cp ~cat:Critpath.cat_sync ~dur:(w.now - wbefore)
               ~end_ps:w.now ~pred:f.set_ev);
         w.status <- Ready;
-        w.pending <- Some (Cont wk);
+        w.pending <- Cont wk;
         ready_enqueue t w)
       f.flag_waiters;
     f.flag_waiters <- []
@@ -984,7 +995,7 @@ let do_flag_wait t ctx id k =
   end
   else begin
     ctx.status <- Parked;
-    ctx.pending <- Some (Cont k);
+    ctx.pending <- Cont k;
     f.flag_waiters <- (ctx, k) :: f.flag_waiters
   end
 
@@ -1017,11 +1028,11 @@ let do_acquire t ctx lock_id k =
       | Some p ->
           Profile.lock_acquired p ~lock:lock_id ~wait_ps:0 ~holder:(-1));
       ctx.status <- Ready;
-      ctx.pending <- Some (Cont k);
+      ctx.pending <- Cont k;
       ready_enqueue t ctx
   | Some _ ->
       ctx.status <- Parked;
-      ctx.pending <- Some (Cont k);
+      ctx.pending <- Cont k;
       Queue.add (ctx, k) lock.waiters
 
 let do_release t ctx lock_id k =
@@ -1062,10 +1073,10 @@ let do_release t ctx lock_id k =
             ~wait_ps:(wake - waiter.now) ~holder:ctx.id);
       waiter.now <- wake;
       waiter.status <- Ready;
-      waiter.pending <- Some (Cont wk);
+      waiter.pending <- Cont wk;
       ready_enqueue t waiter);
   ctx.status <- Ready;
-  ctx.pending <- Some (Cont k);
+  ctx.pending <- Cont k;
   ready_enqueue t ctx
 
 let finish_ctx t ctx =
@@ -1086,7 +1097,7 @@ let finish_ctx t ctx =
               ~dur:(waiter.now - before) ~end_ps:waiter.now
               ~pred:(Critpath.last_event cp ~ctx:ctx.id));
       waiter.status <- Ready;
-      waiter.pending <- Some (Cont k);
+      waiter.pending <- Cont k;
       ready_enqueue t waiter)
     ctx.joiners;
   ctx.joiners <- []
@@ -1153,7 +1164,7 @@ let rec handler t ctx : (unit, unit) Effect.Deep.handler =
                         ~pred:(Critpath.last_event cp ~ctx:ctx.id));
                 let api = make_api t child in
                 child.pending <-
-                  Some (Start (fun () -> run_body t child program api));
+                  Start (fun () -> run_body t child program api);
                 Effect.Deep.continue k child.id)
         | E_set_freq (core, mhz) ->
             Some
@@ -1209,7 +1220,7 @@ let rec handler t ctx : (unit, unit) Effect.Deep.handler =
                   end
                   else begin
                     ctx.status <- Parked;
-                    ctx.pending <- Some (Cont k);
+                    ctx.pending <- Cont k;
                     child.joiners <- (ctx, k) :: child.joiners;
                     t.n_join_waiting <- t.n_join_waiting + 1
                   end
@@ -1350,58 +1361,89 @@ let spawn t ~core program =
   let ctx = add_ctx t ~core ~barrier_member:true ~now:0 in
   (* [make_api] runs inside the thunk, at first resume, so [api.nunits]
      sees every statically spawned context *)
-  ctx.pending <-
-    Some (Start (fun () -> run_body t ctx program (make_api t ctx)));
+  ctx.pending <- Start (fun () -> run_body t ctx program (make_api t ctx));
   ctx.id
 
 (* Slice preference: on a shared core the OS keeps the current thread
    running until its time slice expires.  At most one context per core
    can own the slice (it must be the core's [last_ctx]), so scanning the
-   shared cores is O(#shared cores), not O(n).  Ties between slice
-   owners on distinct cores break on the smaller local time, then the
-   smaller ctx id — exactly the order the original left-to-right fold
-   produced, since contexts are stored in id order.  This scan looks at
-   context records directly, so it is correct whether or not the
-   contexts have been pushed to a heap yet. *)
-let slice_pick t =
-  let best = ref no_ctx in
-  List.iter
-    (fun core ->
+   shared cores is O(#shared cores), not O(n), and with no shared core
+   it is one match.  Ties between slice owners on distinct cores break
+   on the smaller local time, then the smaller ctx id — exactly the
+   order the original left-to-right fold produced, since contexts are
+   stored in id order.  This scan looks at context records directly, so
+   it is correct whether or not the contexts have been pushed to a heap
+   yet.  Call with [best = no_ctx]. *)
+let rec slice_pick t best = function
+  | [] -> best
+  | core :: cores ->
       let proc = t.procs.(core) in
-      if proc.last_ctx >= 0 then begin
-        let c = t.ctx_arr.(proc.last_ctx) in
-        if c.status = Ready && c.now <= proc.slice_end then begin
-          let b = !best in
-          if
-            b.id < 0 || c.now < b.now || (c.now = b.now && c.id < b.id)
-          then best := c
-        end
-      end)
-    t.shared_cores;
-  !best
+      let best =
+        if proc.last_ctx < 0 then best
+        else
+          let c = t.ctx_arr.(proc.last_ctx) in
+          if c.status = Ready && c.now <= proc.slice_end
+             && (best.id < 0 || key_less c.now c.id best.now best.id)
+          then c
+          else best
+      in
+      slice_pick t best cores
 
-(* Pop the live minimum of the ready heap (dropping stale roots first);
-   [no_ctx] when nothing is ready. *)
+(* Move the stashed contexts into the heap, except [c], the slice owner
+   resumed next. *)
+let flush_stash t c =
+  for i = 0 to t.n_stash - 1 do
+    let id = t.stash.(i) in
+    if id <> c.id then heap_push t.ready ~now:t.ctx_arr.(id).now ~id
+  done;
+  t.n_stash <- 0
+
+(* Take the live minimum on (time, id) over the stash and the ready
+   heap out of both; [no_ctx] when nothing is ready.  Every stashed
+   context but the last is pushed.  The last, [x] — usually the context
+   that just yielded — is compared with the settled root instead: when
+   [x] wins it is resumed and the heap is not touched; otherwise [x]
+   takes the root's slot, one sift down places it, and the root is
+   resumed.  Either way the heap holds what pushing [x] and popping the
+   minimum would leave, for one sift instead of two. *)
 let heap_pick t =
   let h = t.ready in
-  if heap_settle t h then begin
-    let _, id = heap_pop_root h in
-    t.ctx_arr.(id)
+  let n = t.n_stash in
+  if n = 0 then begin
+    if heap_settle t h then begin
+      let id = h.hid.(0) in
+      heap_pop_root h;
+      t.ctx_arr.(id)
+    end
+    else no_ctx
   end
-  else no_ctx
+  else begin
+    t.n_stash <- 0;
+    for i = 0 to n - 2 do
+      let c = t.ctx_arr.(t.stash.(i)) in
+      heap_push h ~now:c.now ~id:c.id
+    done;
+    let x = t.ctx_arr.(t.stash.(n - 1)) in
+    if heap_settle t h && key_less h.hnow.(0) h.hid.(0) x.now x.id then begin
+      let id = h.hid.(0) in
+      heap_replace_root h ~now:x.now ~id:x.id;
+      t.ctx_arr.(id)
+    end
+    else x
+  end
 
 let resume t ctx =
   t.n_events <- t.n_events + 1;
   ctx.status <- Running;
   match ctx.pending with
-  | Some (Start main) ->
-      ctx.pending <- None;
-      Effect.Deep.match_with main () (handler t ctx)
-  | Some (Cont k) ->
-      ctx.pending <- None;
+  | Cont k ->
+      ctx.pending <- Nothing;
       t.round_trips <- t.round_trips + 1;
       Effect.Deep.continue k ()
-  | None -> invalid_arg "Engine.resume: context has nothing to run"
+  | Start main ->
+      ctx.pending <- Nothing;
+      Effect.Deep.match_with main () (handler t ctx)
+  | Nothing -> invalid_arg "Engine.resume: context has nothing to run"
 
 let run t =
   if t.started then invalid_arg "Engine.run: simulation already started";
@@ -1410,29 +1452,27 @@ let run t =
     (* scheduling policy: the runnable context with the smallest local
        time — except that a context still owning its shared core's time
        slice is preferred over switching *)
-    let c = slice_pick t in
+    let c = slice_pick t no_ctx t.shared_cores in
+    let c =
+      if c.id >= 0 then begin
+        flush_stash t c;
+        c
+      end
+      else heap_pick t
+    in
     if c.id >= 0 then begin
-      flush_ready t c;
       resume t c;
       loop ()
     end
-    else begin
-      flush_ready t no_ctx;
-      let c = heap_pick t in
-      if c.id >= 0 then begin
-        resume t c;
-        loop ()
-      end
-      else if t.n_finished < n_ctxs t then
-        raise
-          (Deadlock
-             (Printf.sprintf
-                "%d of %d contexts parked with no runnable context \
-                 (barrier waiting: %d, join waiting: %d)"
-                (n_ctxs t - t.n_finished)
-                (n_ctxs t)
-                t.global_barrier.cb_arrived t.n_join_waiting))
-    end
+    else if t.n_finished < n_ctxs t then
+      raise
+        (Deadlock
+           (Printf.sprintf
+              "%d of %d contexts parked with no runnable context \
+               (barrier waiting: %d, join waiting: %d)"
+              (n_ctxs t - t.n_finished)
+              (n_ctxs t)
+              t.global_barrier.cb_arrived t.n_join_waiting))
   in
   if n_ctxs t > 0 then loop ();
   (* the cap keeps the events recorded first in processing order, which

@@ -803,6 +803,76 @@ let test_engine_sched_golden () =
       Alcotest.failf "missing %s (the report is %d bytes)" path
         (String.length got)
 
+(* --- allocation on the pick path ------------------------------------------ *)
+
+(* The ledger's sched_turns program: one context on each of cores 0-7,
+   each alternating a compute burst with a load of its own shared-DRAM
+   line, so nearly every operation is a round trip through the run
+   loop. *)
+let turns_program ~strict ~rounds =
+  let eng = Scc.Engine.create ~strict () in
+  for core = 0 to 7 do
+    let addr =
+      Scc.Memmap.alloc (Scc.Engine.memmap eng) Scc.Memmap.Shared_dram ~bytes:64
+    in
+    ignore
+      (Scc.Engine.spawn eng ~core (fun api ->
+           for _ = 1 to rounds do
+             api.Scc.Engine.compute 20;
+             api.Scc.Engine.load addr ~bytes:4
+           done))
+  done;
+  eng
+
+(* 32 contexts time-sharing core 0, each alternating a compute burst
+   with a private load: the slice owner keeps the core, so nearly every
+   operation is processed in place. *)
+let sliced_program ~rounds =
+  let eng = Scc.Engine.create () in
+  let addr =
+    Scc.Memmap.alloc (Scc.Engine.memmap eng) (Scc.Memmap.Private 0) ~bytes:64
+  in
+  for i = 0 to 31 do
+    ignore
+      (Scc.Engine.spawn eng ~core:0 (fun api ->
+           for r = 0 to rounds - 1 do
+             api.Scc.Engine.compute 20;
+             api.Scc.Engine.load (addr + (((i + r) mod 16) * 4)) ~bytes:4
+           done))
+  done;
+  eng
+
+(* Minor words per unit of [count] that [Engine.run] allocates, from two
+   sizes of one program: the difference cancels the set-up. *)
+let run_words program ~count =
+  let run rounds =
+    let eng = program ~rounds in
+    Gc.minor ();
+    let before = Gc.minor_words () in
+    Scc.Engine.run eng;
+    (Gc.minor_words () -. before, count eng)
+  in
+  let w1, n1 = run 1000 and w2, n2 = run 3000 in
+  (w2 -. w1) /. float_of_int (n2 - n1)
+
+(* A round trip allocates only the continuation its yield reifies and
+   the cell that parks it: no closure, tuple, option or list cell on
+   the pick path, strict or run ahead.  A slice owner that keeps its
+   core allocates nothing per operation. *)
+let test_pick_path_allocation () =
+  List.iter
+    (fun strict ->
+      let per_trip =
+        run_words (turns_program ~strict) ~count:Scc.Engine.round_trips
+      in
+      if per_trip > 4.0 then
+        Alcotest.failf "%s: %.3f minor words per round trip, at most 4"
+          (if strict then "strict" else "run ahead") per_trip)
+    [ true; false ];
+  let per_event = run_words sliced_program ~count:Scc.Engine.events in
+  if per_event > 0.1 then
+    Alcotest.failf "32 contexts on core 0: %.3f minor words per event" per_event
+
 (* Set-up is paid only for what a run uses: the caches of the cores a
    run never touches are never allocated. *)
 let test_setup_pays_for_touched_cores () =
@@ -887,4 +957,6 @@ let suite =
       test_setup_pays_for_touched_cores;
     Alcotest.test_case "scheduling order golden" `Quick
       test_engine_sched_golden;
+    Alcotest.test_case "pick path allocates only the continuation" `Quick
+      test_pick_path_allocation;
   ]
