@@ -79,7 +79,7 @@ let does_not_fit ~cat ~core ~fn ~line =
     (Printf.sprintf "Critpath: category %d, core %d, fn %d, line %d do not fit"
        cat core fn line)
 
-let pack ~cat ~core ~fn ~line =
+let[@inline] pack ~cat ~core ~fn ~line =
   if (cat lsr cat_bits) lor ((core + 1) lsr core_bits) lor (fn lsr slot_bits)
      lor (line lsr slot_bits) <> 0
   then does_not_fit ~cat ~core ~fn ~line;
@@ -264,7 +264,7 @@ let stored t h =
 
 let record t ~ctx ~core ~cat ~dur ~end_ps ~fn ~line ~pred =
   if dur > 0 then begin
-    ensure_ctx t ctx;
+    if ctx >= t.n_ctx then ensure_ctx t ctx;
     let word = pack ~cat ~core ~fn ~line in
     (* accounting is exact regardless of event-buffer truncation *)
     t.acct.(ctx).(cat) <- t.acct.(ctx).(cat) + dur;
@@ -300,12 +300,12 @@ let last_event t ~ctx =
 
 let note_mesh t ~ctx ps =
   if ps > 0 then begin
-    ensure_ctx t ctx;
+    if ctx >= t.n_ctx then ensure_ctx t ctx;
     t.mesh_ps.(ctx) <- t.mesh_ps.(ctx) + ps
   end
 
 let note_shared_access t ~ctx =
-  ensure_ctx t ctx;
+  if ctx >= t.n_ctx then ensure_ctx t ctx;
   t.shared_n.(ctx) <- t.shared_n.(ctx) + 1
 
 let finalize t ~wall_ps ~mpb_line_ps =

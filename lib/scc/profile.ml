@@ -267,7 +267,7 @@ let intern_line t key =
 (* --- frames ---------------------------------------------------------------- *)
 
 let push t ~ctx slot =
-  ensure_ctx t ctx;
+  if ctx >= t.n_ctx then ensure_ctx t ctx;
   let d = t.depths.(ctx) in
   let stack = t.stacks.(ctx) in
   if d = Array.length stack then begin
@@ -300,21 +300,28 @@ let pop t ~ctx =
   end
 
 let set_line t ~ctx line =
-  ensure_ctx t ctx;
+  if ctx >= t.n_ctx then ensure_ctx t ctx;
   t.cur_line.(ctx) <- line
 
+(* Also brings the per-kind counters up to the totals in [flat], which
+   a charge does not touch; a second call adds nothing. *)
 let finalize t =
   for ctx = 0 to t.n_ctx - 1 do
     while t.depths.(ctx) > 0 do
       pop t ~ctx
     done
-  done
+  done;
+  Array.iteri
+    (fun k c ->
+      let total = Array.fold_left ( + ) 0 t.flat.(k) in
+      Obs.Counter.add c (total - Obs.Counter.value c))
+    t.kind_ctr
 
 (* --- charging --------------------------------------------------------------- *)
 
 let charge t ~ctx ~kind dur =
   if dur > 0 then begin
-    ensure_ctx t ctx;
+    if ctx >= t.n_ctx then ensure_ctx t ctx;
     let k = Trace.kind_index kind in
     let d = t.depths.(ctx) in
     let slot = if d = 0 then 0 else t.stacks.(ctx).(d - 1) in
@@ -322,8 +329,7 @@ let charge t ~ctx ~kind dur =
     if d = 0 then t.incl.(0) <- t.incl.(0) + dur;
     t.attr.(ctx) <- t.attr.(ctx) + dur;
     let line = t.cur_line.(ctx) in
-    t.line_ps.(line) <- t.line_ps.(line) + dur;
-    Obs.Counter.add t.kind_ctr.(k) dur
+    t.line_ps.(line) <- t.line_ps.(line) + dur
   end
 
 let ensure_lock t lock =
@@ -492,14 +498,15 @@ let registry t = t.reg
 
 (* --- allocation-free introspection (for the critical-path recorder) ------- *)
 
-let current_fn_slot t ~ctx =
+let[@inline] current_fn_slot t ~ctx =
   if ctx < t.n_ctx then begin
     let d = t.depths.(ctx) in
     if d = 0 then 0 else t.stacks.(ctx).(d - 1)
   end
   else 0
 
-let current_line_slot t ~ctx = if ctx < t.n_ctx then t.cur_line.(ctx) else 0
+let[@inline] current_line_slot t ~ctx =
+  if ctx < t.n_ctx then t.cur_line.(ctx) else 0
 
 let fn_name t slot =
   if slot >= 0 && slot < t.n_fns then t.fn_names.(slot) else "?"

@@ -54,7 +54,8 @@ val set_line : t -> ctx:int -> int -> unit
 
 val finalize : t -> unit
 (** Pop every frame still open (end of run), completing inclusive
-    times. *)
+    times, and bring the attributed-ps-per-kind counters of the
+    {!registry} up to the run's totals; a second call adds nothing. *)
 
 (** {1 Charging} (engine side) *)
 
@@ -142,7 +143,8 @@ val line_name : t -> int -> string
 val registry : t -> Obs.Registry.t
 (** Aggregate counters (attributed ps per kind, lock/barrier totals) and
     wait/spread histograms, for [Obs.Registry.to_prometheus] and
-    friends. *)
+    friends.  The attributed-ps counters are filled by {!finalize}, which
+    [Engine.run] calls at the end of a run, not by each charge. *)
 
 val counter_events : t -> Obs.Chrome.event list
 (** The sampled timelines as Chrome counter events (plus a process-name

@@ -212,7 +212,11 @@ let test_registry_totals_match_flat () =
         (contains prom (Printf.sprintf "%s %d\n" metric (traced kind))))
     [ (Scc.Trace.Compute, "sim_compute_ps_total");
       (Scc.Trace.Mem_shared, "sim_mem_shared_ps_total");
-      (Scc.Trace.Barrier_wait, "sim_barrier_wait_ps_total") ]
+      (Scc.Trace.Barrier_wait, "sim_barrier_wait_ps_total") ];
+  (* the engine's run already finalized the profile *)
+  Scc.Profile.finalize profile;
+  Alcotest.(check string) "a second finalize adds nothing" prom
+    (Obs.Registry.to_prometheus (Scc.Profile.registry profile))
 
 let test_barrier_imbalance_recorded () =
   let _, _, profile =
