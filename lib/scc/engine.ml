@@ -405,9 +405,11 @@ let round_trips t = t.round_trips
 (* The key (time, ctx id) is a strict total order: with distinct context
    ids no two live keys compare equal, so a heap's minimum is unique and
    pop order is independent of insertion order — the property that keeps
-   scheduling bit-identical to the old fold over the context array.  The
-   sifts move entries into a hole rather than swapping, and like every
-   step of the pick path they allocate nothing. *)
+   scheduling bit-identical to the old fold over the context array, and
+   that lets [heap_pick] put a parked context in the root's slot instead
+   of pushing it and popping the minimum.  The sifts move entries into a
+   hole rather than swapping, and like every step of the pick path they
+   allocate nothing. *)
 let[@inline] key_less (now : int) (id : int) now' id' =
   now < now' || (now = now' && id < id')
 
@@ -484,9 +486,9 @@ let rec heap_settle t h =
 
 (* Record that [ctx] is runnable at its current local time.  The context
    is stashed rather than pushed: the run loop pushes stashed contexts
-   into the heap, except the one it resumes immediately — which is the
-   common case (the context that just yielded, or a quantum-sliced
-   core's slice owner) and skips the heap entirely. *)
+   into the heap, except a slice owner it resumes next, and the last one
+   stashed (usually the context that just yielded), which [heap_pick]
+   compares with the heap's root instead. *)
 let ready_enqueue t ctx =
   let n = t.n_stash in
   if n = Array.length t.stash then begin
