@@ -18,6 +18,12 @@ let or_die = function
       prerr_endline ("hsmcc: " ^ msg);
       exit 1
 
+(* A located front-end error: one diagnostic line and exit 1. *)
+let die_at loc msg =
+  prerr_endline
+    (Printf.sprintf "hsmcc: %s: %s" (Cfront.Srcloc.to_string loc) msg);
+  exit 1
+
 let parse_source path =
   match Cfront.Parser.program ~file:path (read_file path) with
   | program -> Ok program
@@ -122,6 +128,7 @@ let translate_cmd path ncores capacity density sound_locals many_to_one
   | exception Translate.Driver.Error e ->
       prerr_endline ("hsmcc: " ^ Translate.Driver.error_to_string e);
       exit 1
+  | exception Cfront.Srcloc.Error (loc, msg) -> die_at loc msg
 
 (* --- check ---------------------------------------------------------------- *)
 
@@ -130,10 +137,7 @@ let check_cmd path warn_error diag_format =
   let session = Session.create ~file:path program in
   match Session.race_diags session with
   | diags -> exit (emit_diags ~out:stdout ~warn_error ~diag_format diags)
-  | exception Cfront.Srcloc.Error (loc, msg) ->
-      prerr_endline
-        (Printf.sprintf "hsmcc: %s: %s" (Cfront.Srcloc.to_string loc) msg);
-      exit 1
+  | exception Cfront.Srcloc.Error (loc, msg) -> die_at loc msg
 
 (* --- verify --------------------------------------------------------------- *)
 
@@ -191,10 +195,7 @@ let verify_cmd path ncores many_to_one optimize sharpen json warn_error
         @ (match translated with Some (_, d) -> d | None -> [])
       in
       exit (emit_diags ~out:stderr ~warn_error ~diag_format diags)
-  | exception Cfront.Srcloc.Error (loc, msg) ->
-      prerr_endline
-        (Printf.sprintf "hsmcc: %s: %s" (Cfront.Srcloc.to_string loc) msg);
-      exit 1
+  | exception Cfront.Srcloc.Error (loc, msg) -> die_at loc msg
 
 (* --- analyze -------------------------------------------------------------- *)
 
@@ -222,10 +223,7 @@ let analyze_cmd path =
               (Analysis.Points_to.target_to_string tgt)
               (Analysis.Points_to.definiteness_to_string d))
           rels
-  | exception Cfront.Srcloc.Error (loc, msg) ->
-      prerr_endline
-        (Printf.sprintf "hsmcc: %s: %s" (Cfront.Srcloc.to_string loc) msg);
-      exit 1
+  | exception Cfront.Srcloc.Error (loc, msg) -> die_at loc msg
 
 (* --- preprocess ------------------------------------------------------------ *)
 
@@ -242,10 +240,7 @@ let preprocess_cmd path defines =
   in
   match Cfront.Preproc.expand ~file:path ~defines (read_file path) with
   | expanded -> print_string expanded
-  | exception Cfront.Srcloc.Error (loc, msg) ->
-      prerr_endline
-        (Printf.sprintf "hsmcc: %s: %s" (Cfront.Srcloc.to_string loc) msg);
-      exit 1
+  | exception Cfront.Srcloc.Error (loc, msg) -> die_at loc msg
   | exception Sys_error msg ->
       prerr_endline ("hsmcc: " ^ msg);
       exit 1

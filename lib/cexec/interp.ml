@@ -13,10 +13,10 @@ open Cfront
      whole program from its own private globals, with RCCE collective
      allocation, put/get-backed barrier and the test-and-set locks.
 
-   Programs are first run through [Resolve], which interns identifiers
-   to integer slots; the evaluator here works on that resolved form, so
-   the per-access cost is an array index (falling back to the original
-   name-walk only for genuinely dynamic references).  Data lives in a
+   Programs are first run through [Resolve], which binds every
+   identifier by C's block scoping and interns it to an integer slot;
+   the evaluator here works on that resolved form, so the per-access
+   cost is an array index and no name is looked up.  Data lives in a
    store keyed by simulated address; compute cycles are accumulated per
    task and flushed as one engine effect at every memory or
    synchronization operation, so event counts stay proportional to
@@ -105,26 +105,23 @@ type shared = {
   line_slots : int array;    (* profiler line slot per [rp_locs] index *)
 }
 
-(* One process: an address space with its own globals.  [globals] is the
-   diagnostics/dynamic-walk view by name; [global_slots] the resolved
-   fast path by table index — both updated together. *)
+(* One process: an address space with its own globals, by table index;
+   a global's slot is empty until its declaration is set up. *)
 and process = {
   sh : shared;
-  globals : (string, lvalue) Hashtbl.t;
   global_slots : lvalue option array;
   core : int;
   rank : int;   (* RCCE rank; 0 for the pthread process *)
 }
 
-(* One call frame: a slot per distinct name declared by the function; an
-   empty slot means that declaration has not executed in this call. *)
-and frame = { f_fn : Resolve.rfunc; f_slots : lvalue option array }
-
-(* One executing context (an RCCE process body or one Pthread). *)
+(* One executing context (an RCCE process body or one Pthread).  [frame]
+   is the current call's slots, one per parameter and declaration of the
+   function: a slot is read only in its declaration's scope, so only
+   after the declaration has executed in this call and filled it. *)
 and task = {
   proc : process;
   api : Scc.Engine.api;
-  mutable frames : frame list;
+  mutable frame : lvalue array;
   mutable pending_cycles : int;
   mutable shm_count : int;     (* per-task collective call counters *)
   mutable mpb_count : int;
@@ -132,7 +129,7 @@ and task = {
 }
 
 let make_frame (fn : Resolve.rfunc) =
-  { f_fn = fn; f_slots = Array.make fn.Resolve.rf_nslots None }
+  Array.make fn.Resolve.rf_nslots { addr = 0; ty = Ctype.Void }
 
 (* --- cycle accounting ---------------------------------------------------- *)
 
@@ -250,39 +247,17 @@ let alloc_private task ~bytes =
 
 (* --- scoping -------------------------------------------------------------- *)
 
-(* The original dynamic walk, by name: innermost frame outwards, then
-   the process globals.  Only the slow path — slot misses and [Dynamic]
-   references — comes through here. *)
-let find_in_frame frame name =
-  match Hashtbl.find_opt frame.f_fn.Resolve.rf_locals name with
-  | Some i -> frame.f_slots.(i)
-  | None -> None
-
-let rec lookup_frames proc frames name =
-  match frames with
-  | [] -> Hashtbl.find_opt proc.globals name
-  | frame :: rest -> begin
-      match find_in_frame frame name with
-      | Some _ as r -> r
-      | None -> lookup_frames proc rest name
-    end
-
-let resolve_slot task (slot : Resolve.slot) name : lvalue option =
+(* Where a resolved name lives.  A global's slot is still empty only while
+   the globals before it are set up. *)
+let lvalue_of task (slot : Resolve.slot) name =
   match slot with
-  | Resolve.Local i -> begin
-      match task.frames with
-      | frame :: rest -> begin
-          match frame.f_slots.(i) with
-          | Some _ as r -> r
-          | None ->
-              (* declaration not yet executed in this call: the name may
-                 still resolve dynamically in a caller's frame *)
-              lookup_frames task.proc rest name
-        end
-      | [] -> lookup_frames task.proc [] name
+  | Resolve.Local i -> task.frame.(i)
+  | Resolve.Global g -> begin
+      match task.proc.global_slots.(g) with
+      | Some lv -> lv
+      | None -> runtime_error "unbound variable '%s'" name
     end
-  | Resolve.Global g -> task.proc.global_slots.(g)
-  | Resolve.Dynamic -> lookup_frames task.proc task.frames name
+  | Resolve.Unbound -> runtime_error "unbound variable '%s'" name
 
 let name_region task ?loc ~base ~bytes name =
   match task.proc.sh.races with
@@ -293,9 +268,7 @@ let declare task ?loc ~slot name ty =
   let bytes = Int.max (Ctype.sizeof ty) 4 in
   let lv = { addr = alloc_private task ~bytes; ty } in
   name_region task ?loc ~base:lv.addr ~bytes name;
-  (match task.frames with
-  | frame :: _ -> frame.f_slots.(slot) <- Some lv
-  | [] -> runtime_error "no active stack frame");
+  task.frame.(slot) <- lv;
   lv
 
 let string_value task s =
@@ -319,14 +292,12 @@ let rec eval task (e : Resolve.rexpr) : Value.t =
   match e with
   | Resolve.Rlit v -> v
   | Resolve.Rstr s -> string_value task s
-  | Resolve.Rconst_var (v, _, _) -> v
   | Resolve.Rvar (slot, name) -> begin
-      match resolve_slot task slot name with
-      | Some { ty = Ctype.Array (elt, _); addr } ->
+      match lvalue_of task slot name with
+      | { ty = Ctype.Array (elt, _); addr } ->
           (* arrays decay to a pointer to their storage, no load *)
           Value.Vptr { addr; elt }
-      | Some lv -> read_mem task lv
-      | None -> runtime_error "unbound variable '%s'" name
+      | lv -> read_mem task lv
     end
   | Resolve.Runary (Ast.Addr, inner) ->
       let lv = eval_lvalue task inner in
@@ -396,26 +367,13 @@ let rec eval task (e : Resolve.rexpr) : Value.t =
       | v -> runtime_error "indexing non-pointer %s" (Value.to_string v)
     end
   | Resolve.Rcast (ty, inner) -> Value.convert ty (eval task inner)
-  | Resolve.Rsizeof_var (slot, name) ->
-      (* sizeof does not evaluate its operand in C; approximate with the
-         syntactic type when the operand is a variable *)
-      let ty =
-        match resolve_slot task slot name with
-        | Some lv -> lv.ty
-        | None -> Ctype.Int
-      in
-      Value.Vint (Ctype.sizeof ty)
   | Resolve.Rcomma (a, b) ->
       ignore (eval task a);
       eval task b
 
 and eval_lvalue task (e : Resolve.rexpr) : lvalue =
   match e with
-  | Resolve.Rvar (slot, name) | Resolve.Rconst_var (_, slot, name) -> begin
-      match resolve_slot task slot name with
-      | Some lv -> lv
-      | None -> runtime_error "unbound variable '%s'" name
-    end
+  | Resolve.Rvar (slot, name) -> lvalue_of task slot name
   | Resolve.Runary (Ast.Deref, inner) -> begin
       match eval task inner with
       | Value.Vptr { addr; elt } -> { addr; ty = elt }
@@ -434,7 +392,7 @@ and eval_lvalue task (e : Resolve.rexpr) : lvalue =
   | Resolve.Rcast (_, inner) -> eval_lvalue task inner
   | Resolve.Rlit _ | Resolve.Rstr _ | Resolve.Runary _ | Resolve.Rbinary _
   | Resolve.Rassign _ | Resolve.Rcond _ | Resolve.Rcall_user _
-  | Resolve.Rcall_builtin _ | Resolve.Rsizeof_var _ | Resolve.Rcomma _ ->
+  | Resolve.Rcall_builtin _ | Resolve.Rcomma _ ->
       runtime_error "expression is not an l-value"
 
 (* --- statements ------------------------------------------------------------ *)
@@ -554,7 +512,8 @@ and call_user task fidx args =
   let values = List.map (eval task) args in
   charge task 10;   (* call/return overhead *)
   prof_push task fidx;
-  task.frames <- make_frame fn :: task.frames;
+  let caller = task.frame in
+  task.frame <- make_frame fn;
   List.iter2
     (fun (slot, pname, pty) v ->
       let lv = declare task ~slot pname pty in
@@ -565,9 +524,7 @@ and call_user task fidx args =
     | Returned v -> v
     | Normal | Broke | Continued -> Value.Vvoid
   in
-  (match task.frames with
-  | _ :: rest -> task.frames <- rest
-  | [] -> ());
+  task.frame <- caller;
   prof_pop task;
   result
 
@@ -591,33 +548,66 @@ and mini_printf task fmt values =
   while !i < n do
     let c = fmt.[!i] in
     if c = '%' && !i + 1 < n then begin
-      (* skip width/precision flags *)
+      (* flags, width, precision and C's [l] length modifier *)
       let j = ref (!i + 1) in
       while
         !j < n
         && (match fmt.[!j] with
-           | '0' .. '9' | '.' | '-' | '+' | 'l' -> true
+           | '0' .. '9' | '.' | '-' | '+' | ' ' | '#' | 'l' -> true
            | _ -> false)
       do
         incr j
       done;
       if !j >= n then
         runtime_error "printf: incomplete conversion at end of format";
+      (* the spec as OCaml's Printf reads it, without the [l]: a C long
+         is an int here *)
+      let mods =
+        String.concat ""
+          (String.split_on_char 'l' (String.sub fmt (!i + 1) (!j - !i - 1)))
+      in
+      let spec conv like =
+        let text = Printf.sprintf "%%%s%c" mods conv in
+        try Scanf.format_from_string text like
+        with Scanf.Scan_failure _ | Failure _ ->
+          runtime_error "printf: unsupported conversion %s" text
+      in
       (match fmt.[!j] with
-      | 'd' | 'i' | 'u' | 'x' ->
-          Buffer.add_string buf (string_of_int (Value.as_int (next ())))
-      | 'f' | 'g' | 'e' ->
-          Buffer.add_string buf (Printf.sprintf "%f" (Value.as_float (next ())))
+      | ('d' | 'i') as conv ->
+          Printf.bprintf buf (spec conv "%d") (Value.as_int (next ()))
+      | ('u' | 'x' | 'X' | 'o') as conv ->
+          (* of the 32-bit int C passes *)
+          Printf.bprintf buf (spec conv "%d")
+            (Value.as_int (next ()) land 0xffffffff)
+      | ('f' | 'e' | 'E' | 'g' | 'G') as conv ->
+          Printf.bprintf buf (spec conv "%f") (Value.as_float (next ()))
       | 'c' ->
-          Buffer.add_char buf (Char.chr (Value.as_int (next ()) land 0xff))
-      | 's' -> begin
-          let v = next () in
-          match
-            Hashtbl.find_opt task.proc.sh.string_at (Value.as_addr v)
-          with
-          | Some s -> Buffer.add_string buf s
-          | None -> Buffer.add_string buf "<str>"
-        end
+          (* OCaml pads a string, not a char *)
+          Printf.bprintf buf (spec 's' "%s")
+            (String.make 1 (Char.chr (Value.as_int (next ()) land 0xff)))
+      | 's' ->
+          let f = spec 's' "%s" in
+          let s =
+            match
+              Hashtbl.find_opt task.proc.sh.string_at
+                (Value.as_addr (next ()))
+            with
+            | Some s -> s
+            | None -> "<str>"
+          in
+          (* C's precision caps the characters printed; OCaml ignores it *)
+          let cap =
+            match String.index_opt mods '.' with
+            | None -> Some (String.length s)
+            | Some p ->
+                int_of_string_opt
+                  ("0" ^ String.sub mods (p + 1) (String.length mods - p - 1))
+          in
+          (match cap with
+          | Some n ->
+              let n = Int.min n (String.length s) in
+              Printf.bprintf buf f (String.sub s 0 n)
+          | None -> runtime_error "printf: unsupported conversion %%%ss" mods)
       | '%' -> Buffer.add_char buf '%'
       | c -> runtime_error "printf: unsupported conversion %%%c" c);
       i := !j + 1
@@ -769,7 +759,7 @@ and call_builtin task name args ast_args =
                   (fun child_api ->
                     let child =
                       { proc = task.proc; api = child_api;
-                        frames = [ make_frame fn ];
+                        frame = make_frame fn;
                         pending_cycles = 0; shm_count = 0; mpb_count = 0;
                         held_locks = Lockset.Int_set.empty }
                     in
@@ -916,10 +906,10 @@ and call_builtin task name args ast_args =
 (* --- program setup ------------------------------------------------------- *)
 
 (* Allocate and initialize one process's globals (load-time, untimed).
-   Runs with an empty frame stack, so initializer expressions resolve
-   against the globals created so far — including duplicate names, where
-   each declaration re-points the canonical table slot just as
-   [Hashtbl.replace] re-pointed the name. *)
+   Runs outside any call, so an initializer reads the globals set up so
+   far; one naming a later global finds its slot still empty, an unbound
+   variable.  On duplicate names each declaration re-points the
+   canonical table slot in turn. *)
 let setup_globals task =
   let rp = task.proc.sh.resolved in
   Array.iter
@@ -929,7 +919,6 @@ let setup_globals task =
       let lv = { addr = alloc_private task ~bytes; ty } in
       name_region task ~loc:g.Resolve.rg_loc ~base:lv.addr ~bytes
         g.Resolve.rg_name;
-      Hashtbl.replace task.proc.globals g.Resolve.rg_name lv;
       let canonical =
         Hashtbl.find rp.Resolve.rp_global_index g.Resolve.rg_name
       in
@@ -993,7 +982,6 @@ let make_shared ?cfg ?(strict = true) ?trace ?profile ?critpath ~detect_races
 let make_process sh ~core ~rank =
   {
     sh;
-    globals = Hashtbl.create 64;
     global_slots =
       Array.make (Array.length sh.resolved.Resolve.rp_globals) None;
     core;
@@ -1023,14 +1011,14 @@ let entry_function sh =
 (* Run the entry function in a fresh task for one process. *)
 let run_entry sh proc api =
   let task =
-    { proc; api; frames = []; pending_cycles = 0;
+    { proc; api; frame = [||]; pending_cycles = 0;
       shm_count = 0; mpb_count = 0; held_locks = Lockset.Int_set.empty }
   in
   setup_globals task;
   let fidx = entry_function sh in
   let fn = sh.resolved.Resolve.rp_funcs.(fidx) in
   prof_push task fidx;
-  task.frames <- [ make_frame fn ];
+  task.frame <- make_frame fn;
   List.iter
     (fun (slot, pname, pty) ->
       let lv = declare task ~slot pname pty in

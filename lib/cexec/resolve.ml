@@ -2,28 +2,23 @@ open Cfront
 
 (* Pre-execution identifier resolution (see resolve.mli).
 
-   The interpreter's scoping rule is dynamic: a name resolves in the
-   innermost frame that binds it, walking out through the callers'
-   frames and landing on the process globals.  Frames are flat per
-   function call — block scoping does not introduce new frames, and a
-   re-declaration overwrites — so "bound in the current frame" is
-   exactly "the declaration statement has executed in this call".
-   Resolution therefore assigns one slot per distinct name per
-   function; a use whose slot is still empty at run time (use before
-   the declaration executes) falls back to the dynamic walk, which
-   keeps the pass semantics-preserving without proving anything about
-   execution order. *)
+   Names are bound by C's block-scoping rule, once, here: each function
+   is walked with the locals in scope, and every parameter and every
+   declaration gets a slot of its own in the function's frame.  A use
+   binds to the innermost local of its name in scope, else to the global
+   of that name, else to nothing ([Unbound]).  In a call, a local's slot
+   is filled when its declaration executes, which is always before any
+   use in its scope, so the interpreter looks up no name at run time. *)
 
 type slot =
   | Local of int
   | Global of int
-  | Dynamic
+  | Unbound
 
 type rexpr =
   | Rlit of Value.t
   | Rstr of string
   | Rvar of slot * string
-  | Rconst_var of Value.t * slot * string
   | Runary of Ast.unop * rexpr
   | Rbinary of Ast.binop * rexpr * rexpr
   | Rassign of Ast.binop option * rexpr * rexpr
@@ -32,7 +27,6 @@ type rexpr =
   | Rcall_builtin of string * rexpr list * Ast.expr list
   | Rindex of rexpr * rexpr
   | Rcast of Ctype.t * rexpr
-  | Rsizeof_var of slot * string
   | Rcomma of rexpr * rexpr
 
 type rdecl = {
@@ -67,7 +61,6 @@ type rfunc = {
   rf_nparams : int;
   rf_nslots : int;
   rf_body : rstmt list;
-  rf_locals : (string, int) Hashtbl.t;
 }
 
 type rglobal = {
@@ -85,45 +78,15 @@ type t = {
   rp_locs : Srcloc.t array;
 }
 
-(* One slot per distinct name: parameters first, then declarations in
-   syntactic order. *)
-let collect_locals (fn : Ast.func) =
-  let tbl = Hashtbl.create 16 in
-  let next = ref 0 in
-  let add name =
-    if not (Hashtbl.mem tbl name) then begin
-      Hashtbl.add tbl name !next;
-      incr next
-    end
-  in
-  List.iter (fun (p, _) -> add p) fn.Ast.f_params;
-  let rec stmt s =
-    match s.Ast.s_desc with
-    | Ast.Sdecl ds -> List.iter (fun (d : Ast.decl) -> add d.Ast.d_name) ds
-    | Ast.Sblock ss -> List.iter stmt ss
-    | Ast.Sif (_, a, b) ->
-        stmt a;
-        Option.iter stmt b
-    | Ast.Swhile (_, b) -> stmt b
-    | Ast.Sdo (b, _) -> stmt b
-    | Ast.Sfor (init, _, _, b) ->
-        (match init with
-        | Ast.For_decl ds ->
-            List.iter (fun (d : Ast.decl) -> add d.Ast.d_name) ds
-        | Ast.For_none | Ast.For_expr _ -> ());
-        stmt b
-    | Ast.Sexpr _ | Ast.Sreturn _ | Ast.Sbreak | Ast.Scontinue | Ast.Snull
-      ->
-        ()
-  in
-  List.iter stmt fn.Ast.f_body;
-  tbl
+(* The locals in scope at one point of a function, innermost first: each
+   name with its frame slot and declared type. *)
+type scope = (string * (int * Ctype.t)) list
 
 let resolve (program : Ast.program) : t =
-  let globals = Ast.global_decls program in
+  let globals = Array.of_list (Ast.global_decls program) in
   let funcs = Ast.functions program in
   let global_index = Hashtbl.create 16 in
-  List.iteri
+  Array.iteri
     (fun i (d : Ast.decl) -> Hashtbl.replace global_index d.Ast.d_name i)
     globals;
   let fn_index = Hashtbl.create 16 in
@@ -132,42 +95,31 @@ let resolve (program : Ast.program) : t =
       if not (Hashtbl.mem fn_index f.Ast.f_name) then
         Hashtbl.add fn_index f.Ast.f_name i)
     funcs;
-  let locals_of = List.map collect_locals funcs in
-  (* Names some function binds: a use of such a name outside a function
-     that declares it might resolve to a caller's local at run time, so
-     it cannot be pinned to the global table statically. *)
-  let frame_bound = Hashtbl.create 64 in
-  List.iter
-    (fun tbl -> Hashtbl.iter (fun n _ -> Hashtbl.replace frame_bound n ()) tbl)
-    locals_of;
-  (* [locals = None] is the global-initializer context: initializers
-     evaluate under an empty frame stack, so a global name can always be
-     pinned there. *)
-  let slot_of ~locals name =
-    match locals with
-    | Some tbl when Hashtbl.mem tbl name -> Local (Hashtbl.find tbl name)
-    | _ ->
-        let shadowable =
-          match locals with
-          | Some _ -> Hashtbl.mem frame_bound name
-          | None -> false
-        in
-        if (not shadowable) && Hashtbl.mem global_index name then
-          Global (Hashtbl.find global_index name)
-        else Dynamic
+  (* What [name] denotes in [scope], with the declared type [sizeof]
+     folds to ([int] when nothing binds it). *)
+  let binding (scope : scope) name =
+    match List.assoc_opt name scope with
+    | Some (i, ty) -> (Local i, ty)
+    | None -> begin
+        match Hashtbl.find_opt global_index name with
+        | Some g -> (Global g, globals.(g).Ast.d_type)
+        | None -> (Unbound, Ctype.Int)
+      end
   in
-  let rec rexpr ~locals (e : Ast.expr) : rexpr =
-    let sub = rexpr ~locals in
+  let rec rexpr scope (e : Ast.expr) : rexpr =
+    let sub = rexpr scope in
     match e with
     | Ast.Int_lit n -> Rlit (Value.Vint n)
     | Ast.Float_lit f -> Rlit (Value.Vfloat f)
     | Ast.Char_lit c -> Rlit (Value.Vint (Char.code c))
     | Ast.Str_lit s -> Rstr s
-    | Ast.Var (("NULL" | "RCCE_FLAG_UNSET") as name) ->
-        Rconst_var (Value.Vint 0, slot_of ~locals name, name)
-    | Ast.Var ("RCCE_FLAG_SET" as name) ->
-        Rconst_var (Value.Vint 1, slot_of ~locals name, name)
-    | Ast.Var name -> Rvar (slot_of ~locals name, name)
+    | Ast.Var name -> begin
+        (* the header constants, unless the program binds the name *)
+        match (fst (binding scope name), name) with
+        | Unbound, ("NULL" | "RCCE_FLAG_UNSET") -> Rlit (Value.Vint 0)
+        | Unbound, "RCCE_FLAG_SET" -> Rlit (Value.Vint 1)
+        | slot, _ -> Rvar (slot, name)
+      end
     | Ast.Unary (op, inner) -> Runary (op, sub inner)
     | Ast.Binary (op, a, b) -> Rbinary (op, sub a, sub b)
     | Ast.Assign (op, lhs, rhs) -> Rassign (op, sub lhs, sub rhs)
@@ -182,22 +134,15 @@ let resolve (program : Ast.program) : t =
     | Ast.Cast (ty, inner) -> Rcast (ty, sub inner)
     | Ast.Sizeof_type ty -> Rlit (Value.Vint (Ctype.sizeof ty))
     | Ast.Sizeof_expr (Ast.Var name) ->
-        Rsizeof_var (slot_of ~locals name, name)
+        (* sizeof does not evaluate its operand in C; approximate with the
+           declared type when the operand is a variable *)
+        Rlit (Value.Vint (Ctype.sizeof (snd (binding scope name))))
     | Ast.Sizeof_expr _ -> Rlit (Value.Vint (Ctype.sizeof Ctype.Int))
     | Ast.Comma (a, b) -> Rcomma (sub a, sub b)
   in
-  let rinit ~locals = function
-    | Ast.Init_expr e -> Rinit_expr (rexpr ~locals e)
-    | Ast.Init_list es -> Rinit_list (List.map (rexpr ~locals) es)
-  in
-  let rdecl ~locals ~tbl (d : Ast.decl) =
-    {
-      rd_slot = Hashtbl.find tbl d.Ast.d_name;
-      rd_name = d.Ast.d_name;
-      rd_type = d.Ast.d_type;
-      rd_loc = d.Ast.d_loc;
-      rd_init = Option.map (rinit ~locals) d.Ast.d_init;
-    }
+  let rinit scope = function
+    | Ast.Init_expr e -> Rinit_expr (rexpr scope e)
+    | Ast.Init_list es -> Rinit_list (List.map (rexpr scope) es)
   in
   (* Source lines interned to indices into [rp_locs]: one entry per
      distinct (file, line), so the profiler's line attribution is an
@@ -216,71 +161,96 @@ let resolve (program : Ast.program) : t =
         locs_rev := loc :: !locs_rev;
         i
   in
-  let rec rstmt ~locals ~tbl (s : Ast.stmt) : rstmt =
-    let body = rstmt_desc ~locals ~tbl s in
-    match s.Ast.s_desc with
-    (* blocks only recurse (their children carry their own lines) and
-       nulls execute nothing — wrapping them would be pure overhead *)
-    | Ast.Sblock _ | Ast.Snull -> body
-    | _ ->
-        if s.Ast.s_loc.Srcloc.line > 0 then
-          Rsat (intern_loc s.Ast.s_loc, body)
-        else body
-  and rstmt_desc ~locals ~tbl (s : Ast.stmt) : rstmt =
-    match s.Ast.s_desc with
-    | Ast.Sexpr e -> Rsexpr (rexpr ~locals e)
-    | Ast.Sdecl ds -> Rsdecl (List.map (rdecl ~locals ~tbl) ds)
-    | Ast.Sblock ss -> Rsblock (List.map (rstmt ~locals ~tbl) ss)
-    | Ast.Sif (c, a, b) ->
-        Rsif
-          ( rexpr ~locals c,
-            rstmt ~locals ~tbl a,
-            Option.map (rstmt ~locals ~tbl) b )
-    | Ast.Swhile (c, b) -> Rswhile (rexpr ~locals c, rstmt ~locals ~tbl b)
-    | Ast.Sdo (b, c) -> Rsdo (rstmt ~locals ~tbl b, rexpr ~locals c)
-    | Ast.Sfor (init, cond, step, body) ->
-        let rinit_ =
-          match init with
-          | Ast.For_none -> Rfor_none
-          | Ast.For_expr e -> Rfor_expr (rexpr ~locals e)
-          | Ast.For_decl ds -> Rfor_decl (List.map (rdecl ~locals ~tbl) ds)
-        in
-        Rsfor
-          ( rinit_,
-            Option.map (rexpr ~locals) cond,
-            Option.map (rexpr ~locals) step,
-            rstmt ~locals ~tbl body )
-    | Ast.Sreturn e -> Rsreturn (Option.map (rexpr ~locals) e)
-    | Ast.Sbreak -> Rsbreak
-    | Ast.Scontinue -> Rscontinue
-    | Ast.Snull -> Rsnull
-  in
-  let rfunc (fn : Ast.func) tbl =
-    let locals = Some tbl in
+  (* One function: parameters first, then each declaration in scope from
+     its own position (its own initializer and the declarators after it
+     included) to the end of its block.  [for] declarations cover the
+     loop; loop and [if] bodies are scopes of their own. *)
+  let rfunc (fn : Ast.func) =
+    let scope = ref [] in
+    let nslots = ref 0 in
+    let bind name ty =
+      let slot = !nslots in
+      incr nslots;
+      scope := (name, (slot, ty)) :: !scope;
+      slot
+    in
+    let in_child_scope f =
+      let saved = !scope in
+      let r = f () in
+      scope := saved;
+      r
+    in
+    let rdecl (d : Ast.decl) =
+      let rd_slot = bind d.Ast.d_name d.Ast.d_type in
+      {
+        rd_slot;
+        rd_name = d.Ast.d_name;
+        rd_type = d.Ast.d_type;
+        rd_loc = d.Ast.d_loc;
+        rd_init = Option.map (rinit !scope) d.Ast.d_init;
+      }
+    in
+    let rec rstmt (s : Ast.stmt) : rstmt =
+      let body = rstmt_desc s in
+      match s.Ast.s_desc with
+      (* blocks only recurse (their children carry their own lines) and
+         nulls execute nothing — wrapping them would be pure overhead *)
+      | Ast.Sblock _ | Ast.Snull -> body
+      | _ ->
+          if s.Ast.s_loc.Srcloc.line > 0 then
+            Rsat (intern_loc s.Ast.s_loc, body)
+          else body
+    and child s = in_child_scope (fun () -> rstmt s)
+    and rstmt_desc (s : Ast.stmt) : rstmt =
+      match s.Ast.s_desc with
+      | Ast.Sexpr e -> Rsexpr (rexpr !scope e)
+      | Ast.Sdecl ds -> Rsdecl (List.map rdecl ds)
+      | Ast.Sblock ss -> in_child_scope (fun () -> Rsblock (List.map rstmt ss))
+      | Ast.Sif (c, a, b) ->
+          Rsif (rexpr !scope c, child a, Option.map child b)
+      | Ast.Swhile (c, b) -> Rswhile (rexpr !scope c, child b)
+      | Ast.Sdo (b, c) -> Rsdo (child b, rexpr !scope c)
+      | Ast.Sfor (init, cond, step, body) ->
+          in_child_scope (fun () ->
+              let rinit_ =
+                match init with
+                | Ast.For_none -> Rfor_none
+                | Ast.For_expr e -> Rfor_expr (rexpr !scope e)
+                | Ast.For_decl ds -> Rfor_decl (List.map rdecl ds)
+              in
+              Rsfor
+                ( rinit_,
+                  Option.map (rexpr !scope) cond,
+                  Option.map (rexpr !scope) step,
+                  child body ))
+      | Ast.Sreturn e -> Rsreturn (Option.map (rexpr !scope) e)
+      | Ast.Sbreak -> Rsbreak
+      | Ast.Scontinue -> Rscontinue
+      | Ast.Snull -> Rsnull
+    in
+    let rf_params =
+      List.map (fun (p, ty) -> (bind p ty, p, ty)) fn.Ast.f_params
+    in
+    let rf_body = List.map rstmt fn.Ast.f_body in
     {
       rf_name = fn.Ast.f_name;
-      rf_params =
-        List.map
-          (fun (p, ty) -> (Hashtbl.find tbl p, p, ty))
-          fn.Ast.f_params;
+      rf_params;
       rf_nparams = List.length fn.Ast.f_params;
-      rf_nslots = Hashtbl.length tbl;
-      rf_body = List.map (rstmt ~locals ~tbl) fn.Ast.f_body;
-      rf_locals = tbl;
+      rf_nslots = !nslots;
+      rf_body;
     }
   in
-  let rp_funcs = Array.of_list (List.map2 rfunc funcs locals_of) in
+  let rp_funcs = Array.of_list (List.map rfunc funcs) in
   let rp_globals =
-    Array.of_list
-      (List.map
-         (fun (d : Ast.decl) ->
-           {
-             rg_name = d.Ast.d_name;
-             rg_type = d.Ast.d_type;
-             rg_loc = d.Ast.d_loc;
-             rg_init = Option.map (rinit ~locals:None) d.Ast.d_init;
-           })
-         globals)
+    Array.map
+      (fun (d : Ast.decl) ->
+        {
+          rg_name = d.Ast.d_name;
+          rg_type = d.Ast.d_type;
+          rg_loc = d.Ast.d_loc;
+          rg_init = Option.map (rinit []) d.Ast.d_init;
+        })
+      globals
   in
   {
     rp_funcs;

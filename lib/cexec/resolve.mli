@@ -2,37 +2,34 @@ open Cfront
 
 (** Pre-execution identifier resolution.
 
-    A one-shot pass over the AST that interns every identifier to an
-    integer slot, so the interpreter's hot path is array indexing
-    instead of hashing strings on every access:
+    A one-shot pass over the AST that binds every identifier once, by
+    C's block-scoping rule, and interns it to an integer slot, so the
+    interpreter's hot path is array indexing and no name is looked up
+    at run time:
 
-    - names declared in the enclosing function (parameters and block
-      locals) become frame offsets ([Local]);
-    - names that can only ever denote a global — no function in the
-      program declares them — become indices into the per-process
-      global table ([Global]);
-    - everything else stays [Dynamic] and is resolved at use time by
-      the interpreter's original caller-frame walk, preserving the
-      observable dynamic-scoping semantics exactly (a callee that uses
-      a name before declaring it sees the caller's binding).
+    - a name that a parameter or a local declaration in scope binds
+      becomes an offset into the function's frame ([Local]); every
+      parameter and every declaration has a slot of its own;
+    - any other name that some global declares becomes an index into
+      the per-process global table ([Global]);
+    - anything else is [Unbound], an error only when evaluated (builtin
+      arguments that are never evaluated, such as [RCCE_COMM_WORLD],
+      may name nothing).
 
-    Literals, [sizeof], and the RCCE flag constants are folded to
-    values; call targets are split into user-function indices and
-    builtin names.  The original name strings ride along on every
+    Literals, [sizeof], and the [NULL] and RCCE flag constants are
+    folded to values; call targets are split into user-function indices
+    and builtin names.  The original name strings ride along on every
     variable reference purely for diagnostics. *)
 
 type slot =
   | Local of int   (** offset into the current function's frame *)
   | Global of int  (** index into the per-process global table *)
-  | Dynamic        (** resolved at use time: frame walk, then globals *)
+  | Unbound        (** nothing binds the name: an error if evaluated *)
 
 type rexpr =
   | Rlit of Value.t
   | Rstr of string
   | Rvar of slot * string
-  | Rconst_var of Value.t * slot * string
-      (** [NULL] / [RCCE_FLAG_SET] / [RCCE_FLAG_UNSET]: a literal as an
-          rvalue, an ordinary variable reference in lvalue position *)
   | Runary of Ast.unop * rexpr
   | Rbinary of Ast.binop * rexpr * rexpr
   | Rassign of Ast.binop option * rexpr * rexpr
@@ -43,7 +40,6 @@ type rexpr =
           (for [pthread_create] target and sync-object naming) *)
   | Rindex of rexpr * rexpr
   | Rcast of Ctype.t * rexpr
-  | Rsizeof_var of slot * string
   | Rcomma of rexpr * rexpr
 
 type rdecl = {
@@ -79,10 +75,8 @@ type rfunc = {
   rf_name : string;
   rf_params : (int * string * Ctype.t) list;  (** slot, name, type *)
   rf_nparams : int;
-  rf_nslots : int;  (** frame size: one slot per distinct local name *)
+  rf_nslots : int;  (** frame size: one slot per parameter and declaration *)
   rf_body : rstmt list;
-  rf_locals : (string, int) Hashtbl.t;
-      (** name -> slot; consulted by the dynamic caller-frame walk *)
 }
 
 type rglobal = {
@@ -99,7 +93,8 @@ type t = {
   rp_globals : rglobal array;  (** in declaration order *)
   rp_global_index : (string, int) Hashtbl.t;
       (** canonical table slot per name; on duplicate declarations the
-          last one wins, like the interpreter's [Hashtbl.replace] *)
+          last one wins, and the interpreter's set-up re-points it at
+          each declaration in turn *)
   rp_locs : Srcloc.t array;
       (** interned statement positions, one per distinct (file, line);
           indexed by {!Rsat} *)

@@ -80,7 +80,6 @@ type api = {
 type _ Effect.t +=
   | E_acquire : int -> unit Effect.t
   | E_release : int -> unit Effect.t
-  | E_now : int Effect.t
   | E_spawn : (api -> unit) -> int Effect.t
   | E_join : int -> unit Effect.t
   | E_set_freq : (int * int) -> unit Effect.t    (* core, MHz (whole tile) *)
@@ -1141,10 +1140,6 @@ let rec handler t ctx : (unit, unit) Effect.Deep.handler =
             Some
               (fun (k : (a, unit) Effect.Deep.continuation) ->
                 do_release t ctx lock_id k)
-        | E_now ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                Effect.Deep.continue k ctx.now)
         | E_spawn program ->
             Some
               (fun (k : (a, unit) Effect.Deep.continuation) ->
@@ -1277,7 +1272,7 @@ and make_api t ctx =
           Effect.perform (E_arrive (t.global_barrier, t.n_barrier_members)));
       acquire = (fun lock_id -> Effect.perform (E_acquire lock_id));
       release = (fun lock_id -> Effect.perform (E_release lock_id));
-      now_ps = (fun () -> Effect.perform E_now);
+      now_ps = (fun () -> ctx.now);
       spawn_child = (fun program -> Effect.perform (E_spawn program));
       join = (fun target -> Effect.perform (E_join target));
       barrier_n =
@@ -1333,7 +1328,7 @@ and make_api t ctx =
         (fun () -> sync (E_arrive (t.global_barrier, t.n_barrier_members)));
       acquire = (fun lock_id -> sync (E_acquire lock_id));
       release = (fun lock_id -> sync (E_release lock_id));
-      now_ps = (fun () -> Effect.perform E_now);
+      now_ps = (fun () -> ctx.now);
       spawn_child = (fun program -> sync (E_spawn program));
       join = (fun target -> sync (E_join target));
       barrier_n =

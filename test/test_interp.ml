@@ -150,7 +150,14 @@ let test_printf () =
   check_output "percent escape" {|int main() { printf("100%%\n"); return 0; }|}
     "100%\n";
   check_output "char" {|int main() { printf("%c%c\n", 104, 105); return 0; }|}
-    "hi\n"
+    "hi\n";
+  (* as gcc's build prints it *)
+  check_output "string and char width, string precision, unsigned"
+    {|int main() {
+        printf("%5s|%-3c|%.2s|%u|%X\n", "ab", 104, "xyz", -1, 255);
+        return 0;
+      }|}
+    "   ab|h  |xy|4294967295|FF\n"
 
 let test_null_dereference_reported () =
   (match run_main "int main() { int *p = NULL; return *p; }" with
@@ -417,10 +424,10 @@ let test_end_to_end_example () =
 
 (* A program that parks every context ends in a diagnostic and exit 1
    from [hsmcc run], like a runtime error, never an uncaught exception. *)
-(* Run [hsmcc run <src> args] after the shell commands [prefix] and
-   return its exit status and stderr; [None] when the binary is not built
+(* Run [hsmcc <args>] after the shell commands [prefix] and return its
+   exit status, stdout and stderr; [None] when the binary is not built
    next to the tests. *)
-let hsmcc_run ?(prefix = "") ?(args = "") source =
+let hsmcc ?(prefix = "") args =
   let exe =
     if Sys.file_exists "../bin/hsmcc.exe" then "../bin/hsmcc.exe"
     else "_build/default/bin/hsmcc.exe"
@@ -430,23 +437,32 @@ let hsmcc_run ?(prefix = "") ?(args = "") source =
     None
   end
   else begin
-    let src = Filename.temp_file "hsmcc_run" ".c" in
-    let err = Filename.temp_file "hsmcc_run" ".err" in
-    let oc = open_out src in
-    output_string oc source;
-    close_out oc;
+    let out = Filename.temp_file "hsmcc" ".out" in
+    let err = Filename.temp_file "hsmcc" ".err" in
     let code =
       Sys.command
-        (Printf.sprintf "%s%s run %s %s >/dev/null 2>%s" prefix exe
-           (Filename.quote src) args (Filename.quote err))
+        (Printf.sprintf "%s%s %s >%s 2>%s" prefix exe args
+           (Filename.quote out) (Filename.quote err))
     in
-    let ic = open_in err in
-    let stderr_text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    Sys.remove src;
-    Sys.remove err;
-    Some (code, stderr_text)
+    let read path =
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      Sys.remove path;
+      text
+    in
+    let stdout_text = read out in
+    Some (code, stdout_text, read err)
   end
+
+(* Run [hsmcc run <src> args] on [source] and return its exit status and
+   stderr. *)
+let hsmcc_run ?prefix ?(args = "") source =
+  let src = Filename.temp_file "hsmcc_run" ".c" in
+  Out_channel.with_open_bin src (fun oc -> output_string oc source);
+  let result =
+    hsmcc ?prefix (Printf.sprintf "run %s %s" (Filename.quote src) args)
+  in
+  Sys.remove src;
+  Option.map (fun (code, _, stderr_text) -> (code, stderr_text)) result
 
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -622,6 +638,85 @@ let check_divider_rejected divider =
 let test_cli_divider_1 () = check_divider_rejected 1
 let test_cli_divider_17 () = check_divider_rejected 17
 
+(* The scoping corpus: under [hsmcc run] each program prints what gcc
+   prints, its [.out] (CI checks those files against gcc).  Names bind by
+   C's block scoping, never through a caller's frame.  The programs whose
+   every line runs on every rank are also translated to 2 ranks and must
+   print each expected line twice. *)
+let test_scoping_corpus () =
+  let sorted_lines text =
+    List.sort String.compare
+      (List.filter (( <> ) "") (String.split_on_char '\n' text))
+  in
+  (* the stdout of [hsmcc args], which must exit 0 *)
+  let stdout_of args =
+    match hsmcc args with
+    | None -> raise Exit
+    | Some (0, out, _) -> out
+    | Some (code, _, err) ->
+        Alcotest.failf "hsmcc %s: exit %d\n%s" args code err
+  in
+  let rcce = Filename.temp_file "scoping" ".rcce.c" in
+  let check_program name =
+    let src = Filename.concat "scoping" (name ^ ".c") in
+    let expected =
+      In_channel.with_open_bin
+        (Filename.concat "scoping" (name ^ ".out"))
+        In_channel.input_all
+    in
+    Alcotest.(check string)
+      (src ^ " prints what gcc prints")
+      expected
+      (stdout_of ("run " ^ src));
+    if List.mem name [ "dynscope"; "fmt"; "helper" ] then begin
+      let translated = stdout_of ("translate -O --cores 2 " ^ src) in
+      Out_channel.with_open_bin rcce (fun oc -> output_string oc translated);
+      Alcotest.(check (list string))
+        (src ^ " translated prints each line on both ranks")
+        (sorted_lines (expected ^ expected))
+        (sorted_lines (stdout_of ("run --cores 2 " ^ Filename.quote rcce)))
+    end
+  in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove rcce)
+    (fun () ->
+      try
+        List.iter check_program
+          [ "blockscope"; "dynscope"; "fmt"; "helper"; "loopshadow" ]
+      with Exit -> ())
+
+(* The translator binds one name per function, so valid C that declares
+   a name twice in one function (sibling [for (int i ...)] loops, or a
+   block that shadows a local) is a located error with exit 1, as under
+   [check], never an uncaught exception. *)
+let test_translate_duplicate_declaration () =
+  let src = Filename.temp_file "sibling" ".c" in
+  Out_channel.with_open_bin src (fun oc ->
+      output_string oc
+        "int main() {\n\
+        \  int s = 0;\n\
+        \  for (int i = 0; i < 3; i++) s += i;\n\
+        \  for (int i = 0; i < 3; i++) s += i;\n\
+        \  return s;\n\
+         }\n");
+  let check_translate (path, diagnostic) =
+    match hsmcc ("translate " ^ Filename.quote path) with
+    | None -> ()
+    | Some (code, _, err) ->
+        Alcotest.(check (pair int string))
+          ("translate " ^ path)
+          (1, Printf.sprintf "hsmcc: %s:%s\n" path diagnostic)
+          (code, err)
+  in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove src)
+    (fun () ->
+      List.iter check_translate
+        [
+          (src, "4:8: duplicate declaration of i@main");
+          ("scoping/blockscope.c", "17:9: duplicate declaration of z@main");
+        ])
+
 let suite =
   [
     Alcotest.test_case "arithmetic" `Quick test_arithmetic;
@@ -688,4 +783,8 @@ let suite =
       test_cli_dram_offset_overflow;
     Alcotest.test_case "run load past shared DRAM's owner byte exits 1"
       `Quick test_cli_load_shared_owner;
+    Alcotest.test_case "run scoping corpus prints what gcc prints" `Quick
+      test_scoping_corpus;
+    Alcotest.test_case "translate duplicate declaration exits 1" `Quick
+      test_translate_duplicate_declaration;
   ]
