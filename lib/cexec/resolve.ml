@@ -78,10 +78,6 @@ type t = {
   rp_locs : Srcloc.t array;
 }
 
-(* The locals in scope at one point of a function, innermost first: each
-   name with its frame slot and declared type. *)
-type scope = (string * (int * Ctype.t)) list
-
 let resolve (program : Ast.program) : t =
   let globals = Array.of_list (Ast.global_decls program) in
   let funcs = Ast.functions program in
@@ -95,9 +91,10 @@ let resolve (program : Ast.program) : t =
       if not (Hashtbl.mem fn_index f.Ast.f_name) then
         Hashtbl.add fn_index f.Ast.f_name i)
     funcs;
-  (* What [name] denotes in [scope], with the declared type [sizeof]
-     folds to ([int] when nothing binds it). *)
-  let binding (scope : scope) name =
+  (* What [name] denotes in [scope] (the locals in scope, innermost
+     first, each with its frame slot and declared type), with the type
+     [sizeof] folds to ([int] when nothing binds the name). *)
+  let binding scope name =
     match List.assoc_opt name scope with
     | Some (i, ty) -> (Local i, ty)
     | None -> begin
