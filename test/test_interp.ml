@@ -141,7 +141,20 @@ let test_functions () =
   check_exit "locals are per call"
     {|int f(int n) { int local = n * 2; return local; }
       int main() { return f(1) + f(2); }|}
-    6
+    6;
+  (* C's block scoping: each declaration is a binding of its own *)
+  check_exit "a for declaration ends with its loop"
+    {|int main() {
+        int i = 5; int s = 0;
+        for (int i = 0; i < 3; i++) s += i;
+        return s * 10 + i;
+      }|}
+    35;
+  check_exit "a block local shadows a parameter"
+    "int f(int n) { { int n = 100; } return n; }\nint main() { return f(7); }"
+    7;
+  check_exit "a declarator sees the ones before it"
+    "int main() { int a = 2, b = a * 3; return b; }" 6
 
 let test_printf () =
   check_output "int formatting"
@@ -175,9 +188,14 @@ let test_null_dereference_reported () =
   | exception Cexec.Interp.Runtime_error _ -> ()
 
 let test_unbound_variable_reported () =
-  match run_main "int main() { return nosuch; }" with
-  | _ -> Alcotest.fail "unbound variable should raise"
-  | exception Cexec.Interp.Runtime_error _ -> ()
+  List.iter
+    (fun src ->
+      match run_main src with
+      | _ -> Alcotest.fail "unbound variable should raise"
+      | exception Cexec.Interp.Runtime_error _ -> ())
+    [ "int main() { return nosuch; }";
+      (* a callee does not see its caller's locals *)
+      "int f() { return y; }\nint main() { int y = 3; return f(); }" ]
 
 let test_unknown_function_reported () =
   match run_main "int main() { return mystery(1); }" with
