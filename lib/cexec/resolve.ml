@@ -2,13 +2,15 @@ open Cfront
 
 (* Pre-execution identifier resolution (see resolve.mli).
 
-   Names are bound by C's block-scoping rule, once, here: each function
-   is walked with the locals in scope, and every parameter and every
-   declaration gets a slot of its own in the function's frame.  A use
-   binds to the innermost local of its name in scope, else to the global
-   of that name, else to nothing ([Unbound]).  In a call, a local's slot
-   is filled when its declaration executes, which is always before any
-   use in its scope, so the interpreter looks up no name at run time. *)
+   Names are bound once, here, after [Scope.uniquify] has named every
+   local apart: within a function each name then has at most one
+   binder, and every use of it is in that binder's scope, so a
+   per-function table from name to frame slot binds as C's block
+   scoping does.  Every parameter and every declaration gets a slot of
+   its own.  A use binds to the local of its name, else to the global of
+   that name, else to nothing ([Unbound]).  In a call, a local's slot is
+   filled when its declaration executes, which is always before any use
+   in its scope, so the interpreter looks up no name at run time. *)
 
 type slot =
   | Local of int
@@ -79,6 +81,7 @@ type t = {
 }
 
 let resolve (program : Ast.program) : t =
+  let program = Scope.uniquify program in
   let globals = Array.of_list (Ast.global_decls program) in
   let funcs = Ast.functions program in
   let global_index = Hashtbl.create 16 in
@@ -91,11 +94,13 @@ let resolve (program : Ast.program) : t =
       if not (Hashtbl.mem fn_index f.Ast.f_name) then
         Hashtbl.add fn_index f.Ast.f_name i)
     funcs;
-  (* What [name] denotes in [scope] (the locals in scope, innermost
-     first, each with its frame slot and declared type), with the type
-     [sizeof] folds to ([int] when nothing binds the name). *)
-  let binding scope name =
-    match List.assoc_opt name scope with
+  (* The current function's locals: each name's frame slot and declared
+     type. *)
+  let locals = Hashtbl.create 16 in
+  (* What [name] denotes, with the type [sizeof] folds to ([int] when
+     nothing binds the name). *)
+  let binding name =
+    match Hashtbl.find_opt locals name with
     | Some (i, ty) -> (Local i, ty)
     | None -> begin
         match Hashtbl.find_opt global_index name with
@@ -103,8 +108,7 @@ let resolve (program : Ast.program) : t =
         | None -> (Unbound, Ctype.Int)
       end
   in
-  let rec rexpr scope (e : Ast.expr) : rexpr =
-    let sub = rexpr scope in
+  let rec rexpr (e : Ast.expr) : rexpr =
     match e with
     | Ast.Int_lit n -> Rlit (Value.Vint n)
     | Ast.Float_lit f -> Rlit (Value.Vfloat f)
@@ -112,34 +116,34 @@ let resolve (program : Ast.program) : t =
     | Ast.Str_lit s -> Rstr s
     | Ast.Var name -> begin
         (* the header constants, unless the program binds the name *)
-        match (fst (binding scope name), name) with
+        match (fst (binding name), name) with
         | Unbound, ("NULL" | "RCCE_FLAG_UNSET") -> Rlit (Value.Vint 0)
         | Unbound, "RCCE_FLAG_SET" -> Rlit (Value.Vint 1)
         | slot, _ -> Rvar (slot, name)
       end
-    | Ast.Unary (op, inner) -> Runary (op, sub inner)
-    | Ast.Binary (op, a, b) -> Rbinary (op, sub a, sub b)
-    | Ast.Assign (op, lhs, rhs) -> Rassign (op, sub lhs, sub rhs)
-    | Ast.Cond (c, a, b) -> Rcond (sub c, sub a, sub b)
+    | Ast.Unary (op, inner) -> Runary (op, rexpr inner)
+    | Ast.Binary (op, a, b) -> Rbinary (op, rexpr a, rexpr b)
+    | Ast.Assign (op, lhs, rhs) -> Rassign (op, rexpr lhs, rexpr rhs)
+    | Ast.Cond (c, a, b) -> Rcond (rexpr c, rexpr a, rexpr b)
     | Ast.Call (name, args) -> begin
-        let rargs = List.map sub args in
+        let rargs = List.map rexpr args in
         match Hashtbl.find_opt fn_index name with
         | Some idx -> Rcall_user (idx, rargs)
         | None -> Rcall_builtin (name, rargs, args)
       end
-    | Ast.Index (arr, idx) -> Rindex (sub arr, sub idx)
-    | Ast.Cast (ty, inner) -> Rcast (ty, sub inner)
+    | Ast.Index (arr, idx) -> Rindex (rexpr arr, rexpr idx)
+    | Ast.Cast (ty, inner) -> Rcast (ty, rexpr inner)
     | Ast.Sizeof_type ty -> Rlit (Value.Vint (Ctype.sizeof ty))
     | Ast.Sizeof_expr (Ast.Var name) ->
         (* sizeof does not evaluate its operand in C; approximate with the
            declared type when the operand is a variable *)
-        Rlit (Value.Vint (Ctype.sizeof (snd (binding scope name))))
+        Rlit (Value.Vint (Ctype.sizeof (snd (binding name))))
     | Ast.Sizeof_expr _ -> Rlit (Value.Vint (Ctype.sizeof Ctype.Int))
-    | Ast.Comma (a, b) -> Rcomma (sub a, sub b)
+    | Ast.Comma (a, b) -> Rcomma (rexpr a, rexpr b)
   in
-  let rinit scope = function
-    | Ast.Init_expr e -> Rinit_expr (rexpr scope e)
-    | Ast.Init_list es -> Rinit_list (List.map (rexpr scope) es)
+  let rinit = function
+    | Ast.Init_expr e -> Rinit_expr (rexpr e)
+    | Ast.Init_list es -> Rinit_list (List.map rexpr es)
   in
   (* Source lines interned to indices into [rp_locs]: one entry per
      distinct (file, line), so the profiler's line attribution is an
@@ -158,24 +162,17 @@ let resolve (program : Ast.program) : t =
         locs_rev := loc :: !locs_rev;
         i
   in
-  (* One function: parameters first, then each declaration in scope from
-     its own position (its own initializer and the declarators after it
-     included) to the end of its block.  [for] declarations cover the
-     loop; loop and [if] bodies are scopes of their own. *)
+  (* One function: parameters first, then each declaration, bound before
+     its own initializer.  Names are unique in the function, so the order
+     in which sibling statements are bound does not matter. *)
   let rfunc (fn : Ast.func) =
-    let scope = ref [] in
+    Hashtbl.reset locals;
     let nslots = ref 0 in
     let bind name ty =
       let slot = !nslots in
       incr nslots;
-      scope := (name, (slot, ty)) :: !scope;
+      Hashtbl.replace locals name (slot, ty);
       slot
-    in
-    let in_child_scope f =
-      let saved = !scope in
-      let r = f () in
-      scope := saved;
-      r
     in
     let rdecl (d : Ast.decl) =
       let rd_slot = bind d.Ast.d_name d.Ast.d_type in
@@ -184,7 +181,7 @@ let resolve (program : Ast.program) : t =
         rd_name = d.Ast.d_name;
         rd_type = d.Ast.d_type;
         rd_loc = d.Ast.d_loc;
-        rd_init = Option.map (rinit !scope) d.Ast.d_init;
+        rd_init = Option.map rinit d.Ast.d_init;
       }
     in
     let rec rstmt (s : Ast.stmt) : rstmt =
@@ -197,30 +194,27 @@ let resolve (program : Ast.program) : t =
           if s.Ast.s_loc.Srcloc.line > 0 then
             Rsat (intern_loc s.Ast.s_loc, body)
           else body
-    and child s = in_child_scope (fun () -> rstmt s)
     and rstmt_desc (s : Ast.stmt) : rstmt =
       match s.Ast.s_desc with
-      | Ast.Sexpr e -> Rsexpr (rexpr !scope e)
+      | Ast.Sexpr e -> Rsexpr (rexpr e)
       | Ast.Sdecl ds -> Rsdecl (List.map rdecl ds)
-      | Ast.Sblock ss -> in_child_scope (fun () -> Rsblock (List.map rstmt ss))
-      | Ast.Sif (c, a, b) ->
-          Rsif (rexpr !scope c, child a, Option.map child b)
-      | Ast.Swhile (c, b) -> Rswhile (rexpr !scope c, child b)
-      | Ast.Sdo (b, c) -> Rsdo (child b, rexpr !scope c)
+      | Ast.Sblock ss -> Rsblock (List.map rstmt ss)
+      | Ast.Sif (c, a, b) -> Rsif (rexpr c, rstmt a, Option.map rstmt b)
+      | Ast.Swhile (c, b) -> Rswhile (rexpr c, rstmt b)
+      | Ast.Sdo (b, c) -> Rsdo (rstmt b, rexpr c)
       | Ast.Sfor (init, cond, step, body) ->
-          in_child_scope (fun () ->
-              let rinit_ =
-                match init with
-                | Ast.For_none -> Rfor_none
-                | Ast.For_expr e -> Rfor_expr (rexpr !scope e)
-                | Ast.For_decl ds -> Rfor_decl (List.map rdecl ds)
-              in
-              Rsfor
-                ( rinit_,
-                  Option.map (rexpr !scope) cond,
-                  Option.map (rexpr !scope) step,
-                  child body ))
-      | Ast.Sreturn e -> Rsreturn (Option.map (rexpr !scope) e)
+          let rinit_ =
+            match init with
+            | Ast.For_none -> Rfor_none
+            | Ast.For_expr e -> Rfor_expr (rexpr e)
+            | Ast.For_decl ds -> Rfor_decl (List.map rdecl ds)
+          in
+          Rsfor
+            ( rinit_,
+              Option.map rexpr cond,
+              Option.map rexpr step,
+              rstmt body )
+      | Ast.Sreturn e -> Rsreturn (Option.map rexpr e)
       | Ast.Sbreak -> Rsbreak
       | Ast.Scontinue -> Rscontinue
       | Ast.Snull -> Rsnull
@@ -245,7 +239,7 @@ let resolve (program : Ast.program) : t =
           rg_name = d.Ast.d_name;
           rg_type = d.Ast.d_type;
           rg_loc = d.Ast.d_loc;
-          rg_init = Option.map (rinit []) d.Ast.d_init;
+          rg_init = Option.map rinit d.Ast.d_init;
         })
       globals
   in

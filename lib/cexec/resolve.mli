@@ -5,7 +5,10 @@ open Cfront
     A one-shot pass over the AST that binds every identifier once, by
     C's block-scoping rule, and interns it to an integer slot, so the
     interpreter's hot path is array indexing and no name is looked up
-    at run time:
+    at run time.  It first names every local apart
+    ({!Cfront.Scope.uniquify}, which changes nothing on a parsed program
+    or a translation), so one table from name to slot per function binds
+    as C does:
 
     - a name that a parameter or a local declaration in scope binds
       becomes an offset into the function's frame ([Local]); every

@@ -505,7 +505,7 @@ let parse_program t =
   { Ast.p_includes = t.includes; p_globals = globals }
 
 let program ?type_names ?file src =
-  parse_program (create ?type_names ?file src)
+  Scope.uniquify (parse_program (create ?type_names ?file src))
 
 let expression ?type_names ?file src =
   let t = create ?type_names ?file src in

@@ -18,7 +18,8 @@ val parse_program : t -> Ast.program
 
 val program :
   ?type_names:string list -> ?file:string -> string -> Ast.program
-(** Parse a complete translation unit from a string. *)
+(** Parse a complete translation unit from a string, with every local
+    named apart ({!Scope.uniquify}). *)
 
 val expression :
   ?type_names:string list -> ?file:string -> string -> Ast.expr

@@ -1,0 +1,39 @@
+(** C's block scoping, the only code that knows it.
+
+    One walk over a function binds every identifier by C's rule: a
+    parameter covers the body; a declarator is visible from its own
+    position (its own initializer and the declarators after it
+    included) to the end of its block; a [for] declaration covers its
+    loop; [if], [while], [do] and [for] bodies are scopes of their own.
+    A second declaration in one block, or a local that redeclares a
+    parameter in the body's outermost block, is a located
+    ["duplicate declaration of a@f"], as gcc rejects it.
+
+    {!uniquify} names every local apart, so that one binding per name
+    per function, which [Ir.Symtab] and through it every analysis and
+    pass assume, is exact.  [Parser.program] applies it. *)
+
+val walk :
+  ?decl:(Ast.decl -> unit) ->
+  ?use:(Srcloc.t -> string -> bool -> unit) ->
+  ?node:(Srcloc.t -> Ast.expr -> unit) ->
+  Ast.program -> unit
+(** Walk every global initializer and function in order, calling [decl]
+    on each local declaration once it is in scope, [use loc name bound]
+    on each identifier ([bound] is false when nothing in the program
+    binds it) and [node] on each expression node before its children;
+    [loc] is the enclosing statement's or declaration's position.
+    @raise Srcloc.Error on a duplicate declaration, or on a function
+    whose names are not kept apart: one with a parameter or local that
+    {!uniquify} would rename. *)
+
+val decls : Ast.func -> Ast.decl list
+(** A function's local declarations, in the walk's order. *)
+
+val uniquify : Ast.program -> Ast.program
+(** Rename each parameter or local whose name is already taken in its
+    function — by a global, a function, an earlier parameter or local,
+    or a use that nothing in scope binds — to [name__k], the first such
+    name its function does not take, with every use it binds.  A program
+    that shadows nothing comes back physically unchanged ([==]).
+    @raise Srcloc.Error on a duplicate declaration. *)

@@ -1,187 +1,94 @@
 (* Structural AST well-formedness: the in-memory replacement for the old
    print-then-reparse IR consistency hack.  A program is well-formed when
-   every identifier is scope-closed (locals declared before use, every
-   name resolving to a declaration, a function, or a known ambient
-   symbol) and, after a removal pass, no node of a forbidden family
-   (e.g. [pthread]) survives anywhere — declarations, types, calls or
-   variables. *)
+   every identifier is scope-closed (bound, by {!Scope}'s walk, to a
+   parameter or local in scope, a global, a function, or a known ambient
+   symbol), its functions' names are kept apart, and, after a removal
+   pass, no node of a forbidden family (e.g. [pthread]) survives
+   anywhere — declarations, types, calls or variables. *)
 
 type error = { wf_loc : Srcloc.t; wf_message : string }
 
 (* Symbols that the C subset treats as defined by the environment:
    [NULL] from the headers, and the RCCE runtime's exported globals. *)
-let default_ambient = [ "NULL"; "RCCE_FLAG_UNSET"; "RCCE_COMM_WORLD" ]
+let ambient = [ "NULL"; "RCCE_FLAG_UNSET"; "RCCE_COMM_WORLD" ]
 
-module Names = Set.Make (String)
+let rec forbidden forbid name =
+  match forbid with
+  | [] -> false
+  | prefix :: rest -> String.starts_with ~prefix name || forbidden rest name
 
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
-let forbidden forbid name =
-  List.exists (fun prefix -> starts_with ~prefix name) forbid
-
-(* Every [Named] library type mentioned inside a type. *)
-let rec named_types = function
-  | Ctype.Named n -> [ n ]
-  | Ctype.Ptr t | Ctype.Array (t, _) | Ctype.Unsigned t -> named_types t
-  | Ctype.Func (ret, args) -> List.concat_map named_types (ret :: args)
+(* The first [Named] library type inside a type that [forbid] names. *)
+let rec forbidden_type forbid = function
+  | Ctype.Named n -> if forbidden forbid n then Some n else None
+  | Ctype.Ptr t | Ctype.Array (t, _) | Ctype.Unsigned t ->
+      forbidden_type forbid t
+  | Ctype.Func (ret, args) ->
+      List.find_map (forbidden_type forbid) (ret :: args)
   | Ctype.Void | Ctype.Char | Ctype.Short | Ctype.Int | Ctype.Long
-  | Ctype.Float | Ctype.Double -> []
+  | Ctype.Float | Ctype.Double -> None
 
-exception Bad of error
+let failf = Srcloc.error
 
-let failf loc fmt =
-  Printf.ksprintf (fun wf_message -> raise (Bad { wf_loc = loc; wf_message }))
-    fmt
-
+(* [what] names the construct, and is only built for the message. *)
 let check_type ~forbid loc what ty =
-  List.iter
-    (fun n ->
-      if forbidden forbid n then
-        failf loc "%s has forbidden type '%s'" what n)
-    (named_types ty)
-
-(* Scope-closed expression check: every [Var] resolves against the local
-   scope stack, the global environment, or the ambient set; forbidden
-   names may not appear as variables or callees. *)
-let rec check_expr ~forbid ~globals ~scope loc e =
-  let recur = check_expr ~forbid ~globals ~scope loc in
-  match e with
-  | Ast.Int_lit _ | Ast.Float_lit _ | Ast.Str_lit _ | Ast.Char_lit _ -> ()
-  | Ast.Var name ->
-      if forbidden forbid name then
-        failf loc "forbidden identifier '%s' survives" name
-      else if not (Names.mem name !scope || Names.mem name globals) then
-        failf loc "identifier '%s' is not declared in this scope" name
-  | Ast.Unary (_, e) | Ast.Sizeof_expr e -> recur e
-  | Ast.Cast (ty, e) ->
-      check_type ~forbid loc "cast" ty;
-      recur e
-  | Ast.Binary (_, a, b) | Ast.Comma (a, b) ->
-      recur a;
-      recur b
-  | Ast.Assign (_, lhs, rhs) ->
-      recur lhs;
-      recur rhs
-  | Ast.Cond (a, b, c) ->
-      recur a;
-      recur b;
-      recur c
-  | Ast.Call (callee, args) ->
-      if forbidden forbid callee then
-        failf loc "forbidden call '%s' survives" callee;
-      List.iter recur args
-  | Ast.Index (a, i) ->
-      recur a;
-      recur i
-  | Ast.Sizeof_type ty -> check_type ~forbid loc "sizeof operand" ty
-
-let check_init ~forbid ~globals ~scope loc = function
+  match forbidden_type forbid ty with
+  | Some n -> failf loc "%s has forbidden type '%s'" (what ()) n
   | None -> ()
-  | Some (Ast.Init_expr e) -> check_expr ~forbid ~globals ~scope loc e
-  | Some (Ast.Init_list es) ->
-      List.iter (check_expr ~forbid ~globals ~scope loc) es
 
-(* A declaration's name becomes visible to its own initializer (C scoping:
-   the declarator is in scope inside its initializer). *)
-let check_decl ~forbid ~globals ~scope (d : Ast.decl) =
+let check_decl ~forbid (d : Ast.decl) =
   if forbidden forbid d.Ast.d_name then
     failf d.Ast.d_loc "forbidden declaration '%s' survives" d.Ast.d_name;
   check_type ~forbid d.Ast.d_loc
-    (Printf.sprintf "declaration '%s'" d.Ast.d_name)
-    d.Ast.d_type;
-  scope := Names.add d.Ast.d_name !scope;
-  check_init ~forbid ~globals ~scope d.Ast.d_loc d.Ast.d_init
+    (fun () -> Printf.sprintf "declaration '%s'" d.Ast.d_name)
+    d.Ast.d_type
 
-let rec check_stmt ~forbid ~globals ~scope (s : Ast.stmt) =
-  let loc = s.Ast.s_loc in
-  let in_child_scope f =
-    let saved = !scope in
-    f ();
-    scope := saved
+let check_global ~forbid = function
+  | Ast.Gvar d -> check_decl ~forbid d
+  | Ast.Gfunc fn ->
+      let name = fn.Ast.f_name in
+      if forbidden forbid name then
+        failf fn.Ast.f_loc "forbidden function '%s' survives" name;
+      check_type ~forbid fn.Ast.f_loc
+        (fun () -> Printf.sprintf "return of '%s'" name)
+        fn.Ast.f_ret;
+      List.iter
+        (fun (p, ty) ->
+          check_type ~forbid fn.Ast.f_loc
+            (fun () -> Printf.sprintf "parameter '%s' of '%s'" p name)
+            ty)
+        fn.Ast.f_params
+  | Ast.Gproto (name, ty, loc) ->
+      if forbidden forbid name then
+        failf loc "forbidden prototype '%s' survives" name;
+      check_type ~forbid loc
+        (fun () -> Printf.sprintf "prototype '%s'" name)
+        ty
+
+let check ?(forbid = []) (program : Ast.program) =
+  (* includes are verbatim pass-through text, not AST nodes; the forbid
+     check covers declarations, types, calls and variables *)
+  let use loc name bound =
+    if forbidden forbid name then
+      failf loc "forbidden identifier '%s' survives" name
+    else if not (bound || List.mem name ambient) then
+      failf loc "identifier '%s' is not declared in this scope" name
   in
-  match s.Ast.s_desc with
-  | Ast.Sexpr e -> check_expr ~forbid ~globals ~scope loc e
-  | Ast.Sdecl ds -> List.iter (check_decl ~forbid ~globals ~scope) ds
-  | Ast.Sblock ss ->
-      in_child_scope (fun () ->
-          List.iter (check_stmt ~forbid ~globals ~scope) ss)
-  | Ast.Sif (c, a, b) ->
-      check_expr ~forbid ~globals ~scope loc c;
-      in_child_scope (fun () -> check_stmt ~forbid ~globals ~scope a);
-      Option.iter
-        (fun b ->
-          in_child_scope (fun () -> check_stmt ~forbid ~globals ~scope b))
-        b
-  | Ast.Swhile (c, body) ->
-      check_expr ~forbid ~globals ~scope loc c;
-      in_child_scope (fun () -> check_stmt ~forbid ~globals ~scope body)
-  | Ast.Sdo (body, c) ->
-      in_child_scope (fun () -> check_stmt ~forbid ~globals ~scope body);
-      check_expr ~forbid ~globals ~scope loc c
-  | Ast.Sfor (init, cond, step, body) ->
-      in_child_scope (fun () ->
-          (match init with
-          | Ast.For_none -> ()
-          | Ast.For_expr e -> check_expr ~forbid ~globals ~scope loc e
-          | Ast.For_decl ds ->
-              List.iter (check_decl ~forbid ~globals ~scope) ds);
-          Option.iter (check_expr ~forbid ~globals ~scope loc) cond;
-          Option.iter (check_expr ~forbid ~globals ~scope loc) step;
-          check_stmt ~forbid ~globals ~scope body)
-  | Ast.Sreturn e ->
-      Option.iter (check_expr ~forbid ~globals ~scope loc) e
-  | Ast.Sbreak | Ast.Scontinue | Ast.Snull -> ()
-
-let check_func ~forbid ~globals (fn : Ast.func) =
-  if forbidden forbid fn.Ast.f_name then
-    failf fn.Ast.f_loc "forbidden function '%s' survives" fn.Ast.f_name;
-  check_type ~forbid fn.Ast.f_loc
-    (Printf.sprintf "return of '%s'" fn.Ast.f_name)
-    fn.Ast.f_ret;
-  let scope =
-    ref
-      (List.fold_left
-         (fun acc (p, ty) ->
-           check_type ~forbid fn.Ast.f_loc
-             (Printf.sprintf "parameter '%s' of '%s'" p fn.Ast.f_name)
-             ty;
-           Names.add p acc)
-         Names.empty fn.Ast.f_params)
+  let node loc e =
+    match e with
+    | Ast.Cast (ty, _) -> check_type ~forbid loc (fun () -> "cast") ty
+    | Ast.Sizeof_type ty ->
+        check_type ~forbid loc (fun () -> "sizeof operand") ty
+    | Ast.Call (callee, _) ->
+        if forbidden forbid callee then
+          failf loc "forbidden call '%s' survives" callee
+    | _ -> ()
   in
-  List.iter (check_stmt ~forbid ~globals ~scope) fn.Ast.f_body
-
-let check ?(ambient = default_ambient) ?(forbid = [])
-    (program : Ast.program) =
-  try
-    (* includes are verbatim pass-through text, not AST nodes; the
-       forbid check covers declarations, types, calls and variables *)
-    (* globals are program-wide: every global declaration, function and
-       prototype is nameable from any function body *)
-    let globals =
-      List.fold_left
-        (fun acc g ->
-          match g with
-          | Ast.Gvar d -> Names.add d.Ast.d_name acc
-          | Ast.Gfunc fn -> Names.add fn.Ast.f_name acc
-          | Ast.Gproto (name, _, _) -> Names.add name acc)
-        (Names.of_list ambient) program.Ast.p_globals
-    in
-    List.iter
-      (fun g ->
-        match g with
-        | Ast.Gvar d ->
-            let scope = ref Names.empty in
-            check_decl ~forbid ~globals ~scope d
-        | Ast.Gfunc fn -> check_func ~forbid ~globals fn
-        | Ast.Gproto (name, ty, loc) ->
-            if forbidden forbid name then
-              failf loc "forbidden prototype '%s' survives" name;
-            check_type ~forbid loc (Printf.sprintf "prototype '%s'" name) ty)
-      program.Ast.p_globals;
-    Ok ()
-  with Bad e -> Error e
+  match
+    List.iter (check_global ~forbid) program.Ast.p_globals;
+    Scope.walk ~decl:(check_decl ~forbid) ~use ~node program
+  with
+  | () -> Ok ()
+  | exception Srcloc.Error (wf_loc, wf_message) -> Error { wf_loc; wf_message }
 
 let error_to_string e =
   Printf.sprintf "%s: %s" (Srcloc.to_string e.wf_loc) e.wf_message

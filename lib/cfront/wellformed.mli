@@ -1,23 +1,20 @@
 (** Structural AST well-formedness checking.
 
     The in-memory replacement for the old print-then-reparse consistency
-    hack: a visitor that checks every identifier is scope-closed (locals
-    declared before use, every name resolving to a declaration, function,
-    prototype or ambient symbol) and that no node of a forbidden family
+    hack: one {!Scope.walk} that checks every identifier is scope-closed
+    (bound to a parameter or local in scope, a global, a function, a
+    prototype or an ambient symbol), that each function's names are kept
+    apart (nothing {!Scope.uniquify} would rename, so one binding per
+    name per function is exact), and that no node of a forbidden family
     — declaration, [Named] type, call or variable — survives a removal
     pass.  (Include lines are verbatim pass-through text, not AST nodes,
     and are not checked.) *)
 
 type error = { wf_loc : Srcloc.t; wf_message : string }
 
-val default_ambient : string list
-(** Names defined by the environment rather than the program: [NULL] and
-    the RCCE runtime's exported globals. *)
-
-val check :
-  ?ambient:string list -> ?forbid:string list -> Ast.program ->
-  (unit, error) result
-(** [check ~forbid program] walks the whole program.  [forbid] is a list
+val check : ?forbid:string list -> Ast.program -> (unit, error) result
+(** [check ~forbid program] walks the whole program, one pass per
+    function.  A duplicate declaration is an error too.  [forbid] is a list
     of name prefixes (e.g. ["pthread"]) that must not appear in any
     declaration, type, call or variable once the corresponding removal
     pass has run.  The first violation is returned. *)

@@ -2,7 +2,8 @@ open Cfront
 
 (* Symbol tables for a parsed program: the set of all declared variables,
    their types and declaration sites, and name resolution within a function
-   (locals and parameters shadow globals). *)
+   (locals and parameters shadow globals).  One binding per name per
+   function is exact once {!Scope.uniquify} has named locals apart. *)
 
 type entry = {
   id : Var_id.t;
@@ -15,8 +16,6 @@ type t = {
   program : Ast.program;
   entries : entry Var_id.Map.t;
   order : entry list;   (* declaration order: globals, then per function *)
-  by_function : (string, entry list) Hashtbl.t;  (* locals+params per func *)
-  globals : entry list;
 }
 
 let add_entry map entry =
@@ -29,70 +28,34 @@ let entry_of_decl id (d : Ast.decl) =
   { id; ty = d.Ast.d_type; decl_loc = d.Ast.d_loc;
     initialized = d.Ast.d_init <> None }
 
-let locals_of_func (fn : Ast.func) =
-  let acc = ref [] in
-  let of_decls ds =
-    List.iter
-      (fun (d : Ast.decl) ->
-        let id = Var_id.local ~func:fn.Ast.f_name d.Ast.d_name in
-        acc := entry_of_decl id d :: !acc)
-      ds
-  in
-  List.iter
-    (fun s ->
-      Visit.iter_stmt
-        (fun (s : Ast.stmt) ->
-          match s.Ast.s_desc with
-          | Ast.Sdecl ds -> of_decls ds
-          | Ast.Sfor (Ast.For_decl ds, _, _, _) -> of_decls ds
-          | Ast.Sfor ((Ast.For_none | Ast.For_expr _), _, _, _)
-          | Ast.Sexpr _ | Ast.Sblock _ | Ast.Sif _ | Ast.Swhile _
-          | Ast.Sdo _ | Ast.Sreturn _ | Ast.Sbreak | Ast.Scontinue
-          | Ast.Snull -> ())
-        s)
-    fn.Ast.f_body;
-  List.rev !acc
-
-let params_of_func (fn : Ast.func) =
-  List.map
-    (fun (name, ty) ->
-      { id = Var_id.param ~func:fn.Ast.f_name name; ty;
-        decl_loc = fn.Ast.f_loc; initialized = true })
-    fn.Ast.f_params
-
 let build (program : Ast.program) =
-  let globals =
-    List.map
-      (fun (d : Ast.decl) -> entry_of_decl (Var_id.global d.Ast.d_name) d)
-      (Ast.global_decls program)
-  in
-  let by_function = Hashtbl.create 16 in
   let entries = ref Var_id.Map.empty in
   let order = ref [] in
   let push e =
     entries := add_entry !entries e;
     order := e :: !order
   in
-  List.iter push globals;
   List.iter
-    (fun fn ->
-      let scoped = params_of_func fn @ locals_of_func fn in
-      Hashtbl.replace by_function fn.Ast.f_name scoped;
-      List.iter push scoped)
+    (fun (d : Ast.decl) -> push (entry_of_decl (Var_id.global d.Ast.d_name) d))
+    (Ast.global_decls program);
+  List.iter
+    (fun (fn : Ast.func) ->
+      let func = fn.Ast.f_name in
+      List.iter
+        (fun (name, ty) ->
+          push { id = Var_id.param ~func name; ty; decl_loc = fn.Ast.f_loc;
+                 initialized = true })
+        fn.Ast.f_params;
+      List.iter
+        (fun (d : Ast.decl) ->
+          push (entry_of_decl (Var_id.local ~func d.Ast.d_name) d))
+        (Scope.decls fn))
     (Ast.functions program);
-  { program; entries = !entries; order = List.rev !order; by_function;
-    globals }
+  { program; entries = !entries; order = List.rev !order }
 
 let program t = t.program
 
 let all t = t.order
-
-let globals t = t.globals
-
-let scoped_of t func =
-  match Hashtbl.find_opt t.by_function func with
-  | Some entries -> entries
-  | None -> []
 
 let find t id = Var_id.Map.find_opt id t.entries
 

@@ -4,7 +4,8 @@ open Cfront
 
     Collects every declared variable with its type and declaration site and
     resolves names within a function (locals and parameters shadow
-    globals). *)
+    globals): one binding per name per function, exact once
+    {!Cfront.Scope.uniquify} has named locals apart. *)
 
 type entry = {
   id : Var_id.t;
@@ -16,17 +17,13 @@ type entry = {
 type t
 
 val build : Ast.program -> t
-(** @raise Srcloc.Error on duplicate declarations in one scope. *)
+(** @raise Srcloc.Error on a name declared twice in one scope: a global,
+    or a parameter or local of one function. *)
 
 val program : t -> Ast.program
 
 val all : t -> entry list
 (** Every variable in the program, globals first. *)
-
-val globals : t -> entry list
-
-val scoped_of : t -> string -> entry list
-(** Parameters and locals of the named function. *)
 
 val find : t -> Var_id.t -> entry option
 

@@ -58,6 +58,11 @@ let passes_for (options : Pass.options) =
   else passes
 
 let translate_session session =
+  (* the checker that runs after each pass runs on the input first, so
+     an undeclared identifier is the user's error, not a pass's *)
+  (match Wellformed.check (Session.program session) with
+  | Ok () -> ()
+  | Error e -> raise (Error (Parse_error (Wellformed.error_to_string e))));
   let ctx = Pass.ctx_of_session session in
   let analysis = Pass.analysis ctx in
   (* the static race check and the thread count ride on the source

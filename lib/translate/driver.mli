@@ -35,7 +35,9 @@ val translate_session : Session.t -> Ast.program * report
     (e.g. a race check) are not recomputed.  Each transform publishes a
     new program generation into the session, so afterwards
     [Session.program] is the translated program and [Session.timings]
-    carries the per-provider/per-pass instrumentation.
+    carries the per-provider/per-pass instrumentation.  The input is
+    checked first ({!Cfront.Wellformed.check}); an ill-formed one is a
+    [Parse_error].
     @raise Error on any translation failure. *)
 
 val translate_program :

@@ -7,8 +7,8 @@ open Cfront
    program's generation) instead of receiving a pre-baked environment,
    and every transform publishes its result as a new program generation.
    After each transform the IR is checked structurally, in memory —
-   scope-closed identifiers, a rebuildable symbol table, and no orphaned
-   nodes of a family an earlier pass removed. *)
+   scope-closed identifiers, names kept apart, a rebuildable symbol
+   table, and no orphaned nodes of a family an earlier pass removed. *)
 
 (* The translation options live with the session (the fact providers
    need them); re-exported here so pass code and callers keep the
@@ -77,21 +77,6 @@ exception Inconsistent of string * string
 (** [Inconsistent (pass, diagnostic)]: a transform produced a program
     that is no longer structurally well-formed. *)
 
-(* The structural IR validator: a Wellformed visitor plus a symbol-table
-   rebuild, both in memory — this replaces the old print-then-reparse
-   consistency hack. *)
-let check_structure ?(forbid = []) pass_name program =
-  (match Wellformed.check ~forbid program with
-  | Ok () -> ()
-  | Error e ->
-      raise (Inconsistent (pass_name, Wellformed.error_to_string e)));
-  match Ir.Symtab.build program with
-  | (_ : Ir.Symtab.t) -> ()
-  | exception Srcloc.Error (loc, msg) ->
-      raise
-        (Inconsistent
-           (pass_name, Printf.sprintf "%s: %s" (Srcloc.to_string loc) msg))
-
 (* Ordering constraints are checked before anything runs: a schedule
    where a pass precedes one of its [must_follow] dependencies is a
    driver bug, reported as Inconsistent without touching the program. *)
@@ -114,7 +99,7 @@ let validate_order passes =
   in
   ()
 
-let run_all ?(verify = true) passes ctx program =
+let run_all passes ctx program =
   validate_order passes;
   let _, program =
     List.fold_left
@@ -127,24 +112,19 @@ let run_all ?(verify = true) passes ctx program =
            fact demanded below recomputes against this program *)
         Session.set_program ctx.session program;
         let forbid = pass.forbids_after @ forbid in
-        if verify then begin
-          Session.record_pass ctx.session ~name:"structural-check"
-            (fun () ->
-              match Wellformed.check ~forbid program with
-              | Ok () -> ()
-              | Error e ->
-                  raise
-                    (Inconsistent (pass.name, Wellformed.error_to_string e)));
-          (* the symbol table is a session fact of the new generation:
-             rebuilding it proves declarations are still consistent *)
-          match Session.symtab ctx.session with
-          | (_ : Ir.Symtab.t) -> ()
-          | exception Srcloc.Error (loc, msg) ->
-              raise
-                (Inconsistent
-                   ( pass.name,
-                     Printf.sprintf "%s: %s" (Srcloc.to_string loc) msg ))
-        end;
+        Session.record_pass ctx.session ~name:"structural-check" (fun () ->
+            match Wellformed.check ~forbid program with
+            | Ok () -> ()
+            | Error e ->
+                raise (Inconsistent (pass.name, Wellformed.error_to_string e)));
+        (* the symbol table is a session fact of the new generation:
+           rebuilding it proves declarations are still consistent *)
+        (match Session.symtab ctx.session with
+        | (_ : Ir.Symtab.t) -> ()
+        | exception Srcloc.Error (loc, msg) ->
+            raise
+              (Inconsistent
+                 (pass.name, Printf.sprintf "%s: %s" (Srcloc.to_string loc) msg)));
         (forbid, program))
       ([], program) passes
   in

@@ -75,18 +75,14 @@ exception Inconsistent of string * string
 (** [(pass, diagnostic)]: a transform produced a structurally ill-formed
     program. *)
 
-val check_structure : ?forbid:string list -> string -> Ast.program -> unit
-(** The structural validator on its own: {!Wellformed.check} plus a
-    symbol-table rebuild, all in memory.
-    @raise Inconsistent on the first violation. *)
-
 val validate_order : t list -> unit
 (** Check the [must_follow] constraints of a schedule.
     @raise Inconsistent when a pass precedes one of its dependencies. *)
 
-val run_all : ?verify:bool -> t list -> ctx -> Ast.program -> Ast.program
+val run_all : t list -> ctx -> Ast.program -> Ast.program
 (** Run passes in order ({!validate_order} is checked first).  Each
     transform is timed into the session's instrumentation table and
-    publishes a new program generation; [verify] (default true) runs the
-    structural checker after each, with the accumulated [forbids_after]
-    prefixes enforced. *)
+    publishes a new program generation, and the structural checker runs
+    after each — {!Wellformed.check} with the accumulated
+    [forbids_after] prefixes enforced, plus a symbol-table rebuild.
+    @raise Inconsistent on the first violation. *)

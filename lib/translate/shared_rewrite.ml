@@ -9,7 +9,8 @@ open Cfront
    - a pointer T *v    keeps its declaration and gets ALLOC(sizeof(T) * 1)
      backing (the thesis's Example 4.2 shape);
    - a scalar  T v     becomes  T *v;  with ALLOC(sizeof(T) * 1), and every
-     use of v is rewritten to  *v  — except where a local shadows it;
+     use of v is rewritten to  *v  (locals are named apart from globals,
+     so no local shadows it);
    where ALLOC is RCCE_shmalloc for off-chip placement and RCCE_malloc for
    on-chip (MPB) placement, as decided by the Stage 4 partitioner.
    Allocation statements are inserted at the top of main; pre-existing
@@ -115,26 +116,12 @@ let plan_of_global env (d : Ast.decl) =
     | Ctype.Func _ -> None
 
 (* Uses of scalar-shared names become  *name ; [&*name] collapses back. *)
-let deref_rewriter visible e =
+let deref_rewriter names e =
   match e with
-  | Ast.Var name when List.mem name visible ->
+  | Ast.Var name when List.mem name names ->
       Ast.Unary (Ast.Deref, Ast.var name)
   | Ast.Unary (Ast.Addr, Ast.Unary (Ast.Deref, inner)) -> inner
   | _ -> e
-
-(* Rewrite uses of scalar-shared globals to  *v  inside one function,
-   except names a local shadows there. *)
-let rewrite_scalar_uses symtab names (fn : Ast.func) =
-  let visible =
-    List.filter
-      (fun name ->
-        match Ir.Symtab.resolve_id symtab ~func:fn.Ast.f_name name with
-        | Some id -> Ir.Var_id.is_global id
-        | None -> false)
-      names
-  in
-  if visible = [] then fn
-  else Visit.map_func_exprs (deref_rewriter visible) fn
 
 (* Remove pre-existing [v = malloc(...)] statements for planned variables
    (Algorithm 3: "if previous malloc call B for s exists, remove B"). *)
@@ -267,7 +254,6 @@ let hoist_shared_locals env program =
 (* --- the pass ----------------------------------------------------------- *)
 
 let transform env (program : Ast.program) =
-  let symtab = Ir.Symtab.build program in
   let plans =
     List.filter_map
       (fun g ->
@@ -291,9 +277,9 @@ let transform env (program : Ast.program) =
       (fun g ->
         match g with
         | Ast.Gvar d -> Ast.Gvar (retype d)
-        | Ast.Gfunc fn ->
-            Ast.Gfunc (rewrite_scalar_uses symtab scalar_names fn)
-        | Ast.Gproto _ -> g)
+        | Ast.Gfunc fn when scalar_names <> [] ->
+            Ast.Gfunc (Visit.map_func_exprs (deref_rewriter scalar_names) fn)
+        | Ast.Gfunc _ | Ast.Gproto _ -> g)
       program.Ast.p_globals
   in
   let program = { program with Ast.p_globals = globals } in

@@ -658,9 +658,9 @@ let test_cli_divider_17 () = check_divider_rejected 17
 
 (* The scoping corpus: under [hsmcc run] each program prints what gcc
    prints, its [.out] (CI checks those files against gcc).  Names bind by
-   C's block scoping, never through a caller's frame.  The programs whose
-   every line runs on every rank are also translated to 2 ranks and must
-   print each expected line twice. *)
+   C's block scoping, never through a caller's frame.  Every program is
+   also translated to 2 ranks, naive and with -O, and must print each
+   expected line twice. *)
 let test_scoping_corpus () =
   let sorted_lines text =
     List.sort String.compare
@@ -686,54 +686,80 @@ let test_scoping_corpus () =
       (src ^ " prints what gcc prints")
       expected
       (stdout_of ("run " ^ src));
-    if List.mem name [ "dynscope"; "fmt"; "helper" ] then begin
-      let translated = stdout_of ("translate -O --cores 2 " ^ src) in
-      Out_channel.with_open_bin rcce (fun oc -> output_string oc translated);
-      Alcotest.(check (list string))
-        (src ^ " translated prints each line on both ranks")
-        (sorted_lines (expected ^ expected))
-        (sorted_lines (stdout_of ("run --cores 2 " ^ Filename.quote rcce)))
-    end
+    List.iter
+      (fun flags ->
+        let translated =
+          stdout_of (Printf.sprintf "translate %s--cores 2 %s" flags src)
+        in
+        Out_channel.with_open_bin rcce (fun oc -> output_string oc translated);
+        Alcotest.(check (list string))
+          (Printf.sprintf "%s translated %sprints each line on both ranks" src
+             flags)
+          (sorted_lines (expected ^ expected))
+          (sorted_lines (stdout_of ("run --cores 2 " ^ Filename.quote rcce))))
+      [ ""; "-O " ]
+  in
+  let programs =
+    Sys.readdir "scoping" |> Array.to_list
+    |> List.filter_map (Filename.chop_suffix_opt ~suffix:".c")
+    |> List.sort String.compare
   in
   Fun.protect
     ~finally:(fun () -> Sys.remove rcce)
-    (fun () ->
-      try
-        List.iter check_program
-          [ "blockscope"; "dynscope"; "fmt"; "helper"; "loopshadow" ]
-      with Exit -> ())
+    (fun () -> try List.iter check_program programs with Exit -> ())
 
-(* The translator binds one name per function, so valid C that declares
-   a name twice in one function (sibling [for (int i ...)] loops, or a
-   block that shadows a local) is a located error with exit 1, as under
-   [check], never an uncaught exception. *)
-let test_translate_duplicate_declaration () =
-  let src = Filename.temp_file "sibling" ".c" in
-  Out_channel.with_open_bin src (fun oc ->
-      output_string oc
-        "int main() {\n\
-        \  int s = 0;\n\
-        \  for (int i = 0; i < 3; i++) s += i;\n\
-        \  for (int i = 0; i < 3; i++) s += i;\n\
-        \  return s;\n\
-         }\n");
-  let check_translate (path, diagnostic) =
-    match hsmcc ("translate " ^ Filename.quote path) with
-    | None -> ()
-    | Some (code, _, err) ->
-        Alcotest.(check (pair int string))
-          ("translate " ^ path)
-          (1, Printf.sprintf "hsmcc: %s:%s\n" path diagnostic)
-          (code, err)
-  in
+(* [hsmcc cmd] on [source] exits 1 with exactly the located line
+   [hsmcc: <file>:<diagnostic>]. *)
+let check_located_error cmd source diagnostic =
+  let src = Filename.temp_file "located" ".c" in
+  Out_channel.with_open_bin src (fun oc -> output_string oc source);
   Fun.protect
     ~finally:(fun () -> Sys.remove src)
     (fun () ->
-      List.iter check_translate
-        [
-          (src, "4:8: duplicate declaration of i@main");
-          ("scoping/blockscope.c", "17:9: duplicate declaration of z@main");
-        ])
+      match hsmcc (cmd ^ " " ^ Filename.quote src) with
+      | None -> ()
+      | Some (code, _, err) ->
+          Alcotest.(check (pair int string))
+            (cmd ^ " " ^ diagnostic)
+            (1, Printf.sprintf "hsmcc: %s:%s\n" src diagnostic)
+            (code, err))
+
+(* What C itself rejects — a second declaration in one block, or a local
+   that redeclares a parameter in the body's outermost block — is a
+   located error with exit 1 under [translate] and [run] alike, never an
+   uncaught exception.  (Sibling [for (int i ...)] loops and shadowing
+   are valid C; the scoping corpus translates them.) *)
+let test_translate_duplicate_declaration () =
+  List.iter
+    (fun (source, diagnostic) ->
+      List.iter
+        (fun cmd -> check_located_error cmd source diagnostic)
+        [ "translate"; "run" ])
+    [
+      ( "int main() {\n\
+        \  int a;\n\
+        \  int a;\n\
+        \  return 0;\n\
+         }\n",
+        "3:3: duplicate declaration of a@main" );
+      ( "int f(int n) {\n\
+        \  int n = 2;\n\
+        \  return n;\n\
+         }\n\
+         int main() { return f(1); }\n",
+        "2:3: duplicate declaration of n@f" );
+    ]
+
+(* An undeclared identifier is the user's error: [translate] checks its
+   input before the first pass and reports it located, with exit 1. *)
+let test_translate_undeclared_identifier () =
+  check_located_error "translate"
+    "int main() {\n\
+    \  int s = 0;\n\
+    \  s = nosuch;\n\
+    \  return s;\n\
+     }\n"
+    "3:3: identifier 'nosuch' is not declared in this scope"
 
 let suite =
   [
@@ -805,4 +831,6 @@ let suite =
       test_scoping_corpus;
     Alcotest.test_case "translate duplicate declaration exits 1" `Quick
       test_translate_duplicate_declaration;
+    Alcotest.test_case "translate undeclared identifier exits 1" `Quick
+      test_translate_undeclared_identifier;
   ]

@@ -241,6 +241,63 @@ let test_dangling_else_roundtrip () =
   let reparsed = Parser.statement printed in
   Alcotest.(check string) "fixpoint" printed (Pretty.stmt reparsed)
 
+(* [Scope.uniquify] renames each parameter or local whose name is taken
+   in its function — by a global, a function, an earlier parameter or
+   local, or a use that nothing in scope binds — with the uses it binds,
+   to a name its function does not take.  A program that shadows nothing
+   comes back physically unchanged, and a second pass changes nothing. *)
+let test_uniquify () =
+  let raw src = Parser.parse_program (Parser.create src) in
+  let check msg src expected =
+    Alcotest.(check string) msg
+      (Pretty.program (raw expected))
+      (Pretty.program (Scope.uniquify (raw src)))
+  in
+  check "a local shadows a global"
+    "int y;\nint main() { { int y = 1; y = y + 1; } return y; }"
+    "int y;\nint main() { { int y__1 = 1; y__1 = y__1 + 1; } return y; }";
+  check "a parameter takes a function's name"
+    "int g() { return 0; }\nint f(int g) { return g; }"
+    "int g() { return 0; }\nint f(int g__1) { return g__1; }";
+  check "a block local shadows a parameter"
+    "int f(int n) { { int n = 2; return n; } }"
+    "int f(int n) { { int n__1 = 2; return n__1; } }";
+  check "sibling loops declare one name"
+    "int f() { int s = 0; for (int i = 0; i < 2; i++) s += i;\n\
+     for (int i = 0; i < 2; i++) s += i; return s; }"
+    "int f() { int s = 0; for (int i = 0; i < 2; i++) s += i;\n\
+     for (int i__1 = 0; i__1 < 2; i__1++) s += i__1; return s; }";
+  check "a use that nothing in scope binds"
+    "int f() { { int x = 1; } return x; }"
+    "int f() { { int x__1 = 1; } return x; }";
+  check "a use before the declaration reads the global"
+    "int x;\nint f() { int s = x; int x = 2; return s + x; }"
+    "int x;\nint f() { int s = x; int x__1 = 2; return s + x__1; }";
+  check "the fresh name is one no global takes"
+    "int y;\nint y__1;\nint f() { int y = 0; return y + y__1; }"
+    "int y;\nint y__1;\nint f() { int y__2 = 0; return y__2 + y__1; }";
+  check "nor a later use that nothing binds"
+    "int f() { int x; { int x; x = 1; } x__1 = 3; return x; }"
+    "int f() { int x; { int x__2; x__2 = 1; } x__1 = 3; return x; }";
+  let plain =
+    raw
+      "int g;\n\
+       int f(int a) { int b = a + g; for (int i = 0; i < b; i++) b--;\n\
+       return b; }"
+  in
+  Alcotest.(check bool) "a program that shadows nothing is ==" true
+    (Scope.uniquify plain == plain);
+  let once =
+    Scope.uniquify
+      (raw "int y;\nint main() { int y = 0; { int y = 1; } return y; }")
+  in
+  Alcotest.(check bool) "a second uniquify changes nothing" true
+    (Scope.uniquify once == once);
+  match Scope.uniquify (raw "int f() { int a; int a; return 0; }") with
+  | _ -> Alcotest.fail "a second declaration in one block was accepted"
+  | exception Srcloc.Error (_, msg) ->
+      Alcotest.(check string) "duplicate" "duplicate declaration of a@f" msg
+
 let suite =
   [
     Alcotest.test_case "precedence" `Quick test_precedence;
@@ -256,4 +313,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_roundtrip;
     Alcotest.test_case "dangling else" `Quick test_dangling_else_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_stmt_roundtrip;
+    Alcotest.test_case "uniquify names locals apart" `Quick test_uniquify;
   ]

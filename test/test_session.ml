@@ -242,6 +242,23 @@ let test_wellformed_scopes_for_decl () =
       Alcotest.(check bool) "names the variable" true
         (contains ~needle:"'i'" (Wellformed.error_to_string e))
 
+(* One binding per name per function is what every analysis assumes, so a
+   transform that declares a local over a global's name is rejected by
+   name. *)
+let test_wellformed_rejects_names_not_apart () =
+  let shadow =
+    inject_into_main ~name:"inject-shadow"
+      { Ast.s_desc =
+          Ast.Sdecl [ Ast.decl ~init:(Ast.Init_expr (Ast.int 1)) "x" Ctype.Int ];
+        s_loc = loc }
+  in
+  match run_passes [ shadow ] "int x;\nint main() { return x; }" with
+  | _ -> Alcotest.fail "expected Pass.Inconsistent"
+  | exception Translate.Pass.Inconsistent (pass, diag) ->
+      Alcotest.(check string) "blames the offending pass" "inject-shadow" pass;
+      Alcotest.(check bool) "names the local" true
+        (contains ~needle:"x@main is not named apart" diag)
+
 (* --- timings goldens -------------------------------------------------------- *)
 
 let test_timings_table_golden () =
@@ -339,4 +356,6 @@ let suite =
       test_timings_json_golden;
     Alcotest.test_case "timings format parsing" `Quick
       test_timings_format_parsing;
+    Alcotest.test_case "well-formedness rejects names not kept apart" `Quick
+      test_wellformed_rejects_names_not_apart;
   ]
