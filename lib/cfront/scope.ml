@@ -6,11 +6,13 @@
    a binder of the function is renamed the walk rebuilds nothing, and it
    allocates nothing per identifier. *)
 
-(* One walk: its hooks (see scope.mli); the program's file-scope names,
-   and whether a binder whose name is taken is renamed or rejected; the
-   current function's binders (their names and output names), those in
-   [scope], [block] (the scope the current block began with), and the
-   names the function uses that nothing binds. *)
+(* One walk: its hooks (see scope.mli), the program's file-scope names,
+   and whether a binder whose name is taken is renamed or rejected.  For
+   the current function: [taken], the names and output names of its
+   binders so far; [scope], the binders in scope with their output
+   names, innermost first; [block], [scope] as the current block began;
+   [free], the names it uses that nothing binds; [renamed], whether a
+   binder was renamed. *)
 type t = {
   decl : Ast.decl -> unit;
   use : Srcloc.t -> string -> bool -> unit;
