@@ -6,8 +6,6 @@
    pass, no node of a forbidden family (e.g. [pthread]) survives
    anywhere — declarations, types, calls or variables. *)
 
-type error = { wf_loc : Srcloc.t; wf_message : string }
-
 (* Symbols that the C subset treats as defined by the environment:
    [NULL] from the headers, and the RCCE runtime's exported globals. *)
 let ambient = [ "NULL"; "RCCE_FLAG_UNSET"; "RCCE_COMM_WORLD" ]
@@ -88,7 +86,5 @@ let check ?(forbid = []) (program : Ast.program) =
     Scope.walk ~decl:(check_decl ~forbid) ~use ~node program
   with
   | () -> Ok ()
-  | exception Srcloc.Error (wf_loc, wf_message) -> Error { wf_loc; wf_message }
-
-let error_to_string e =
-  Printf.sprintf "%s: %s" (Srcloc.to_string e.wf_loc) e.wf_message
+  | exception Srcloc.Error (loc, msg) ->
+      Error (Printf.sprintf "%s: %s" (Srcloc.to_string loc) msg)

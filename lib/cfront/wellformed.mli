@@ -10,14 +10,10 @@
     pass.  (Include lines are verbatim pass-through text, not AST nodes,
     and are not checked.) *)
 
-type error = { wf_loc : Srcloc.t; wf_message : string }
-
-val check : ?forbid:string list -> Ast.program -> (unit, error) result
+val check : ?forbid:string list -> Ast.program -> (unit, string) result
 (** [check ~forbid program] walks the whole program, one pass per
     function.  A duplicate declaration is an error too.  [forbid] is a list
     of name prefixes (e.g. ["pthread"]) that must not appear in any
     declaration, type, call or variable once the corresponding removal
-    pass has run.  The first violation is returned. *)
-
-val error_to_string : error -> string
-(** ["file:line:col: message"]. *)
+    pass has run.  The first violation is returned as
+    ["file:line:col: message"]. *)

@@ -62,7 +62,7 @@ let translate_session session =
      an undeclared identifier is the user's error, not a pass's *)
   (match Wellformed.check (Session.program session) with
   | Ok () -> ()
-  | Error e -> raise (Error (Parse_error (Wellformed.error_to_string e))));
+  | Error e -> raise (Error (Parse_error e)));
   let ctx = Pass.ctx_of_session session in
   let analysis = Pass.analysis ctx in
   (* the static race check and the thread count ride on the source

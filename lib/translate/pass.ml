@@ -115,8 +115,7 @@ let run_all passes ctx program =
         Session.record_pass ctx.session ~name:"structural-check" (fun () ->
             match Wellformed.check ~forbid program with
             | Ok () -> ()
-            | Error e ->
-                raise (Inconsistent (pass.name, Wellformed.error_to_string e)));
+            | Error e -> raise (Inconsistent (pass.name, e)));
         (* the symbol table is a session fact of the new generation:
            rebuilding it proves declarations are still consistent *)
         (match Session.symtab ctx.session with

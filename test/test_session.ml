@@ -220,9 +220,7 @@ let test_wellformed_accepts_translated_output () =
   in
   match Wellformed.check translated with
   | Ok () -> ()
-  | Error e ->
-      Alcotest.failf "translated output ill-formed: %s"
-        (Wellformed.error_to_string e)
+  | Error e -> Alcotest.failf "translated output ill-formed: %s" e
 
 let test_wellformed_rejects_out_of_scope_local () =
   let program = parse "int main() { { int x; x = 1; } return x; }" in
@@ -230,7 +228,7 @@ let test_wellformed_rejects_out_of_scope_local () =
   | Ok () -> Alcotest.fail "out-of-scope use accepted"
   | Error e ->
       Alcotest.(check bool) "names the variable" true
-        (contains ~needle:"'x'" (Wellformed.error_to_string e))
+        (contains ~needle:"'x'" e)
 
 let test_wellformed_scopes_for_decl () =
   let program =
@@ -240,7 +238,7 @@ let test_wellformed_scopes_for_decl () =
   | Ok () -> Alcotest.fail "for-scoped variable leaked"
   | Error e ->
       Alcotest.(check bool) "names the variable" true
-        (contains ~needle:"'i'" (Wellformed.error_to_string e))
+        (contains ~needle:"'i'" e)
 
 (* One binding per name per function is what every analysis assumes, so a
    transform that declares a local over a global's name is rejected by
