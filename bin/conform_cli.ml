@@ -94,9 +94,8 @@ let verify_run ~seed ~count ~sabotage ~verbose =
             gseed
     | translated ->
         let summary =
-          Absint.analyze
-            ~ncores:cfg.Conform.Oracle.options.Translate.Pass.ncores
-            translated
+          Session.absint_summary
+            (Session.create ~options:cfg.Conform.Oracle.options translated)
         in
         let safe = Absint.Oblig.all_proved summary in
         let oracle_crashes =

@@ -32,7 +32,7 @@ let show_placements title items ~capacity ~strategy =
 let () =
   (* 1. the paper's example: its three shared variables always fit *)
   print_endline "== Shared data of the paper's Example 4.1 ==\n";
-  let analysis = Analysis.Pipeline.analyze (Exp.Example41.parse ()) in
+  let analysis = Session.pipeline (Session.create (Exp.Example41.parse ())) in
   let items = Partition.Partitioner.items_of_analysis analysis in
   show_placements "Example 4.1" items
     ~capacity:(Partition.Memspec.on_chip_capacity spec ~ncores:3)

@@ -20,9 +20,10 @@ let detect_mode (program : Ast.program) =
   if Ast.find_function program "RCCE_APP" <> None then Oblig.Rcce
   else Oblig.Pthread
 
-let analyze ?mode ?(interference = true) ~ncores (program : Ast.program) =
-  let mode = match mode with Some m -> m | None -> detect_mode program in
-  Interval_engine.run { Engine.mode; ncores; interference } program
+(* Over one generation's symbol table and CFGs, the session's facts. *)
+let analyze ?(interference = true) ~ncores symtab cfgs =
+  let mode = detect_mode (Ir.Symtab.program symtab) in
+  Interval_engine.run { Engine.mode; ncores; interference } symtab cfgs
 
 (* Re-exported report helpers, so consumers need only [Absint]. *)
 let diags_of = Report.diags_of

@@ -55,6 +55,7 @@ module Make (D : Domain_sig.S) = struct
     symtab : Ir.Symtab.t;
     program : Ast.program;
     entry : string;
+    fn_cfgs : (string * Ir.Cfg.t) list;
     cfgs : (string, Ir.Cfg.t * (Ast.expr * Ast.stmt) list) Hashtbl.t;
     blocks : (Ir.Var_id.t, int option) Hashtbl.t;
     allocs : (Ir.Var_id.t, string) Hashtbl.t;
@@ -778,15 +779,8 @@ module Make (D : Domain_sig.S) = struct
     match Hashtbl.find_opt st.cfgs fn.Ast.f_name with
     | Some c -> c
     | None ->
-        let cfg = Ir.Cfg.build fn in
-        let tbl = ref [] in
-        List.iter
-          (Visit.iter_stmt (fun s ->
-               List.iter
-                 (fun e -> tbl := (e, s) :: !tbl)
-                 (Visit.shallow_exprs s)))
-          fn.Ast.f_body;
-        let c = (cfg, !tbl) in
+        let cfg = List.assoc fn.Ast.f_name st.fn_cfgs in
+        let c = (cfg, Visit.expr_stmts cfg.Ir.Cfg.func) in
         Hashtbl.replace st.cfgs fn.Ast.f_name c;
         c
 
@@ -1006,14 +1000,14 @@ module Make (D : Domain_sig.S) = struct
       s_obligations = obligations; s_spawns = spawns; s_gfacts = gfacts;
       s_rounds = st.rounds; s_functions = functions }
 
-  let run conf (program : Ast.program) =
-    let symtab = Ir.Symtab.build program in
+  let run conf symtab fn_cfgs =
+    let program = Ir.Symtab.program symtab in
     let entry =
       if Ast.find_function program "RCCE_APP" <> None then "RCCE_APP"
       else "main"
     in
     let st =
-      { conf; symtab; program; entry;
+      { conf; symtab; program; entry; fn_cfgs;
         cfgs = Hashtbl.create 16; blocks = Hashtbl.create 32;
         allocs = Hashtbl.create 16; obligs = Hashtbl.create 64;
         g = CMap.empty; ctx = SMap.empty; spawned = SMap.empty;

@@ -69,3 +69,30 @@ let visit_decl resolve f (d : Ast.decl) =
         (match init with
         | Ast.Init_expr e -> [ e ]
         | Ast.Init_list es -> es)
+
+(* Every access of a statement and of the statements nested in it.  [f]
+   takes the multiplier of the statement an access sits in: [weight] at
+   the top, times [trips l] inside the body of loop [l]. *)
+let rec visit_stmt resolve ~trips (f : int -> sink) ~weight (s : Ast.stmt) =
+  let sink = f weight in
+  List.iter (visit resolve sink) (Visit.shallow_exprs s);
+  (* shallow_exprs carries an initializer's reads; its write is here *)
+  (match s.Ast.s_desc with
+  | Ast.Sdecl ds | Ast.Sfor (Ast.For_decl ds, _, _, _) ->
+      List.iter
+        (fun (d : Ast.decl) ->
+          if d.Ast.d_init <> None then
+            Option.iter (sink Write) (resolve d.Ast.d_name))
+        ds
+  | Ast.Sfor ((Ast.For_none | Ast.For_expr _), _, _, _)
+  | Ast.Sexpr _ | Ast.Sblock _ | Ast.Sif _ | Ast.Swhile _ | Ast.Sdo _
+  | Ast.Sreturn _ | Ast.Sbreak | Ast.Scontinue | Ast.Snull -> ());
+  match s.Ast.s_desc with
+  | Ast.Sblock stmts -> List.iter (visit_stmt resolve ~trips f ~weight) stmts
+  | Ast.Sif (_, a, b) ->
+      visit_stmt resolve ~trips f ~weight a;
+      Option.iter (visit_stmt resolve ~trips f ~weight) b
+  | Ast.Swhile (_, body) | Ast.Sdo (body, _) | Ast.Sfor (_, _, _, body) ->
+      visit_stmt resolve ~trips f ~weight:(weight * trips s) body
+  | Ast.Sexpr _ | Ast.Sdecl _ | Ast.Sreturn _ | Ast.Sbreak | Ast.Scontinue
+  | Ast.Snull -> ()

@@ -15,3 +15,12 @@ val visit : (string -> Ir.Var_id.t option) -> sink -> Ast.expr -> unit
 
 val visit_decl : (string -> Ir.Var_id.t option) -> sink -> Ast.decl -> unit
 (** Accesses of a declaration: the initializer write plus its reads. *)
+
+val visit_stmt :
+  (string -> Ir.Var_id.t option) ->
+  trips:(Ast.stmt -> int) -> (int -> sink) -> weight:int -> Ast.stmt -> unit
+(** [visit_stmt resolve ~trips f ~weight s] reports every access of [s]
+    and its nested statements, a declaration's initializer write
+    included, to [f m], where [m] is [weight] times [trips l] for each
+    loop [l] whose body holds the access.  Stage 1 counts with
+    [trips = fun _ -> 1]; Stage 4 with loop trip estimates. *)

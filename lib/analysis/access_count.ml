@@ -33,45 +33,22 @@ let get_or_create map id =
       map := Ir.Var_id.Map.add id e !map;
       e
 
-let rec visit_stmt resolve map ~weight (s : Ast.stmt) =
-  let f kind id =
-    let e = get_or_create map id in
-    match kind with
-    | Access.Read -> e.est_reads <- e.est_reads + weight
-    | Access.Write -> e.est_writes <- e.est_writes + weight
-  in
-  List.iter (Access.visit resolve f) (Visit.shallow_exprs s);
-  (match s.Ast.s_desc with
-  | Ast.Sdecl ds | Ast.Sfor (Ast.For_decl ds, _, _, _) ->
-      List.iter
-        (fun (d : Ast.decl) ->
-          if d.Ast.d_init <> None then
-            Option.iter (f Access.Write) (resolve d.Ast.d_name))
-        ds
-  | Ast.Sfor ((Ast.For_none | Ast.For_expr _), _, _, _)
-  | Ast.Sexpr _ | Ast.Sblock _ | Ast.Sif _ | Ast.Swhile _ | Ast.Sdo _
-  | Ast.Sreturn _ | Ast.Sbreak | Ast.Scontinue | Ast.Snull -> ());
-  let weight_of_loop s =
-    match Thread_analysis.loop_bounds s with
-    | Some (_, n) when n > 0 -> weight * n
-    | Some _ | None -> weight * default_trip
-  in
-  match s.Ast.s_desc with
-  | Ast.Sblock stmts -> List.iter (visit_stmt resolve map ~weight) stmts
-  | Ast.Sif (_, a, b) ->
-      visit_stmt resolve map ~weight a;
-      Option.iter (visit_stmt resolve map ~weight) b
-  | Ast.Swhile (_, body) | Ast.Sdo (body, _) ->
-      visit_stmt resolve map ~weight:(weight * default_trip) body
-  | Ast.Sfor (_, _, _, body) ->
-      visit_stmt resolve map ~weight:(weight_of_loop s) body
-  | Ast.Sexpr _ | Ast.Sdecl _ | Ast.Sreturn _ | Ast.Sbreak | Ast.Scontinue
-  | Ast.Snull -> ()
+(* A loop body runs its known trip count, or [default_trip] times. *)
+let trips s =
+  match Thread_analysis.loop_bounds s with
+  | Some (_, n) when n > 0 -> n
+  | Some _ | None -> default_trip
 
 let run (scope : Scope_analysis.t) (threads : Thread_analysis.t) =
   let symtab = scope.Scope_analysis.symtab in
   let program = Ir.Symtab.program symtab in
   let map = ref Ir.Var_id.Map.empty in
+  let f weight kind id =
+    let e = get_or_create map id in
+    match kind with
+    | Access.Read -> e.est_reads <- e.est_reads + weight
+    | Access.Write -> e.est_writes <- e.est_writes + weight
+  in
   let thread_count =
     match Thread_analysis.static_thread_count threads with
     | Some n when n > 0 -> n
@@ -102,7 +79,7 @@ let run (scope : Scope_analysis.t) (threads : Thread_analysis.t) =
         else 1
       in
       List.iter
-        (visit_stmt resolve map ~weight:(max 1 launches))
+        (Access.visit_stmt resolve ~trips f ~weight:(max 1 launches))
         fn.Ast.f_body)
     (Ast.functions program);
   { estimates = !map; thread_count }

@@ -89,9 +89,8 @@ let transfer symtab ~func (node : Ir.Cfg.node) fact =
         (Ir.Cfg.exprs_of_node node);
       Held !held
 
-let analyze symtab (fn : Ast.func) =
-  let cfg = Ir.Cfg.build fn in
-  let func = Some fn.Ast.f_name in
+let analyze symtab (cfg : Ir.Cfg.t) =
+  let func = Some cfg.Ir.Cfg.func.Ast.f_name in
   let result =
     Flow.solve cfg ~init:(Held Ir.Var_id.Set.empty)
       ~transfer:(transfer symtab ~func)

@@ -11,7 +11,8 @@ type fact = All | Held of Ir.Var_id.Set.t
 
 type t
 
-val analyze : Ir.Symtab.t -> Ast.func -> t
+val analyze : Ir.Symtab.t -> Ir.Cfg.t -> t
+(** Solve over one function's CFG (the session's [cfgs] fact). *)
 
 val cfg : t -> Ir.Cfg.t
 (** The CFG the solution is indexed by. *)

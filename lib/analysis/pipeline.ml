@@ -1,5 +1,3 @@
-open Cfront
-
 (* The analysis phase of the framework: Stages 1-3 run in order, with a
    snapshot of every variable's sharing status taken after each stage —
    exactly the columns of the paper's Table 4.2. *)
@@ -23,11 +21,11 @@ let snapshot (scope : Scope_analysis.t) : snapshot =
       Ir.Var_id.Map.add id (Sharing.status info.Varinfo.sharing) acc)
     Ir.Var_id.Map.empty scope.Scope_analysis.all_vars
 
-(* The stages as separately callable steps, so a demand-driven session
-   (lib/session) can run — and memoize — each exactly once.  Stage 2 and
-   Stage 3 refine [scope] in place, so the caller must force them in
-   order; the sharing snapshot each returns is the corresponding Table
-   4.2 column. *)
+(* The stages as separately callable steps, which the demand-driven
+   session (lib/session), the only driver, runs and memoizes exactly
+   once.  Stage 2 and Stage 3 refine [scope] in place, so the caller must
+   force them in order; the sharing snapshot each returns is the
+   corresponding Table 4.2 column. *)
 
 let stage1 symtab =
   let scope = Scope_analysis.run symtab in
@@ -38,20 +36,11 @@ let stage2 scope =
   Thread_analysis.refine_sharing scope threads;
   (threads, snapshot scope)
 
-let stage3 ?(include_possible = false) symtab scope =
-  let points_to = Points_to.run symtab in
-  Points_to.refine_sharing ~include_possible scope points_to;
+let stage3 symtab scope cfgs =
+  let points_to = Points_to.run symtab cfgs in
+  Points_to.refine_sharing scope points_to;
   Points_to.demote_unused_globals scope;
   (points_to, snapshot scope)
-
-let analyze ?include_possible (program : Ast.program) =
-  let symtab = Ir.Symtab.build program in
-  let scope, after_stage1 = stage1 symtab in
-  let threads, after_stage2 = stage2 scope in
-  let points_to, after_stage3 = stage3 ?include_possible symtab scope in
-  let access = Access_count.run scope threads in
-  { scope; threads; points_to; access;
-    after_stage1; after_stage2; after_stage3 }
 
 let status_in snap id =
   match Ir.Var_id.Map.find_opt id snap with

@@ -1,5 +1,3 @@
-open Cfront
-
 (** The analysis phase of the framework: Stages 1–3 in order, with a
     snapshot of every variable's sharing status after each stage (the
     columns of Table 4.2). *)
@@ -16,29 +14,20 @@ type t = {
   after_stage3 : snapshot;
 }
 
-val analyze : ?include_possible:bool -> Ast.program -> t
-(** Run Stages 1–3.  [include_possible] also propagates sharing through
-    [Possible] points-to relations.
-    @raise Srcloc.Error on semantic errors (duplicate declarations). *)
-
 (** {2 Individual stages}
 
-    The demand-driven compilation session ([Session]) runs each stage as
-    its own memoized fact provider.  Stages 2 and 3 refine the Stage-1
-    scope table in place, so they must be forced in order; each returns
-    the sharing snapshot taken after it ran (a Table 4.2 column). *)
-
-val snapshot : Scope_analysis.t -> snapshot
-(** The current sharing status of every variable. *)
+    The demand-driven compilation session ([Session]), the only driver,
+    runs each stage as its own memoized fact provider and assembles [t].
+    Stages 2 and 3 refine the Stage-1 scope table in place, so they must
+    be forced in order; each returns the sharing snapshot taken after it
+    ran (a Table 4.2 column). *)
 
 val stage1 : Ir.Symtab.t -> Scope_analysis.t * snapshot
 val stage2 : Scope_analysis.t -> Thread_analysis.t * snapshot
 
 val stage3 :
-  ?include_possible:bool -> Ir.Symtab.t -> Scope_analysis.t ->
+  Ir.Symtab.t -> Scope_analysis.t -> (string * Ir.Cfg.t) list ->
   Points_to.t * snapshot
-
-val status_in : snapshot -> Ir.Var_id.t -> Sharing.status
 
 val shared_variables : t -> Varinfo.t list
 (** All variables whose final status is Shared, in declaration order. *)

@@ -333,11 +333,8 @@ let global_init_env ctx =
       | Some _ | None -> env)
     Ir.Var_id.Map.empty (Ast.global_decls program)
 
-let run symtab =
+let run symtab cfgs =
   let ctx = { symtab; relationships = Ir.Var_id.Map.empty } in
-  let program = Ir.Symtab.program symtab in
-  let funcs = Ast.functions program in
-  let cfgs = List.map (fun fn -> (fn, Ir.Cfg.build fn)) funcs in
   let sums = { params = Ir.Var_id.Map.empty; returns = Hashtbl.create 8 } in
   let base_env = global_init_env ctx in
   let summary = ref Ir.Var_id.Map.empty in
@@ -364,7 +361,8 @@ let run symtab =
     in
     accumulate base_env;
     List.iter
-      (fun ((fn : Ast.func), cfg) ->
+      (fun (_, (cfg : Ir.Cfg.t)) ->
+        let fn = cfg.Ir.Cfg.func in
         let func = Some fn.Ast.f_name in
         (* seed parameters from the call-site summaries *)
         let entry_env =
@@ -435,10 +433,8 @@ let definite_var_targets t ptr =
     (targets_of t ptr)
 
 (* Algorithm 2: propagate Shared status through definite relationships,
-   iterating because a shared pointer may point at another pointer.
-   [include_possible] extends propagation to Possible relations (a sound
-   over-approximation the paper leaves out; off by default). *)
-let refine_sharing ?(include_possible = false) (scope : Scope_analysis.t) t =
+   iterating because a shared pointer may point at another pointer. *)
+let refine_sharing (scope : Scope_analysis.t) t =
   let changed = ref true in
   while !changed do
     changed := false;
@@ -449,9 +445,8 @@ let refine_sharing ?(include_possible = false) (scope : Scope_analysis.t) t =
           when Sharing.status info.Varinfo.sharing = Sharing.Shared ->
             Target_map.iter
               (fun tgt d ->
-                let eligible = d = Definite || include_possible in
                 match tgt with
-                | Tvar pointee when eligible -> begin
+                | Tvar pointee when d = Definite -> begin
                     match Scope_analysis.find scope pointee with
                     | Some pinfo
                       when Sharing.status pinfo.Varinfo.sharing

@@ -12,7 +12,9 @@ type target = Tvar of Ir.Var_id.t | Tnull | Tunknown
 
 type t
 
-val run : Ir.Symtab.t -> t
+val run : Ir.Symtab.t -> (string * Ir.Cfg.t) list -> t
+(** Solve over every function's CFG (the session's [cfgs] fact, in
+    program order). *)
 
 val relationships : t -> (Ir.Var_id.t * target * definiteness) list
 (** Every (pointer, target, definiteness) triple of the final map. *)
@@ -22,12 +24,10 @@ val targets_of : t -> Ir.Var_id.t -> (target * definiteness) list
 val definite_var_targets : t -> Ir.Var_id.t -> Ir.Var_id.t list
 (** Variables this pointer definitely points at. *)
 
-val refine_sharing :
-  ?include_possible:bool -> Scope_analysis.t -> t -> unit
+val refine_sharing : Scope_analysis.t -> t -> unit
 (** The paper's Algorithm 2: iteratively mark the definite targets of
-    shared pointers as Shared.  [include_possible] additionally propagates
-    through [Possible] relations (sound over-approximation, off by default
-    to match the paper). *)
+    shared pointers as Shared.  [Possible] relations are not followed,
+    as in the paper. *)
 
 val demote_unused_globals : Scope_analysis.t -> unit
 (** Stage-3 post-processing: globals never read nor written become

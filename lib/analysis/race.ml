@@ -198,30 +198,11 @@ and visit_lvalue st ~also_read e =
   | Ast.Unary _ | Ast.Binary _ | Ast.Assign _ | Ast.Cond _ | Ast.Call _
   | Ast.Sizeof_type _ | Ast.Sizeof_expr _ | Ast.Comma _ -> visit_expr st e
 
-(* Enclosing statement of each shallow expression, by physical equality —
-   the CFG reuses the very expression values of the AST, so [assq] finds
-   the statement (and thus the location) of a Condition node. *)
-let expr_stmt_table (fn : Ast.func) =
-  let tbl = ref [] in
-  List.iter
-    (Visit.iter_stmt (fun s ->
-         List.iter
-           (fun e -> tbl := (e, s) :: !tbl)
-           (Visit.shallow_exprs s)))
-    fn.Ast.f_body;
-  !tbl
-
-(* Raw accesses of one function, with the must-held lockset attached.
-   [lockheld] lets a session supply its memoized per-function dataflow
-   solutions instead of re-running the analysis here. *)
-let accesses_of_func ~symtab ~points_to ?lockheld (fn : Ast.func) =
-  let lh =
-    match lockheld with
-    | Some lh -> lh
-    | None -> Lockheld.analyze symtab fn
-  in
+(* Raw accesses of one function, with the must-held lockset of its
+   dataflow solution [lh] attached. *)
+let accesses_of_func ~symtab ~points_to lh (fn : Ast.func) =
   let cfg = Lockheld.cfg lh in
-  let expr_stmt = expr_stmt_table fn in
+  let expr_stmt = Visit.expr_stmts fn in
   let acc = ref [] in
   for id = 0 to Ir.Cfg.length cfg - 1 do
     let node = Ir.Cfg.node cfg id in
@@ -328,7 +309,7 @@ let reachable program root =
   in
   go [] root
 
-let run ?(locksets = []) (pipeline : Pipeline.t) =
+let run ~locksets (pipeline : Pipeline.t) =
   let scope = pipeline.Pipeline.scope in
   let symtab = scope.Scope_analysis.symtab in
   let program = Ir.Symtab.program symtab in
@@ -360,8 +341,8 @@ let run ?(locksets = []) (pipeline : Pipeline.t) =
     match Hashtbl.find_opt raw_cache fn_name with
     | Some raws -> raws
     | None ->
-        let lockheld = List.assoc_opt fn_name locksets in
-        let raws = accesses_of_func ~symtab ~points_to ?lockheld fn in
+        let lh = List.assoc fn_name locksets in
+        let raws = accesses_of_func ~symtab ~points_to lh fn in
         Hashtbl.replace raw_cache fn_name raws;
         raws
   in
@@ -488,7 +469,3 @@ let to_diag r =
 let to_diags t = List.map to_diag t.races
 
 let racy_variables t = List.map (fun r -> r.rvar) t.races
-
-(* The one-call entry point: analyze, then detect. *)
-let check ?locksets (pipeline : Pipeline.t) =
-  to_diags (run ?locksets pipeline)

@@ -35,16 +35,13 @@ type t = {
   races : race list;        (** one per racy variable, sorted *)
 }
 
-val run : ?locksets:(string * Lockheld.t) list -> Pipeline.t -> t
-(** [locksets] supplies precomputed per-function must-hold dataflow
-    solutions (keyed by function name, e.g. a session's memoized lockset
-    fact); functions not in the list are analyzed on demand. *)
+val run : locksets:(string * Lockheld.t) list -> Pipeline.t -> t
+(** [locksets] is the must-hold dataflow solution of every function,
+    keyed by name: the session's [locksets] fact of the generation
+    [pipeline] describes. *)
 
 val to_diag : race -> Diag.t
 val to_diags : t -> Diag.t list
-
-val check : ?locksets:(string * Lockheld.t) list -> Pipeline.t -> Diag.t list
-(** [to_diags (run pipeline)]. *)
 
 val racy_variables : t -> Ir.Var_id.t list
 

@@ -39,32 +39,6 @@ let sink table ~in_func kind id =
       | Access.Write -> Varinfo.record_write info ~in_func
     end
 
-let rec visit_stmt resolve f (s : Ast.stmt) =
-  List.iter (Access.visit resolve f) (Visit.shallow_exprs s);
-  (* declarations need the initializer-write rule, which shallow_exprs
-     cannot express; redo them via visit_decl and subtract nothing — the
-     shallow pass above already counted the initializer's reads, so only
-     the write is added here *)
-  (match s.Ast.s_desc with
-  | Ast.Sdecl ds | Ast.Sfor (Ast.For_decl ds, _, _, _) ->
-      List.iter
-        (fun (d : Ast.decl) ->
-          if d.Ast.d_init <> None then
-            Option.iter (f Access.Write) (resolve d.Ast.d_name))
-        ds
-  | Ast.Sfor ((Ast.For_none | Ast.For_expr _), _, _, _)
-  | Ast.Sexpr _ | Ast.Sblock _ | Ast.Sif _ | Ast.Swhile _ | Ast.Sdo _
-  | Ast.Sreturn _ | Ast.Sbreak | Ast.Scontinue | Ast.Snull -> ());
-  match s.Ast.s_desc with
-  | Ast.Sblock stmts -> List.iter (visit_stmt resolve f) stmts
-  | Ast.Sif (_, a, b) ->
-      visit_stmt resolve f a;
-      Option.iter (visit_stmt resolve f) b
-  | Ast.Swhile (_, body) | Ast.Sdo (body, _) | Ast.Sfor (_, _, _, body) ->
-      visit_stmt resolve f body
-  | Ast.Sexpr _ | Ast.Sdecl _ | Ast.Sreturn _ | Ast.Sbreak | Ast.Scontinue
-  | Ast.Snull -> ()
-
 let run symtab =
   let entries = Ir.Symtab.all symtab in
   let table =
@@ -85,7 +59,9 @@ let run symtab =
         Ir.Symtab.resolve_id symtab ~func:fn.Ast.f_name name
       in
       let f = sink table ~in_func:(Some fn.Ast.f_name) in
-      List.iter (visit_stmt resolve f) fn.Ast.f_body)
+      List.iter
+        (Access.visit_stmt resolve ~trips:(fun _ -> 1) (fun _ -> f) ~weight:1)
+        fn.Ast.f_body)
     (Ast.functions program);
   (* initial sharing: globals Shared, the rest stays Unknown *)
   Ir.Var_id.Map.iter

@@ -91,6 +91,16 @@ let iter_exprs_of_stmt f s =
 let iter_exprs_of_func f (fn : Ast.func) =
   List.iter (iter_exprs_of_stmt f) fn.Ast.f_body
 
+(* Later statements first; [List.assq] finds the statement of an
+   expression a CFG node shares with the AST. *)
+let expr_stmts (fn : Ast.func) =
+  let tbl = ref [] in
+  List.iter
+    (iter_stmt (fun s ->
+         List.iter (fun e -> tbl := (e, s) :: !tbl) (shallow_exprs s)))
+    fn.Ast.f_body;
+  !tbl
+
 let iter_exprs_of_program f (p : Ast.program) =
   List.iter
     (fun g ->

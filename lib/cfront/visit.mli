@@ -24,6 +24,13 @@ val iter_stmt : (Ast.stmt -> unit) -> Ast.stmt -> unit
 
 val iter_exprs_of_stmt : (Ast.expr -> unit) -> Ast.stmt -> unit
 val iter_exprs_of_func : (Ast.expr -> unit) -> Ast.func -> unit
+
+val expr_stmts : Ast.func -> (Ast.expr * Ast.stmt) list
+(** Each {!shallow_exprs} expression of the function paired with its
+    statement, for [List.assq]: a CFG node shares its expressions with
+    the AST, so this finds the statement (and location) of a condition
+    node. *)
+
 val iter_exprs_of_program : (Ast.expr -> unit) -> Ast.program -> unit
 (** Visit every expression (including global initializers). *)
 

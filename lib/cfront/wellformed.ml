@@ -2,9 +2,10 @@
    print-then-reparse IR consistency hack.  A program is well-formed when
    every identifier is scope-closed (bound, by {!Scope}'s walk, to a
    parameter or local in scope, a global, a function, or a known ambient
-   symbol), its functions' names are kept apart, and, after a removal
-   pass, no node of a forbidden family (e.g. [pthread]) survives
-   anywhere — declarations, types, calls or variables. *)
+   symbol), its functions' names are kept apart, no file-scope variable
+   is declared twice, and, after a removal pass, no node of a forbidden
+   family (e.g. [pthread]) survives anywhere — declarations, types,
+   calls or variables. *)
 
 (* Symbols that the C subset treats as defined by the environment:
    [NULL] from the headers, and the RCCE runtime's exported globals. *)
@@ -81,9 +82,20 @@ let check ?(forbid = []) (program : Ast.program) =
           failf loc "forbidden call '%s' survives" callee
     | _ -> ()
   in
+  (* after the walk, so an undeclared identifier is reported first *)
+  let file_scope_once () =
+    let seen = Hashtbl.create 16 in
+    List.iter
+      (fun (d : Ast.decl) ->
+        if Hashtbl.mem seen d.Ast.d_name then
+          failf d.Ast.d_loc "duplicate declaration of %s" d.Ast.d_name;
+        Hashtbl.replace seen d.Ast.d_name ())
+      (Ast.global_decls program)
+  in
   match
     List.iter (check_global ~forbid) program.Ast.p_globals;
-    Scope.walk ~decl:(check_decl ~forbid) ~use ~node program
+    Scope.walk ~decl:(check_decl ~forbid) ~use ~node program;
+    file_scope_once ()
   with
   | () -> Ok ()
   | exception Srcloc.Error (loc, msg) ->

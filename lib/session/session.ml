@@ -189,8 +189,16 @@ let record_pass t ~name f = timed t name `Pass [] f
 
 (* --- the provider graph ---------------------------------------------------- *)
 
+(* The only builders of a generation's symbol table and CFGs: every
+   analysis takes them from here. *)
 let symtab t =
   demand t t.symtab_c "symtab" [] (fun () -> Ir.Symtab.build t.prog)
+
+let cfgs t =
+  demand t t.cfgs_c "cfgs" [] (fun () ->
+      List.map
+        (fun (fn : Ast.func) -> (fn.Ast.f_name, Ir.Cfg.build fn))
+        (Ast.functions t.prog))
 
 (* Stage 1.  The scope table is refined in place by the Stage 2/3
    providers, so [scope] alone gives the Stage-1 view only until a later
@@ -214,8 +222,9 @@ let points_to_snap t =
   let sc = scope t in
   (* Stage 3 refines on top of Stage 2's refinement: force the order. *)
   let (_ : Analysis.Thread_analysis.t) = threads t in
-  demand t t.points_to_c "points-to" [ "symtab"; "scope"; "threads" ]
-    (fun () -> Analysis.Pipeline.stage3 st sc)
+  let cfgs = cfgs t in
+  demand t t.points_to_c "points-to" [ "symtab"; "scope"; "threads"; "cfgs" ]
+    (fun () -> Analysis.Pipeline.stage3 st sc cfgs)
 
 let points_to t = fst (points_to_snap t)
 
@@ -237,8 +246,10 @@ let sharing_snapshots t =
    Mode (Pthread vs RCCE) is auto-detected from the program shape, so
    the same fact serves the source program and its translation. *)
 let absint_summary t =
-  demand t t.absint_c "absint" [] (fun () ->
-      Absint.analyze ~ncores:t.opts.ncores t.prog)
+  let st = symtab t in
+  let cfgs = cfgs t in
+  demand t t.absint_c "absint" [ "symtab"; "cfgs" ] (fun () ->
+      Absint.analyze ~ncores:t.opts.ncores st cfgs)
 
 let bounds_verdict t =
   let s = absint_summary t in
@@ -270,19 +281,13 @@ let pipeline t =
       { Analysis.Pipeline.scope; threads; points_to; access;
         after_stage1; after_stage2; after_stage3 })
 
-let cfgs t =
-  demand t t.cfgs_c "cfgs" [] (fun () ->
-      List.map
-        (fun (fn : Ast.func) -> (fn.Ast.f_name, Ir.Cfg.build fn))
-        (Ast.functions t.prog))
-
 let locksets t =
   let st = symtab t in
-  demand t t.locksets_c "locksets" [ "symtab" ] (fun () ->
+  let cfgs = cfgs t in
+  demand t t.locksets_c "locksets" [ "symtab"; "cfgs" ] (fun () ->
       List.map
-        (fun (fn : Ast.func) ->
-          (fn.Ast.f_name, Analysis.Lockheld.analyze st fn))
-        (Ast.functions t.prog))
+        (fun (name, cfg) -> (name, Analysis.Lockheld.analyze st cfg))
+        cfgs)
 
 let races t =
   let p = pipeline t in

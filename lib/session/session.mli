@@ -6,7 +6,10 @@ open Cfront
     Every consumer of the Stage 1–4 analyses — [hsmcc check],
     [hsmcc translate], the experiments harness, the tests — works
     against one session, so each fact is computed {b at most once} per
-    program generation no matter how many commands ride on it.  A
+    program generation no matter how many commands ride on it.  The
+    session is the only driver of the analyses and the only builder of
+    a generation's symbol table and CFGs: every analysis takes them as
+    facts.  A
     transform pass publishing a rewritten program ({!set_program}) bumps
     the generation and invalidates every cached fact; the next demand
     recomputes against the new program.
@@ -91,7 +94,9 @@ val pipeline : t -> Analysis.Pipeline.t
 (** The assembled Stage 1–3 record every downstream consumer takes. *)
 
 val cfgs : t -> (string * Ir.Cfg.t) list
-(** One control-flow graph per function, in program order. *)
+(** One control-flow graph per function, in program order: the graphs
+    points-to, the lockset dataflow and the abstract interpretation
+    solve over. *)
 
 val locksets : t -> (string * Analysis.Lockheld.t) list
 (** Must-hold lockset dataflow solution per function. *)

@@ -7,8 +7,9 @@ open Cfront
    program's generation) instead of receiving a pre-baked environment,
    and every transform publishes its result as a new program generation.
    After each transform the IR is checked structurally, in memory —
-   scope-closed identifiers, names kept apart, a rebuildable symbol
-   table, and no orphaned nodes of a family an earlier pass removed. *)
+   scope-closed identifiers, names kept apart, no file-scope variable
+   declared twice, and no orphaned nodes of a family an earlier pass
+   removed. *)
 
 (* The translation options live with the session (the fact providers
    need them); re-exported here so pass code and callers keep the
@@ -116,14 +117,6 @@ let run_all passes ctx program =
             match Wellformed.check ~forbid program with
             | Ok () -> ()
             | Error e -> raise (Inconsistent (pass.name, e)));
-        (* the symbol table is a session fact of the new generation:
-           rebuilding it proves declarations are still consistent *)
-        (match Session.symtab ctx.session with
-        | (_ : Ir.Symtab.t) -> ()
-        | exception Srcloc.Error (loc, msg) ->
-            raise
-              (Inconsistent
-                 (pass.name, Printf.sprintf "%s: %s" (Srcloc.to_string loc) msg)));
         (forbid, program))
       ([], program) passes
   in

@@ -84,5 +84,6 @@ val run_all : t list -> ctx -> Ast.program -> Ast.program
     transform is timed into the session's instrumentation table and
     publishes a new program generation, and the structural checker runs
     after each — {!Wellformed.check} with the accumulated
-    [forbids_after] prefixes enforced, plus a symbol-table rebuild.
+    [forbids_after] prefixes enforced.  No fact is demanded of the new
+    generations here.
     @raise Inconsistent on the first violation. *)

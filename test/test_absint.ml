@@ -7,8 +7,17 @@ open Cfront
 
 let parse src = Parser.program ~file:"t.c" src
 
+(* The session's fact; the naive strawman over the session's symbol
+   table and CFGs. *)
 let analyze ?(interference = true) ?(ncores = 4) src =
-  Absint.analyze ~interference ~ncores (parse src)
+  let session =
+    Session.create
+      ~options:{ Session.default_options with Session.ncores } (parse src)
+  in
+  if interference then Session.absint_summary session
+  else
+    Absint.analyze ~interference ~ncores (Session.symtab session)
+      (Session.cfgs session)
 
 let read_file path =
   let ic = open_in_bin path in

@@ -4,9 +4,11 @@ open Cfront
    Table 4.1 / 4.2 reproduction, Algorithm 1 classification, points-to
    definiteness, and the sharing lattice. *)
 
-let analyze src = Analysis.Pipeline.analyze (Parser.program src)
+let pipeline program = Session.pipeline (Session.create program)
 
-let example_analysis () = Analysis.Pipeline.analyze (Exp.Example41.parse ())
+let analyze src = pipeline (Parser.program src)
+
+let example_analysis () = pipeline (Exp.Example41.parse ())
 
 (* The paper's Table 4.2, verbatim. *)
 let test_table_4_2_matches_paper () =
@@ -213,9 +215,9 @@ let test_unused_global_demoted () =
 
 let test_include_possible_option () =
   (* a local that a shared pointer only *possibly* points at: the paper's
-     Algorithm 2 leaves it private; the sound option promotes it *)
-  let program =
-    Parser.program
+     Algorithm 2 leaves it private *)
+  let strict =
+    analyze
       {|int *p;
         void *tf(void *a) { *p = 3; }
         int main(int c) {
@@ -228,13 +230,9 @@ let test_include_possible_option () =
           return 0;
         }|}
   in
-  let strict = Analysis.Pipeline.analyze program in
-  let loose = Analysis.Pipeline.analyze ~include_possible:true program in
   let t1 = Ir.Var_id.local ~func:"main" "t1" in
   Alcotest.(check bool) "paper mode: t1 stays private" false
-    (Analysis.Pipeline.is_shared strict t1);
-  Alcotest.(check bool) "sound mode: t1 becomes shared" true
-    (Analysis.Pipeline.is_shared loose t1)
+    (Analysis.Pipeline.is_shared strict t1)
 
 let test_points_to_through_return () =
   (* a pointer-returning function: callers inherit its targets *)
@@ -281,8 +279,7 @@ let test_reassignment_degrades_definiteness () =
   (* even in straight-line code, a pointer that held two different
      targets over its lifetime keeps only Possible relations in the
      whole-program map — so the paper's definite-only Algorithm 2 will
-     not promote either target (the include_possible option exists for
-     exactly this precision limit) *)
+     not promote either target *)
   let a =
     analyze
       {|int x; int y; int *p;

@@ -761,6 +761,18 @@ let test_translate_undeclared_identifier () =
      }\n"
     "3:3: identifier 'nosuch' is not declared in this scope"
 
+(* Two file-scope [int x;]: every subcommand that analyzes or translates
+   rejects the second, located, with exit 1; [run] executes the program. *)
+let test_duplicate_global () =
+  let source = "int x;\nint x;\nint main() {\n  x = 1;\n  return x;\n}\n" in
+  List.iter
+    (fun cmd ->
+      check_located_error cmd source "2:1: duplicate declaration of x")
+    [ "translate"; "check"; "analyze" ];
+  match hsmcc_run source with
+  | None -> ()
+  | Some (code, _) -> Alcotest.(check int) "run exits 0" 0 code
+
 let suite =
   [
     Alcotest.test_case "arithmetic" `Quick test_arithmetic;
@@ -833,4 +845,6 @@ let suite =
       test_translate_duplicate_declaration;
     Alcotest.test_case "translate undeclared identifier exits 1" `Quick
       test_translate_undeclared_identifier;
+    Alcotest.test_case "duplicate global exits 1 except under run" `Quick
+      test_duplicate_global;
   ]

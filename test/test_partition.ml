@@ -114,7 +114,7 @@ let test_split_respects_capacity () =
     (r.Partition.Partitioner.on_chip_bytes <= 4096)
 
 let test_items_of_analysis () =
-  let a = Analysis.Pipeline.analyze (Exp.Example41.parse ()) in
+  let a = Session.pipeline (Session.create (Exp.Example41.parse ())) in
   let items = Partition.Partitioner.items_of_analysis a in
   let names =
     List.map

@@ -5,10 +5,9 @@ open Cfront
    is also reported statically (the static analysis over-approximates;
    the reverse containment does not hold, by design). *)
 
-let analyze src =
-  Analysis.Pipeline.analyze (Parser.program ~file:"r.c" src)
+let session src = Session.create (Parser.program ~file:"r.c" src)
 
-let static_races src = Analysis.Race.run (analyze src)
+let static_races src = Session.races (session src)
 
 (* base names of statically racy variables ("counter", not "i@work") *)
 let static_names src =
@@ -233,7 +232,7 @@ let test_dynamic_races_subset_of_static () =
 (* --- diagnostics ------------------------------------------------------------ *)
 
 let test_check_produces_located_warnings () =
-  let diags = Analysis.Race.check (analyze racy_branch) in
+  let diags = Session.race_diags (session racy_branch) in
   match diags with
   | [ d ] ->
       Alcotest.(check string) "severity" "warning"

@@ -37,14 +37,15 @@ let test_check_then_translate_analyzes_once () =
   Alcotest.(check bool) "same diagnostics" true
     (diags_first == report.Translate.Driver.diagnostics)
 
-(* Symtab is the one fact revalidated on every generation: once for the
-   source program plus once per pass-published generation. *)
-let test_symtab_revalidated_per_generation () =
+(* The symbol table and the CFGs are facts like any other: a naive
+   translation demands them of the source program only, because no pass
+   demands a fact of the generations the passes publish. *)
+let test_symtab_once_per_translation () =
   let session = example_session () in
   let _ = Translate.Driver.translate_session session in
-  let passes = List.length Translate.Driver.passes in
-  Alcotest.(check int) "symtab runs once per generation" (1 + passes)
-    (Session.invocations session "symtab")
+  Alcotest.(check int) "symtab runs once" 1
+    (Session.invocations session "symtab");
+  Alcotest.(check int) "cfgs run once" 1 (Session.invocations session "cfgs")
 
 let test_set_program_invalidates () =
   let session = example_session () in
@@ -257,6 +258,29 @@ let test_wellformed_rejects_names_not_apart () =
       Alcotest.(check bool) "names the local" true
         (contains ~needle:"x@main is not named apart" diag)
 
+(* A transform that declares a second file-scope variable is rejected by
+   name: no symbol table is rebuilt after a pass, so [Wellformed] is what
+   catches it. *)
+let test_duplicate_global_rejected () =
+  let duplicate =
+    {
+      Translate.Pass.name = "inject-global";
+      forbids_after = [];
+      must_follow = [];
+      transform =
+        (fun _env (program : Ast.program) ->
+          { program with
+            Ast.p_globals =
+              program.Ast.p_globals @ [ Ast.Gvar (Ast.decl "g" Ctype.Int) ] });
+    }
+  in
+  match run_passes [ duplicate ] "int g;\nint main() { return g; }" with
+  | _ -> Alcotest.fail "expected Pass.Inconsistent"
+  | exception Translate.Pass.Inconsistent (pass, diag) ->
+      Alcotest.(check string) "blames the offending pass" "inject-global" pass;
+      Alcotest.(check bool) "names the global" true
+        (contains ~needle:"duplicate declaration of g" diag)
+
 (* --- timings goldens -------------------------------------------------------- *)
 
 let test_timings_table_golden () =
@@ -330,8 +354,8 @@ let suite =
   [
     Alcotest.test_case "check then translate analyzes once" `Quick
       test_check_then_translate_analyzes_once;
-    Alcotest.test_case "symtab revalidated per generation" `Quick
-      test_symtab_revalidated_per_generation;
+    Alcotest.test_case "symtab computed once per translation" `Quick
+      test_symtab_once_per_translation;
     Alcotest.test_case "set_program invalidates facts" `Quick
       test_set_program_invalidates;
     Alcotest.test_case "facts_computed counts only facts" `Quick
@@ -356,4 +380,6 @@ let suite =
       test_timings_format_parsing;
     Alcotest.test_case "well-formedness rejects names not kept apart" `Quick
       test_wellformed_rejects_names_not_apart;
+    Alcotest.test_case "duplicate global from a pass rejected" `Quick
+      test_duplicate_global_rejected;
   ]
