@@ -1,9 +1,7 @@
 open Cfront
 
-(* Library facade: mode detection and the interval instantiation of the
-   thread-modular engine. *)
+(* Library facade: mode detection and the thread-modular engine. *)
 
-module Domain_sig = Domain_sig
 module Itv = Itv
 module Aval = Aval
 module Oblig = Oblig
@@ -11,19 +9,16 @@ module Engine = Engine
 module Report = Report
 module Sharpen = Sharpen
 
-module Interval_engine = Engine.Make (Itv)
-
-(* A program is analyzed under RCCE semantics when it defines the
-   [RCCE_APP] entry point (the shape [lib/translate] emits); everything
-   else is treated as a Pthread program. *)
+(* A program is analyzed under RCCE semantics when its entry point is
+   [RCCE_APP] (the shape [lib/translate] emits); everything else is
+   treated as a Pthread program. *)
 let detect_mode (program : Ast.program) =
-  if Ast.find_function program "RCCE_APP" <> None then Oblig.Rcce
-  else Oblig.Pthread
+  if Ast.entry_name program = "RCCE_APP" then Oblig.Rcce else Oblig.Pthread
 
 (* Over one generation's symbol table and CFGs, the session's facts. *)
 let analyze ?(interference = true) ~ncores symtab cfgs =
   let mode = detect_mode (Ir.Symtab.program symtab) in
-  Interval_engine.run { Engine.mode; ncores; interference } symtab cfgs
+  Engine.run { Engine.mode; ncores; interference } symtab cfgs
 
 (* Re-exported report helpers, so consumers need only [Absint]. *)
 let diags_of = Report.diags_of

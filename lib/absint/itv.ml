@@ -4,8 +4,6 @@ type bound = Ninf | Fin of int | Pinf
 
 type t = Bot | Itv of bound * bound
 
-let name = "interval"
-
 let bottom = Bot
 let top = Itv (Ninf, Pinf)
 
@@ -59,12 +57,6 @@ let mul_b a b =
 let mk lo hi = if bcmp lo hi > 0 then Bot else Itv (lo, hi)
 
 let equal a b = a = b
-
-let leq a b =
-  match (a, b) with
-  | Bot, _ -> true
-  | _, Bot -> false
-  | Itv (l1, h1), Itv (l2, h2) -> bcmp l2 l1 <= 0 && bcmp h1 h2 <= 0
 
 let join a b =
   match (a, b) with

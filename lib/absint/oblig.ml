@@ -1,10 +1,8 @@
 open Cfront
 
-(* Proof obligations and the domain-neutral analysis summary.
-
-   The engine renders intervals to strings before they leave the functor,
-   so sessions, reports and tests handle one concrete type regardless of
-   the numeric domain in use. *)
+(* Proof obligations and the analysis summary.  The engine renders
+   intervals to strings, so sessions, reports and tests handle plain
+   data. *)
 
 type status =
   | Proved
@@ -39,14 +37,12 @@ type extent = Main_only | Single_thread of string | Mixed
 type gfact = {
   gf_name : string;
   gf_extent : extent;
-  gf_interval : string;       (** joined thread extent at access sites *)
   gf_single_instance : bool;  (** the extent interval is a singleton *)
   gf_addr_taken : bool;
 }
 
 type summary = {
   s_mode : mode;
-  s_domain : string;
   s_obligations : t list;    (** sorted by location *)
   s_spawns : spawn_fact list;
   s_gfacts : gfact list;
@@ -68,9 +64,6 @@ let is_proved o = o.o_status = Proved
 let all_proved s = List.for_all is_proved s.s_obligations
 
 let unproved s = List.filter (fun o -> not (is_proved o)) s.s_obligations
-
-let shmalloc_obligations s =
-  List.filter (fun o -> o.o_alloc = Some "RCCE_shmalloc") s.s_obligations
 
 let compare_site a b =
   let c = compare a.o_loc.Srcloc.line b.o_loc.Srcloc.line in

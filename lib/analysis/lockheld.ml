@@ -106,8 +106,3 @@ let held_before t id =
   match t.result.Flow.in_facts.(id) with
   | All -> Ir.Var_id.Set.empty   (* unreachable node: nothing to protect *)
   | Held s -> s
-
-let held_after t id =
-  match t.result.Flow.out_facts.(id) with
-  | All -> Ir.Var_id.Set.empty
-  | Held s -> s

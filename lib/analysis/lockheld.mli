@@ -21,8 +21,6 @@ val held_before : t -> int -> Ir.Var_id.Set.t
 (** Locks held on every path before node [id] executes (empty for
     unreachable nodes). *)
 
-val held_after : t -> int -> Ir.Var_id.Set.t
-
 val mutex_of_arg :
   Ir.Symtab.t -> func:string option -> Ast.expr -> Ir.Var_id.t option
 (** Base variable of a mutex argument ([&m], [m], [mutexes[i]]). *)

@@ -85,6 +85,7 @@ let region_store_set rs offset v =
 (* State shared by every task of one simulated run. *)
 type shared = {
   resolved : Resolve.t;
+  entry : string;                           (* entry function's name *)
   eng : Scc.Engine.t;
   shared_store : region_store;
   private_stores : region_store array;      (* per core *)
@@ -960,6 +961,7 @@ let make_shared ?cfg ?(strict = true) ?trace ?profile ?critpath ~detect_races
   in
   {
     resolved;
+    entry = Ast.entry_name program;
     eng;
     shared_store = region_store_create ();
     private_stores = Array.init n (fun _ -> region_store_create ());
@@ -998,15 +1000,9 @@ type result = {
 
 (* Index of the program's entry function in [rp_funcs]. *)
 let entry_function sh =
-  let rp = sh.resolved in
-  let find name = Hashtbl.find_opt rp.Resolve.rp_fn_index name in
-  match find "RCCE_APP" with
+  match Hashtbl.find_opt sh.resolved.Resolve.rp_fn_index sh.entry with
   | Some i -> i
-  | None -> begin
-      match find "main" with
-      | Some i -> i
-      | None -> runtime_error "program has neither RCCE_APP nor main"
-    end
+  | None -> runtime_error "program has neither RCCE_APP nor main"
 
 (* Run the entry function in a fresh task for one process. *)
 let run_entry sh proc api =

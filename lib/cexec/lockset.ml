@@ -120,9 +120,6 @@ let synchronize t =
 
 let reports t = List.rev t.reports
 
-let racy_locations t =
-  List.sort_uniq compare (List.map (fun r -> r.location) (reports t))
-
 let report_to_string r =
   let where =
     match r.loc with

@@ -38,9 +38,6 @@ val synchronize : t -> unit
 val reports : t -> report list
 (** In detection order. *)
 
-val racy_locations : t -> string list
-(** Distinct locations with at least one race, sorted. *)
-
 val report_to_string : report -> string
 
 val report_to_diag : report -> Diag.t

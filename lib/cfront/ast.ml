@@ -113,6 +113,9 @@ let global_decls prog =
 let find_function prog name =
   List.find_opt (fun f -> String.equal f.f_name name) (functions prog)
 
+let entry_name prog =
+  if find_function prog "RCCE_APP" <> None then "RCCE_APP" else "main"
+
 let unop_to_string = function
   | Neg -> "-" | Not -> "!" | Bnot -> "~" | Deref -> "*" | Addr -> "&"
   | Preinc | Postinc -> "++"

@@ -101,5 +101,9 @@ val functions : program -> func list
 val global_decls : program -> decl list
 val find_function : program -> string -> func option
 
+val entry_name : program -> string
+(** The entry point: ["RCCE_APP"] when the program defines it (the shape
+    a translation has), else ["main"]. *)
+
 val unop_to_string : unop -> string
 val binop_to_string : binop -> string

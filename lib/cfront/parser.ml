@@ -14,7 +14,7 @@ let default_type_names =
 type t = {
   toks : Token.located array;
   mutable pos : int;
-  mutable type_names : string list;
+  type_names : string list;
   includes : string list;
 }
 
@@ -24,10 +24,6 @@ let create ?(type_names = default_type_names) ?file src =
   let src = Preproc.expand ?file src in
   let toks, includes = Lexer.tokenize ?file src in
   { toks = Array.of_list toks; pos = 0; type_names; includes }
-
-let register_type_name t name =
-  if not (List.mem name t.type_names) then
-    t.type_names <- name :: t.type_names
 
 let cur t = t.toks.(t.pos)
 let peek t = (cur t).Token.tok
@@ -505,7 +501,8 @@ let parse_program t =
   { Ast.p_includes = t.includes; p_globals = globals }
 
 let program ?type_names ?file src =
-  Scope.uniquify (parse_program (create ?type_names ?file src))
+  Scope.uniquify
+    (Scope.merge_globals (parse_program (create ?type_names ?file src)))
 
 let expression ?type_names ?file src =
   let t = create ?type_names ?file src in

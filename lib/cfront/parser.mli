@@ -12,14 +12,13 @@ type t
 
 val create : ?type_names:string list -> ?file:string -> string -> t
 
-val register_type_name : t -> string -> unit
-
 val parse_program : t -> Ast.program
 
 val program :
   ?type_names:string list -> ?file:string -> string -> Ast.program
-(** Parse a complete translation unit from a string, with every local
-    named apart ({!Scope.uniquify}). *)
+(** Parse a complete translation unit from a string, with one
+    declaration per file-scope name ({!Scope.merge_globals}) and every
+    local named apart ({!Scope.uniquify}). *)
 
 val expression :
   ?type_names:string list -> ?file:string -> string -> Ast.expr

@@ -258,3 +258,39 @@ let decls fn =
   List.rev !acc
 
 let uniquify p = program (create ~rename:true (globals_of p)) p
+
+let merge_globals (p : Ast.program) =
+  (* each name's declaration as merged so far *)
+  let merged = Hashtbl.create 32 in
+  let repeats = ref false in
+  List.iter
+    (function
+      | Ast.Gvar d -> (
+          match Hashtbl.find_opt merged d.Ast.d_name with
+          | None -> Hashtbl.replace merged d.Ast.d_name d
+          | Some (first : Ast.decl) ->
+              if not (Ctype.equal first.Ast.d_type d.Ast.d_type) then
+                Srcloc.error d.Ast.d_loc "conflicting types for %s"
+                  d.Ast.d_name;
+              repeats := true;
+              if d.Ast.d_init <> None then begin
+                if first.Ast.d_init <> None then
+                  Srcloc.error d.Ast.d_loc "redefinition of %s" d.Ast.d_name;
+                Hashtbl.replace merged d.Ast.d_name
+                  { first with Ast.d_init = d.Ast.d_init }
+              end)
+      | Ast.Gfunc _ | Ast.Gproto _ -> ())
+    p.Ast.p_globals;
+  if not !repeats then p
+  else
+    let placed = Hashtbl.create 32 in
+    let first_only = function
+      | Ast.Gvar d ->
+          if Hashtbl.mem placed d.Ast.d_name then None
+          else begin
+            Hashtbl.replace placed d.Ast.d_name ();
+            Some (Ast.Gvar (Hashtbl.find merged d.Ast.d_name))
+          end
+      | g -> Some g
+    in
+    { p with Ast.p_globals = List.filter_map first_only p.Ast.p_globals }

@@ -11,7 +11,8 @@
 
     {!uniquify} names every local apart, so that one binding per name
     per function, which [Ir.Symtab] and through it every analysis and
-    pass assume, is exact.  [Parser.program] applies it. *)
+    pass assume, is exact.  {!merge_globals} makes one declaration of
+    each file-scope name.  [Parser.program] applies both. *)
 
 val walk :
   ?decl:(Ast.decl -> unit) ->
@@ -37,3 +38,13 @@ val uniquify : Ast.program -> Ast.program
     name its function does not take, with every use it binds.  A program
     that shadows nothing comes back physically unchanged ([==]).
     @raise Srcloc.Error on a duplicate declaration. *)
+
+val merge_globals : Ast.program -> Ast.program
+(** C's rule for a file-scope name declared more than once
+    ([int x; int x;], or a tentative [int x;] before [int x = 3;]): the
+    declarations, of one type, are one object.  They merge into the
+    first, which takes the one initializer among them.  A program that
+    repeats no name comes back physically unchanged ([==]).
+    @raise Srcloc.Error at a repeat that gives a second initializer
+    (["redefinition of x"]) or another type (["conflicting types for
+    x"]). *)

@@ -11,8 +11,6 @@ let make ~file ~line ~col = { file; line; col }
 
 let span a b = { start_pos = a; end_pos = b }
 
-let dummy_span = { start_pos = dummy; end_pos = dummy }
-
 let to_string { file; line; col } = Printf.sprintf "%s:%d:%d" file line col
 
 let pp fmt loc = Format.pp_print_string fmt (to_string loc)
@@ -21,7 +19,3 @@ exception Error of t * string
 
 let error loc fmt =
   Printf.ksprintf (fun msg -> raise (Error (loc, msg))) fmt
-
-let error_message = function
-  | Error (loc, msg) -> Some (Printf.sprintf "%s: %s" (to_string loc) msg)
-  | _ -> None

@@ -13,8 +13,6 @@ val make : file:string -> line:int -> col:int -> t
 
 val span : t -> t -> span
 
-val dummy_span : span
-
 val to_string : t -> string
 (** ["file:line:col"]. *)
 
@@ -25,7 +23,3 @@ exception Error of t * string
 
 val error : t -> ('a, unit, string, 'b) format4 -> 'a
 (** [error loc fmt ...] raises {!Error} with a formatted message. *)
-
-val error_message : exn -> string option
-(** Render an {!Error} as ["file:line:col: message"]; [None] for other
-    exceptions. *)

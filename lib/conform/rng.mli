@@ -11,8 +11,6 @@ type t
 val create : int -> t
 (** A fresh stream seeded from the given integer. *)
 
-val copy : t -> t
-
 val bits64 : t -> int64
 (** The next raw 64-bit word of the stream. *)
 

@@ -1,5 +1,6 @@
-(* Generic forward dataflow solver: worklist iteration to a fixed point
-   over a CFG, visiting nodes in reverse post-order. *)
+(* Forward dataflow solver: reverse post-order sweeps over a CFG to a
+   fixed point, with optional widening at loop heads and branch
+   refinement along condition out-edges. *)
 
 module type DOMAIN = sig
   type t
@@ -19,23 +20,7 @@ module type S = sig
   type result = { in_facts : fact array; out_facts : fact array }
 
   val solve :
-    Cfg.t -> init:fact -> transfer:(Cfg.node -> fact -> fact) -> result
-end
-
-module type WIDEN_DOMAIN = sig
-  include DOMAIN
-
-  val widen : t -> t -> t
-  (** [widen old next] over-approximates [join old next] and guarantees
-      that repeated widening of a growing chain stabilizes. *)
-end
-
-module type BRANCHING = sig
-  type fact
-
-  type result = { in_facts : fact array; out_facts : fact array }
-
-  val solve :
+    ?widen:(fact -> fact -> fact) ->
     ?branch:(Cfg.node -> Cfront.Ast.expr -> bool -> fact -> fact) ->
     Cfg.t ->
     init:fact ->
@@ -48,68 +33,36 @@ module Forward (D : DOMAIN) : S with type fact = D.t = struct
 
   type result = { in_facts : fact array; out_facts : fact array }
 
-  let solve (cfg : Cfg.t) ~init ~transfer =
+  let solve ?widen ?branch (cfg : Cfg.t) ~init ~transfer =
     let n = Cfg.length cfg in
     let in_facts = Array.make n D.bottom in
     let out_facts = Array.make n D.bottom in
     in_facts.(cfg.Cfg.entry) <- init;
     let order = Array.of_list (Cfg.reverse_postorder cfg) in
-    let changed = ref true in
-    (* Reverse post-order sweeps; loops converge in a few passes because
-       the domain joins are monotone. *)
-    while !changed do
-      changed := false;
-      Array.iter
-        (fun id ->
-          let node = Cfg.node cfg id in
-          let input =
-            if id = cfg.Cfg.entry then init
-            else
-              List.fold_left
-                (fun acc p -> D.join acc out_facts.(p))
-                D.bottom node.Cfg.preds
-          in
-          let output = transfer node input in
-          if
-            (not (D.equal input in_facts.(id)))
-            || not (D.equal output out_facts.(id))
-          then begin
-            in_facts.(id) <- input;
-            out_facts.(id) <- output;
-            changed := true
-          end)
-        order
-    done;
-    { in_facts; out_facts }
-end
-
-(* Widening variant for infinite-height domains (intervals).  Differs from
-   [Forward] in two ways: condition nodes may refine the fact flowing along
-   each out-edge according to its branch polarity, and targets of retreating
-   edges (loop heads in reverse post-order) apply [widen] instead of plain
-   [join] so iteration terminates. *)
-module Forward_widen (D : WIDEN_DOMAIN) : BRANCHING with type fact = D.t =
-struct
-  type fact = D.t
-
-  type result = { in_facts : fact array; out_facts : fact array }
-
-  let solve ?branch (cfg : Cfg.t) ~init ~transfer =
-    let n = Cfg.length cfg in
-    let in_facts = Array.make n D.bottom in
-    let out_facts = Array.make n D.bottom in
-    let order = Array.of_list (Cfg.reverse_postorder cfg) in
-    let rpo_index = Array.make n max_int in
-    Array.iteri (fun i id -> rpo_index.(id) <- i) order;
-    let widen_point = Array.make n false in
-    Array.iter
-      (fun (nd : Cfg.node) ->
-        List.iter
-          (fun s ->
-            if rpo_index.(s) <> max_int && rpo_index.(s) <= rpo_index.(nd.Cfg.id)
-            then widen_point.(s) <- true)
-          nd.Cfg.succs)
-      cfg.Cfg.nodes;
+    (* Under [widen], the fact entering a target of a retreating edge (a
+       loop head in reverse post-order) is widened against its previous
+       value instead of replacing it. *)
+    let widen_at =
+      match widen with
+      | None -> fun _ input -> input
+      | Some widen ->
+          let rpo_index = Array.make n max_int in
+          Array.iteri (fun i id -> rpo_index.(id) <- i) order;
+          let loop_head = Array.make n false in
+          Array.iter
+            (fun (nd : Cfg.node) ->
+              List.iter
+                (fun s ->
+                  if rpo_index.(s) <> max_int
+                     && rpo_index.(s) <= rpo_index.(nd.Cfg.id)
+                  then loop_head.(s) <- true)
+                nd.Cfg.succs)
+            cfg.Cfg.nodes;
+          fun id input ->
+            if loop_head.(id) then
+              widen in_facts.(id) (D.join in_facts.(id) input)
+            else input
+    in
     (* Fact carried by the edge [p -> id]: the out-fact of [p], refined by
        the branch outcome when [p] is a condition and a refiner is given. *)
     let edge_fact p id =
@@ -130,7 +83,6 @@ struct
           | _ -> o
         end
     in
-    let visited = Array.make n false in
     let changed = ref true in
     while !changed do
       changed := false;
@@ -144,18 +96,12 @@ struct
                 (fun acc p -> D.join acc (edge_fact p id))
                 D.bottom node.Cfg.preds
           in
-          let input =
-            if widen_point.(id) then
-              D.widen in_facts.(id) (D.join in_facts.(id) input)
-            else input
-          in
+          let input = widen_at id input in
           let output = transfer node input in
           if
-            (not visited.(id))
-            || (not (D.equal input in_facts.(id)))
+            (not (D.equal input in_facts.(id)))
             || not (D.equal output out_facts.(id))
           then begin
-            visited.(id) <- true;
             in_facts.(id) <- input;
             out_facts.(id) <- output;
             changed := true

@@ -1,4 +1,4 @@
-(** Generic forward dataflow solver over a {!Cfg}. *)
+(** Forward dataflow solver over a {!Cfg}. *)
 
 module type DOMAIN = sig
   type t
@@ -20,37 +20,20 @@ module type S = sig
   (** Facts indexed by {!Cfg.node} id, before and after each node. *)
 
   val solve :
-    Cfg.t -> init:fact -> transfer:(Cfg.node -> fact -> fact) -> result
-  (** Worklist iteration to a fixed point; [init] is the entry fact. *)
-end
-
-module Forward (D : DOMAIN) : S with type fact = D.t
-
-module type WIDEN_DOMAIN = sig
-  include DOMAIN
-
-  val widen : t -> t -> t
-  (** [widen old next] over-approximates [join old next] and guarantees
-      that repeated widening of a growing chain stabilizes. *)
-end
-
-module type BRANCHING = sig
-  type fact
-
-  type result = { in_facts : fact array; out_facts : fact array }
-
-  val solve :
+    ?widen:(fact -> fact -> fact) ->
     ?branch:(Cfg.node -> Cfront.Ast.expr -> bool -> fact -> fact) ->
     Cfg.t ->
     init:fact ->
     transfer:(Cfg.node -> fact -> fact) ->
     result
-  (** Like {!S.solve}, plus: [branch node cond outcome fact] refines the
-      fact flowing along a condition out-edge of known polarity (consulted
-      via {!Cfg.edge_polarity}), and facts entering targets of retreating
-      edges are widened so infinite-height domains terminate. *)
+  (** Reverse post-order sweeps to a fixed point; [init] is the entry
+      fact.  [widen old next] over-approximates [join old next], and
+      repeated widening of a growing chain must stabilize: given, the
+      facts entering targets of retreating edges (loop heads) are widened,
+      so infinite-height domains such as intervals terminate.
+      [branch node cond outcome fact] refines the fact flowing along a
+      condition out-edge of known polarity (consulted via
+      {!Cfg.edge_polarity}). *)
 end
 
-module Forward_widen (D : WIDEN_DOMAIN) : BRANCHING with type fact = D.t
-(** Widening forward solver for abstract-interpretation domains such as
-    intervals: plain [join] at acyclic merges, [widen] at loop heads. *)
+module Forward (D : DOMAIN) : S with type fact = D.t

@@ -1,16 +1,9 @@
 (* Shared observability core (see obs.mli).
 
-   Instruments never read a clock themselves: timestamps are integers in
-   an explicit unit handed in by the owner, which is what lets the
-   simulator feed deterministic picoseconds through the exact same
-   counters and spans the compiler feeds wall-clock nanoseconds. *)
-
-type time_unit = Picoseconds | Nanoseconds
-
-let us_of unit t =
-  match unit with
-  | Picoseconds -> float_of_int t /. 1e6
-  | Nanoseconds -> float_of_int t /. 1e3
+   Instruments never read a clock themselves: timestamps are integers
+   handed in by the owner, which is what lets the simulator feed
+   deterministic picoseconds through the same counters and trace events
+   the compiler feeds wall-clock nanoseconds. *)
 
 let wall_clock_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 
@@ -141,7 +134,7 @@ let render_table rows =
         rows;
       Buffer.contents buf
 
-(* --- registry and sinks ----------------------------------------------------- *)
+(* --- registry ------------------------------------------------------------- *)
 
 module Registry = struct
   type item = C of Counter.t | H of Histogram.t
@@ -258,63 +251,6 @@ module Registry = struct
           members)
       (List.rev !fam_order);
     Buffer.contents buf
-
-  let to_jsonl t =
-    let buf = Buffer.create 1024 in
-    List.iter
-      (fun item ->
-        (match item with
-        | C c ->
-            let labels =
-              match Counter.labels c with
-              | [] -> ""
-              | ls ->
-                  Printf.sprintf {|,"labels":{%s}|}
-                    (String.concat ","
-                       (List.map
-                          (fun (k, v) ->
-                            Printf.sprintf {|"%s":"%s"|} (json_escape k)
-                              (json_escape v))
-                          ls))
-            in
-            Buffer.add_string buf
-              (Printf.sprintf
-                 {|{"type":"counter","name":"%s"%s,"value":%d}|}
-                 (json_escape (Counter.name c))
-                 labels (Counter.value c))
-        | H h ->
-            let bounds = Histogram.bounds h in
-            let counts = Histogram.bucket_counts h in
-            Buffer.add_string buf
-              (Printf.sprintf
-                 {|{"type":"histogram","name":"%s","sum":%d,"count":%d,"bounds":[%s],"counts":[%s]}|}
-                 (json_escape (Histogram.name h))
-                 (Histogram.sum h) (Histogram.count h)
-                 (String.concat ","
-                    (Array.to_list (Array.map string_of_int bounds)))
-                 (String.concat ","
-                    (Array.to_list (Array.map string_of_int counts)))));
-        Buffer.add_char buf '\n')
-      (items t);
-    Buffer.contents buf
-
-  let to_table t =
-    let rows =
-      List.map
-        (fun item ->
-          match item with
-          | C c ->
-              [ Counter.name c ^ Counter.label_string c;
-                "counter";
-                string_of_int (Counter.value c) ]
-          | H h ->
-              [ Histogram.name h;
-                "histogram";
-                Printf.sprintf "count=%d sum=%d" (Histogram.count h)
-                  (Histogram.sum h) ])
-        (items t)
-    in
-    render_table ([ "name"; "kind"; "value" ] :: rows)
 end
 
 (* --- Chrome trace events ------------------------------------------------------ *)
@@ -461,15 +397,12 @@ type span = {
 
 module Spans = struct
   type t = {
-    unit_ : time_unit;
     epoch : int;
     mutable spans : span list;   (* reverse recording order *)
     mutable count : int;
   }
 
-  let create ?(epoch = 0) unit_ = { unit_; epoch; spans = []; count = 0 }
-
-  let time_unit t = t.unit_
+  let create ?(epoch = 0) () = { epoch; spans = []; count = 0 }
 
   let record t ~name ?(cat = "") ?(args = []) ~pid ~tid ~start ~dur () =
     t.spans <-
@@ -498,8 +431,8 @@ module Spans = struct
             cat = s.sp_cat;
             pid = s.sp_pid;
             tid = s.sp_tid;
-            ts_us = us_of t.unit_ s.sp_start;
-            dur_us = us_of t.unit_ s.sp_dur;
+            ts_us = float_of_int s.sp_start /. 1e3;
+            dur_us = float_of_int s.sp_dur /. 1e3;
             args = s.sp_args;
           })
       (spans t)

@@ -1,22 +1,15 @@
 (** Shared observability core: monotonic counters, fixed-bucket
-    histograms, and nestable spans over an {e explicit} time source —
-    simulated picoseconds in the engine, wall-clock nanoseconds in the
-    compiler — with pluggable sinks (human table, JSON-lines, Chrome
-    trace, Prometheus-style text exposition).
+    histograms, Chrome trace events and the compiler's wall-clock spans,
+    with a Prometheus-style text exposition and a fixed-column table
+    renderer.
 
-    Nothing here reads a clock on its own: every instrument is fed
-    integer timestamps by its owner, so the same code serves both the
+    Nothing here reads a clock on its own: every timestamp is an integer
+    handed in by its owner, so the same code serves both the
     deterministic simulator (where "time" is the DES clock) and the
     compiler (where it is [wall_clock_ns]). *)
 
-type time_unit = Picoseconds | Nanoseconds
-
-val us_of : time_unit -> int -> float
-(** Convert a raw timestamp to the microseconds the Chrome trace format
-    expects. *)
-
 val wall_clock_ns : unit -> int
-(** Wall-clock time in integer nanoseconds (for [Nanoseconds] spans). *)
+(** Wall-clock time in integer nanoseconds (the unit of {!Spans}). *)
 
 val json_escape : string -> string
 
@@ -60,7 +53,7 @@ module Histogram : sig
       entry being the +Inf overflow bucket. *)
 end
 
-(** {1 Registry and sinks} *)
+(** {1 Registry} *)
 
 module Registry : sig
   type t
@@ -83,12 +76,6 @@ module Registry : sig
       cumulative [le] buckets, [_sum] and [_count] series).  Labelled
       counters sharing a family name are grouped under a single
       [# HELP] / [# TYPE] header, one [name{k="v"} value] line each. *)
-
-  val to_jsonl : t -> string
-  (** One JSON object per line, one line per instrument. *)
-
-  val to_table : t -> string
-  (** Fixed-column human table. *)
 end
 
 (** {1 Chrome trace events}
@@ -150,7 +137,7 @@ type span = {
   sp_cat : string;
   sp_pid : int;
   sp_tid : int;
-  sp_start : int;  (** in the owner's [time_unit], relative to the epoch *)
+  sp_start : int;  (** wall-clock nanoseconds, relative to the epoch *)
   sp_dur : int;
   sp_args : (string * string) list;
 }
@@ -158,11 +145,9 @@ type span = {
 module Spans : sig
   type t
 
-  val create : ?epoch:int -> time_unit -> t
+  val create : ?epoch:int -> unit -> t
   (** [epoch] is subtracted from every recorded start, anchoring
       wall-clock spans to the start of the run instead of 1970. *)
-
-  val time_unit : t -> time_unit
 
   val record :
     t ->

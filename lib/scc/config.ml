@@ -90,8 +90,6 @@ let mesh_cycles_ps t n = n * ps_per_cycle t.mesh_freq_mhz
 
 let dram_cycles_ps t n = n * ps_per_cycle t.dram_freq_mhz
 
-let ps_to_core_cycles t ps = ps / ps_per_cycle t.core_freq_mhz
-
 (* The paper's Table 6.1, as rendered rows. *)
 let table_6_1 t ~rcce_cores ~pthread_threads =
   [

@@ -47,7 +47,6 @@ val ps_per_cycle : int -> int
 val core_cycles_ps : t -> int -> int
 val mesh_cycles_ps : t -> int -> int
 val dram_cycles_ps : t -> int -> int
-val ps_to_core_cycles : t -> int -> int
 
 val table_6_1 : t -> rcce_cores:int -> pthread_threads:int -> string list list
 (** The paper's Table 6.1 as header and rows. *)

@@ -59,8 +59,6 @@ let category_name = function
   | 8 -> "idle"
   | c -> invalid_arg (Printf.sprintf "Critpath.category_name: %d" c)
 
-let cat_of_kind k = Trace.kind_index k
-
 (* --- state ----------------------------------------------------------------- *)
 
 (* A stored event is 3 ints in its context's lane: the packed word, the
@@ -332,9 +330,6 @@ let wall_ps t = t.wall_ps
 
 let account t ~ctx ~cat =
   if ctx < t.n_ctx then t.acct.(ctx).(cat) else 0
-
-let account_events t ~ctx ~cat =
-  if ctx < t.n_ctx then t.acct_n.(ctx).(cat) else 0
 
 let account_totals t =
   let acc = Array.make n_categories 0 in

@@ -65,7 +65,6 @@ val cat_idle : int
     the wall — the padding that makes the identity total. *)
 
 val category_name : int -> string
-val cat_of_kind : Trace.kind -> int
 
 (** {1 Recording (engine side)} *)
 
@@ -113,7 +112,6 @@ val dropped : t -> int
 val n_ctxs : t -> int
 val wall_ps : t -> int
 val account : t -> ctx:int -> cat:int -> int
-val account_events : t -> ctx:int -> cat:int -> int
 val account_totals : t -> int array
 (** Picoseconds per category, summed over contexts; length
     {!n_categories}. *)

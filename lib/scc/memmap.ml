@@ -120,10 +120,6 @@ let extent t addr =
     | 1 -> t.shared_off
     | _ -> t.mpb_off.(core)
 
-let mpb_used t core = t.mpb_off.(core)
-
-let shared_used t = t.shared_off
-
 (* Allocate shared space striped across the MPB slices of [cores]: chunk i
    goes to core (i mod n).  Returns the per-chunk base addresses.  This is
    how an array larger than one slice still lands on chip. *)

@@ -44,6 +44,3 @@ val extent : t -> int -> int
 (** [extent t addr]: one past the highest allocated byte offset of the
     region [addr] decodes to (the region's line-aligned bump offset), or
     0 when it names no region of this chip (see {!on_chip}). *)
-
-val mpb_used : t -> int -> int
-val shared_used : t -> int

@@ -55,8 +55,6 @@ let total_shared_dram_loads = total (fun c -> c.shared_dram_loads)
 let total_shared_dram_stores = total (fun c -> c.shared_dram_stores)
 let total_mpb_lines = total (fun c -> c.mpb_lines)
 
-let max_finish_ps t = Array.fold_left (fun acc c -> max acc c.finish_ps) 0 t.ctxs
-
 let summary t =
   Printf.sprintf
     "loads=%d stores=%d l1_hits=%d l2_hits=%d private_lines=%d \

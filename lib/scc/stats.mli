@@ -41,7 +41,4 @@ val total_shared_dram_loads : t -> int
 val total_shared_dram_stores : t -> int
 val total_mpb_lines : t -> int
 
-val max_finish_ps : t -> int
-(** Completion time of the slowest context. *)
-
 val summary : t -> string

@@ -100,7 +100,7 @@ let create ?file ?(options = default_options) program =
     gen = 0;
     stats = Hashtbl.create 16;
     stat_order = [];
-    spans = Obs.Spans.create ~epoch:(Obs.wall_clock_ns ()) Obs.Nanoseconds;
+    spans = Obs.Spans.create ~epoch:(Obs.wall_clock_ns ()) ();
     symtab_c = cell ();
     scope_c = cell ();
     threads_c = cell ();
@@ -235,12 +235,6 @@ let access_counts t =
   let (_ : Analysis.Points_to.t) = points_to t in
   demand t t.access_c "access-counts" [ "scope"; "threads"; "points-to" ]
     (fun () -> Analysis.Access_count.run sc th)
-
-let sharing_snapshots t =
-  let _, s1 = scope_snap t in
-  let _, s2 = threads_snap t in
-  let _, s3 = points_to_snap t in
-  (s1, s2, s3)
 
 (* Thread-modular abstract interpretation over the current generation.
    Mode (Pthread vs RCCE) is auto-detected from the program shape, so

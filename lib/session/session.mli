@@ -83,13 +83,6 @@ val points_to : t -> Analysis.Points_to.t
 
 val access_counts : t -> Analysis.Access_count.t
 
-val sharing_snapshots :
-  t ->
-  Analysis.Pipeline.snapshot
-  * Analysis.Pipeline.snapshot
-  * Analysis.Pipeline.snapshot
-(** Sharing status after Stages 1/2/3 — the Table 4.2 columns. *)
-
 val pipeline : t -> Analysis.Pipeline.t
 (** The assembled Stage 1–3 record every downstream consumer takes. *)
 

@@ -50,11 +50,8 @@ type t = {
   rejected : (string * string) list;  (* candidate, reason *)
 }
 
-let entry_name (program : Ast.program) =
-  if Ast.find_function program "RCCE_APP" <> None then "RCCE_APP" else "main"
-
 let entry_body program =
-  match Ast.find_function program (entry_name program) with
+  match Ast.find_function program (Ast.entry_name program) with
   | Some fn -> fn.Ast.f_body
   | None -> []
 
@@ -96,7 +93,7 @@ let stmt_calls_defined defined (s : Ast.stmt) =
   !found
 
 let insertion_point program =
-  let entry = entry_name program in
+  let entry = Ast.entry_name program in
   let defined =
     List.filter_map
       (fun (fn : Ast.func) ->
@@ -189,7 +186,7 @@ let stmt_writes v s =
 (* All writes land in the entry function, at top-level indices before
    the insertion point. *)
 let read_only_after_prefix program ~insert_at v =
-  let entry = entry_name program in
+  let entry = Ast.entry_name program in
   let ok_in_entry =
     List.for_all
       (fun (i, s) -> (not (stmt_writes v s)) || i < insert_at)
@@ -269,7 +266,7 @@ let select_mpb ~ncores ~existing candidates =
 (* --- the plan --------------------------------------------------------------- *)
 
 let build ~ncores ~(access : Analysis.Access_count.t) (program : Ast.program) =
-  let entry = entry_name program in
+  let entry = Ast.entry_name program in
   let allocs = discover_allocs program in
   let insert_at = insertion_point program in
   let escaped =
@@ -320,9 +317,6 @@ let build ~ncores ~(access : Analysis.Access_count.t) (program : Ast.program) =
     | Some existing -> select_mpb ~ncores ~existing candidates
   in
   { entry; insert_at; allocs; escaped; read_only; mpb; rejected }
-
-let find_alloc t name =
-  List.find_opt (fun a -> String.equal a.sa_name name) t.allocs
 
 let summary t =
   Printf.sprintf

@@ -41,13 +41,8 @@ type t = {
   rejected : (string * string) list;
 }
 
-val entry_name : Ast.program -> string
-(** ["RCCE_APP"] when defined, else ["main"]. *)
-
 val build :
   ncores:int -> access:Analysis.Access_count.t -> Ast.program -> t
-
-val find_alloc : t -> string -> shared_alloc option
 
 val summary : t -> string
 (** One-line rendering, for notes and tests. *)

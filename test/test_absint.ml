@@ -405,6 +405,31 @@ let test_sharpen_translation_agrees () =
       Alcotest.failf "sharpened translation diverges: %s"
         (Conform.Oracle.failure_to_string f)
 
+(* --- addresses made from numbers ----------------------------------------- *)
+
+(* A pointer made from an integer names no block.  Dereferencing it
+   must leave an unproved obligation, as an unknown base does; a null
+   pointer is the runtime's to report. *)
+let test_address_from_number_unproved () =
+  let s =
+    analyze
+      {|int main(int argc, char **argv) {
+          int *p = (int *) 2000000000;
+          int *q = 0;
+          *p = 1;
+          if (argc > 5) {
+            *q = 2;
+          }
+          return 0;
+        }|}
+  in
+  (match the_status s "*p" with
+  | Absint.Oblig.Unproved reason ->
+      Alcotest.(check string) "reason" "base address unknown" reason
+  | _ -> Alcotest.fail "*p through an integer address must stay unproved");
+  Alcotest.(check int) "no obligation through a null pointer" 0
+    (List.length (obligations_for s "*q"))
+
 let suite =
   [
     Alcotest.test_case "interval domain operations" `Quick test_itv_ops;
@@ -430,4 +455,6 @@ let suite =
       test_without_sharpen_nothing_moves;
     Alcotest.test_case "sharpened translation agrees with the baseline"
       `Quick test_sharpen_translation_agrees;
+    Alcotest.test_case "dereference of an integer address unproved" `Quick
+      test_address_from_number_unproved;
   ]

@@ -170,6 +170,62 @@ let test_dataflow_conflicting_branches () =
   Alcotest.(check bool) "conflicting constants join to Top" true
     (result.Const_flow.in_facts.(cfg.Ir.Cfg.exit) = Const_domain.Top)
 
+(* Widening at loop heads, over a counter whose chains are finite but
+   long (capped at 1 000), so the solver terminates either way: plain
+   sweeps climb to the cap one increment at a time, and [~widen] jumps
+   the loop head to the top. *)
+module Count_domain = struct
+  type t = Unreached | Upto of int | Any
+
+  let bottom = Unreached
+  let equal = ( = )
+
+  let join a b =
+    match a, b with
+    | Unreached, x | x, Unreached -> x
+    | Any, _ | _, Any -> Any
+    | Upto a, Upto b -> Upto (Int.max a b)
+
+  let widen old next =
+    match old with
+    | Unreached -> next
+    | _ -> if equal old next then old else Any
+end
+
+module Count_flow = Ir.Dataflow.Forward (Count_domain)
+
+let test_dataflow_widening () =
+  let cfg =
+    cfg_of "int f(int c) { int i; i = 0; while (c) { i = i + 1; } return i; }"
+  in
+  let transfer (node : Ir.Cfg.node) fact =
+    match node.Ir.Cfg.kind with
+    | Ir.Cfg.Statement
+        { Ast.s_desc = Ast.Sexpr (Ast.Assign (None, Ast.Var "i", rhs)); _ } ->
+        begin match rhs, fact with
+        | Ast.Int_lit 0, _ -> Count_domain.Upto 0
+        | _, Count_domain.Upto n -> Count_domain.Upto (Int.min (n + 1) 1_000)
+        | _, f -> f
+        end
+    | _ -> fact
+  in
+  let head =
+    Array.to_list cfg.Ir.Cfg.nodes
+    |> List.find (fun n ->
+           match n.Ir.Cfg.kind with
+           | Ir.Cfg.Condition _ -> true
+           | _ -> false)
+  in
+  let at_head result = result.Count_flow.in_facts.(head.Ir.Cfg.id) in
+  Alcotest.(check bool) "widened loop head reads the top" true
+    (at_head
+       (Count_flow.solve ~widen:Count_domain.widen cfg
+          ~init:Count_domain.Any ~transfer)
+    = Count_domain.Any);
+  Alcotest.(check bool) "plain sweeps reach the exact cap" true
+    (at_head (Count_flow.solve cfg ~init:Count_domain.Any ~transfer)
+    = Count_domain.Upto 1_000)
+
 let test_var_id () =
   Alcotest.(check string) "global" "g" (Ir.Var_id.to_string (Ir.Var_id.global "g"));
   Alcotest.(check string) "local" "x@f"
@@ -195,4 +251,6 @@ let suite =
     Alcotest.test_case "dataflow conflict" `Quick
       test_dataflow_conflicting_branches;
     Alcotest.test_case "var ids" `Quick test_var_id;
+    Alcotest.test_case "dataflow widening at loop heads" `Quick
+      test_dataflow_widening;
   ]

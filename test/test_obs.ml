@@ -72,20 +72,6 @@ let test_prometheus_golden () =
      h_count 3\n"
     (Obs.Registry.to_prometheus (golden_registry ()))
 
-let test_jsonl_golden () =
-  Alcotest.(check string) "json lines"
-    ({|{"type":"counter","name":"a_total","value":3}|} ^ "\n"
-    ^ {|{"type":"histogram","name":"h","sum":555,"count":3,"bounds":[10,100],"counts":[1,1,1]}|}
-    ^ "\n")
-    (Obs.Registry.to_jsonl (golden_registry ()))
-
-let test_table_golden () =
-  Alcotest.(check string) "table"
-    "name     kind       value\n\
-     a_total  counter    3\n\
-     h        histogram  count=3 sum=555\n"
-    (Obs.Registry.to_table (golden_registry ()))
-
 (* --- json escaping -------------------------------------------------------- *)
 
 let test_json_escape () =
@@ -170,7 +156,7 @@ let test_write_merge_overwrites_garbage () =
 (* --- spans ----------------------------------------------------------------- *)
 
 let test_spans_epoch_rebase () =
-  let sp = Obs.Spans.create ~epoch:1_000 Obs.Nanoseconds in
+  let sp = Obs.Spans.create ~epoch:1_000 () in
   Obs.Spans.record sp ~name:"p" ~cat:"fact" ~pid:1 ~tid:0 ~start:2_000
     ~dur:500 ();
   Obs.Spans.record sp ~name:"q" ~pid:1 ~tid:0 ~start:3_000 ~dur:(-4) ();
@@ -185,10 +171,6 @@ let test_spans_epoch_rebase () =
           Alcotest.(check (float 1e-9)) "dur ns -> us" 0.5 c.dur_us
       | _ -> Alcotest.fail "expected a complete event")
   | _ -> Alcotest.fail "expected two spans in order"
-
-let test_us_of () =
-  Alcotest.(check (float 1e-9)) "ps" 2.5 (Obs.us_of Obs.Picoseconds 2_500_000);
-  Alcotest.(check (float 1e-9)) "ns" 1.5 (Obs.us_of Obs.Nanoseconds 1_500)
 
 let test_render_table () =
   Alcotest.(check string) "alignment"
@@ -281,8 +263,6 @@ let suite =
     Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets;
     Alcotest.test_case "histogram bad bounds" `Quick test_histogram_bad_bounds;
     Alcotest.test_case "prometheus golden" `Quick test_prometheus_golden;
-    Alcotest.test_case "jsonl golden" `Quick test_jsonl_golden;
-    Alcotest.test_case "table golden" `Quick test_table_golden;
     Alcotest.test_case "json escape" `Quick test_json_escape;
     Alcotest.test_case "chrome complete golden" `Quick
       test_chrome_complete_golden;
@@ -292,7 +272,6 @@ let suite =
     Alcotest.test_case "write_merge overwrites garbage" `Quick
       test_write_merge_overwrites_garbage;
     Alcotest.test_case "spans epoch rebase" `Quick test_spans_epoch_rebase;
-    Alcotest.test_case "us_of" `Quick test_us_of;
     Alcotest.test_case "render_table" `Quick test_render_table;
     Alcotest.test_case "labelled counters" `Quick test_labelled_counters;
     Alcotest.test_case "label_string sorted" `Quick test_label_string_sorted;
