@@ -51,14 +51,7 @@ module Site = Map.Make (struct
   type t = Srcloc.t * string
 
   let compare ((a : Srcloc.t), f) ((b : Srcloc.t), g) =
-    let c = Int.compare a.line b.line in
-    if c <> 0 then c
-    else
-      let c = Int.compare a.col b.col in
-      if c <> 0 then c
-      else
-        let c = String.compare a.file b.file in
-        if c <> 0 then c else String.compare f g
+    compare (a.line, a.col, a.file, f) (b.line, b.col, b.file, g)
 end)
 
 type iextent = Emain | Ethread of string * Itv.t | Emixed
@@ -225,8 +218,8 @@ let record_oblig st ~kind ~path (base : Aval.t) (idx : Itv.t) =
     match base.ptr with
     | Aval.Pbot when Itv.is_bottom (Itv.filter_nonzero base.num) -> ()
     | Aval.Pbot | Aval.Ptop ->
-        (* no block: unknown, or an address made from a number that may
-           be nonzero; a null base is left to the runtime *)
+        (* no block: an unknown base, or an address made from a number
+           that may be nonzero (a null or unreached base raises none) *)
         mk (Oblig.Unproved "base address unknown") [] None None
     | Aval.Pblocks bs when VSet.is_empty bs -> ()
     | Aval.Pblocks bs ->
