@@ -83,6 +83,10 @@ module Forward (D : DOMAIN) : S with type fact = D.t = struct
           | _ -> o
         end
     in
+    let rec join_edges id acc = function
+      | [] -> acc
+      | p :: preds -> join_edges id (D.join acc (edge_fact p id)) preds
+    in
     let changed = ref true in
     while !changed do
       changed := false;
@@ -91,10 +95,7 @@ module Forward (D : DOMAIN) : S with type fact = D.t = struct
           let node = Cfg.node cfg id in
           let input =
             if id = cfg.Cfg.entry then init
-            else
-              List.fold_left
-                (fun acc p -> D.join acc (edge_fact p id))
-                D.bottom node.Cfg.preds
+            else join_edges id D.bottom node.Cfg.preds
           in
           let input = widen_at id input in
           let output = transfer node input in
