@@ -259,16 +259,22 @@ let decls fn =
 
 let uniquify p = program (create ~rename:true (globals_of p)) p
 
+(* One declaration per file-scope name, with the one initializer among
+   its repeats.  It sits where the first declaration was, unless its
+   initializer names a variable declared after that: then where the
+   initializer was, so that the variable is set up first. *)
 let merge_globals (p : Ast.program) =
-  (* each name's declaration as merged so far *)
+  (* per name: the declaration as merged so far, and the positions of
+     its first declaration and of the one with the initializer *)
   let merged = Hashtbl.create 32 in
   let repeats = ref false in
-  List.iter
-    (function
+  List.iteri
+    (fun i g ->
+      match g with
       | Ast.Gvar d -> (
           match Hashtbl.find_opt merged d.Ast.d_name with
-          | None -> Hashtbl.replace merged d.Ast.d_name d
-          | Some (first : Ast.decl) ->
+          | None -> Hashtbl.replace merged d.Ast.d_name (d, i, i)
+          | Some ((first : Ast.decl), at, _) ->
               if not (Ctype.equal first.Ast.d_type d.Ast.d_type) then
                 Srcloc.error d.Ast.d_loc "conflicting types for %s"
                   d.Ast.d_name;
@@ -277,20 +283,30 @@ let merge_globals (p : Ast.program) =
                 if first.Ast.d_init <> None then
                   Srcloc.error d.Ast.d_loc "redefinition of %s" d.Ast.d_name;
                 Hashtbl.replace merged d.Ast.d_name
-                  { first with Ast.d_init = d.Ast.d_init }
+                  ({ first with Ast.d_init = d.Ast.d_init }, at, i)
               end)
       | Ast.Gfunc _ | Ast.Gproto _ -> ())
     p.Ast.p_globals;
   if not !repeats then p
   else
-    let placed = Hashtbl.create 32 in
-    let first_only = function
+    let position (d, at, init_at) =
+      let later = ref false in
+      List.iter
+        (Visit.iter_expr (function
+          | Ast.Var n -> (
+              match Hashtbl.find_opt merged n with
+              | Some (_, first, _) when first > at -> later := true
+              | _ -> ())
+          | _ -> ()))
+        (Visit.exprs_of_decl d);
+      if !later then init_at else at
+    in
+    let place i = function
       | Ast.Gvar d ->
-          if Hashtbl.mem placed d.Ast.d_name then None
-          else begin
-            Hashtbl.replace placed d.Ast.d_name ();
-            Some (Ast.Gvar (Hashtbl.find merged d.Ast.d_name))
-          end
+          let ((m, _, _) as entry) = Hashtbl.find merged d.Ast.d_name in
+          if position entry = i then Some (Ast.Gvar m) else None
       | g -> Some g
     in
-    { p with Ast.p_globals = List.filter_map first_only p.Ast.p_globals }
+    { p with
+      Ast.p_globals = List.filter_map Fun.id (List.mapi place p.Ast.p_globals)
+    }

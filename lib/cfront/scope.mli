@@ -42,9 +42,11 @@ val uniquify : Ast.program -> Ast.program
 val merge_globals : Ast.program -> Ast.program
 (** C's rule for a file-scope name declared more than once
     ([int x; int x;], or a tentative [int x;] before [int x = 3;]): the
-    declarations, of one type, are one object.  They merge into the
-    first, which takes the one initializer among them.  A program that
-    repeats no name comes back physically unchanged ([==]).
+    declarations, of one type, are one object, with the one initializer
+    among them.  It takes the place of the first declaration, or of the
+    one with the initializer when that names a variable declared after
+    the first ([int *p; int y; int *p = &y;]).  A program that repeats
+    no name comes back physically unchanged ([==]).
     @raise Srcloc.Error at a repeat that gives a second initializer
     (["redefinition of x"]) or another type (["conflicting types for
     x"]). *)

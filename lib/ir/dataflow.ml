@@ -42,10 +42,10 @@ module Forward (D : DOMAIN) : S with type fact = D.t = struct
     (* Under [widen], the fact entering a target of a retreating edge (a
        loop head in reverse post-order) is widened against its previous
        value instead of replacing it. *)
-    let widen_at =
+    let loop_head =
       match widen with
-      | None -> fun _ input -> input
-      | Some widen ->
+      | None -> [||]
+      | Some _ ->
           let rpo_index = Array.make n max_int in
           Array.iteri (fun i id -> rpo_index.(id) <- i) order;
           let loop_head = Array.make n false in
@@ -58,10 +58,7 @@ module Forward (D : DOMAIN) : S with type fact = D.t = struct
                   then loop_head.(s) <- true)
                 nd.Cfg.succs)
             cfg.Cfg.nodes;
-          fun id input ->
-            if loop_head.(id) then
-              widen in_facts.(id) (D.join in_facts.(id) input)
-            else input
+          loop_head
     in
     (* Fact carried by the edge [p -> id]: the out-fact of [p], refined by
        the branch outcome when [p] is a condition and a refiner is given. *)
@@ -97,7 +94,12 @@ module Forward (D : DOMAIN) : S with type fact = D.t = struct
             if id = cfg.Cfg.entry then init
             else join_edges id D.bottom node.Cfg.preds
           in
-          let input = widen_at id input in
+          let input =
+            match widen with
+            | Some widen when loop_head.(id) ->
+                widen in_facts.(id) (D.join in_facts.(id) input)
+            | _ -> input
+          in
           let output = transfer node input in
           if
             (not (D.equal input in_facts.(id)))

@@ -27,13 +27,17 @@ module type S = sig
     transfer:(Cfg.node -> fact -> fact) ->
     result
   (** Reverse post-order sweeps to a fixed point; [init] is the entry
-      fact.  [widen old next] over-approximates [join old next], and
-      repeated widening of a growing chain must stabilize: given, the
-      facts entering targets of retreating edges (loop heads) are widened,
-      so infinite-height domains such as intervals terminate.
-      [branch node cond outcome fact] refines the fact flowing along a
-      condition out-edge of known polarity (consulted via
-      {!Cfg.edge_polarity}). *)
+      fact.  With neither option, a node's input is the join of its
+      predecessors' outputs.
+      - [widen old next] over-approximates [join old next], and widening
+        along a growing chain must stabilize.  Given, the input of a
+        target of a retreating edge (a loop head) is widened against its
+        previous value, so infinite-height domains such as intervals
+        terminate.
+      - [branch node cond outcome fact] refines the fact flowing along a
+        condition's out-edge of known polarity ({!Cfg.edge_polarity});
+        an edge of either polarity carries the join of both
+        refinements. *)
 end
 
 module Forward (D : DOMAIN) : S with type fact = D.t

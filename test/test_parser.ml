@@ -298,6 +298,27 @@ let test_uniquify () =
   | exception Srcloc.Error (_, msg) ->
       Alcotest.(check string) "duplicate" "duplicate declaration of a@f" msg
 
+(* Repeated file-scope declarations of one type are one object: it
+   takes the first's place, or the initializer's when that names a
+   variable declared after the first; a program that repeats no name
+   comes back physically unchanged. *)
+let test_merge_globals () =
+  let raw src = Parser.parse_program (Parser.create src) in
+  let check msg src expected =
+    Alcotest.(check string) msg
+      (Pretty.program (raw expected))
+      (Pretty.program (Scope.merge_globals (raw src)))
+  in
+  check "a tentative definition takes the later initializer"
+    "int x;\nint f() { return x; }\nint x = 3;"
+    "int x = 3;\nint f() { return x; }";
+  check "an initializer naming a later variable stays after it"
+    "int *p;\nint y = 5;\nint *p = &y;"
+    "int y = 5;\nint *p = &y;";
+  let once = raw "int x = 1;\nint y;" in
+  Alcotest.(check bool) "no repeat, same program" true
+    (Scope.merge_globals once == once)
+
 let suite =
   [
     Alcotest.test_case "precedence" `Quick test_precedence;
@@ -314,4 +335,6 @@ let suite =
     Alcotest.test_case "dangling else" `Quick test_dangling_else_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_stmt_roundtrip;
     Alcotest.test_case "uniquify names locals apart" `Quick test_uniquify;
+    Alcotest.test_case "repeated file-scope declarations merge" `Quick
+      test_merge_globals;
   ]
