@@ -92,4 +92,3 @@ let env_equal a b =
   | Bot, Bot -> true
   | Bot, _ | _, Bot -> false
   | Env m1, Env m2 -> VMap.equal equal m1 m2
-
