@@ -26,38 +26,11 @@
    What-if estimators replay the accounting under counterfactuals
    (zero mesh latency, zero lock waits, MPB-speed shared DRAM) by
    subtracting the removable picoseconds from each context's finish
-   time; the new wall is the max over contexts.  These are ceilings,
+   time; the new wall is the max over contexts.  The mesh picoseconds
+   and shared-DRAM lines they need are the engine's [Stats], handed to
+   [finalize].  These are ceilings,
    not predictions: removing a wait can re-order a lock queue or shift
    a barrier's last arriver, which the replay ignores. *)
-
-(* --- categories ------------------------------------------------------------ *)
-
-(* 0..5 mirror Trace.kind_index; 6..8 cover the advances the trace does
-   not see, so that every picosecond lands somewhere. *)
-let cat_compute = 0
-let cat_mem_private = 1
-let cat_mem_shared = 2
-let cat_mem_mpb = 3
-let cat_barrier_wait = 4
-let cat_lock_wait = 5
-let cat_sched_wait = 6
-let cat_sync = 7
-let cat_idle = 8
-let n_categories = 9
-
-let () = assert (Trace.n_kinds = 6)
-
-let category_name = function
-  | 0 -> "compute"
-  | 1 -> "mem-private"
-  | 2 -> "mem-shared"
-  | 3 -> "mem-mpb"
-  | 4 -> "barrier-wait"
-  | 5 -> "lock-wait"
-  | 6 -> "sched-wait"
-  | 7 -> "sync"
-  | 8 -> "idle"
-  | c -> invalid_arg (Printf.sprintf "Critpath.category_name: %d" c)
 
 (* --- state ----------------------------------------------------------------- *)
 
@@ -146,12 +119,11 @@ type t = {
   mutable fin : int array;            (* local clock after the last advance *)
   mutable acct : int array array;     (* [ctx].[cat] picoseconds, exact *)
   mutable acct_n : int array array;   (* [ctx].[cat] interval counts *)
-  mutable mesh_ps : int array;        (* mesh-hop ps inside mem intervals *)
-  mutable shared_n : int array;       (* shared-DRAM line transfers *)
   mutable n_ctx : int;
   (* set by finalize *)
   mutable wall_ps : int;
   mutable mpb_line_ps : int;          (* nominal MPB line round trip *)
+  mutable stats : Stats.ctx_stats array;  (* the engine's, per context *)
   mutable finalized : bool;
   (* the critical path, with the count of records ([len + n_dropped])
      it was walked after *)
@@ -169,11 +141,10 @@ let create ?(limit = 1_000_000) () =
     fin = [||];
     acct = [||];
     acct_n = [||];
-    mesh_ps = [||];
-    shared_n = [||];
     n_ctx = 0;
     wall_ps = 0;
     mpb_line_ps = 0;
+    stats = [||];
     finalized = false;
     path = None;
   }
@@ -186,11 +157,10 @@ let reset t =
   t.fin <- f.fin;
   t.acct <- f.acct;
   t.acct_n <- f.acct_n;
-  t.mesh_ps <- f.mesh_ps;
-  t.shared_n <- f.shared_n;
   t.n_ctx <- f.n_ctx;
   t.wall_ps <- f.wall_ps;
   t.mpb_line_ps <- f.mpb_line_ps;
+  t.stats <- f.stats;
   t.finalized <- f.finalized;
   t.path <- f.path
 
@@ -214,8 +184,6 @@ let ensure_ctx t ctx =
     let old = t.n_ctx in
     t.lanes <- grow t.lanes n no_lane;
     t.fin <- grow t.fin n 0;
-    t.mesh_ps <- grow t.mesh_ps n 0;
-    t.shared_n <- grow t.shared_n n 0;
     let cap = Array.length t.acct in
     if n > cap then begin
       let grow_2d a =
@@ -229,8 +197,8 @@ let ensure_ctx t ctx =
     for c = old to n - 1 do
       t.lanes.(c) <- { chunks = [| [||] |]; n = 0; edges = [||]; n_edges = 0 };
       if Array.length t.acct.(c) = 0 then begin
-        t.acct.(c) <- Array.make n_categories 0;
-        t.acct_n.(c) <- Array.make n_categories 0
+        t.acct.(c) <- Array.make Category.count 0;
+        t.acct_n.(c) <- Array.make Category.count 0
       end
     done;
     t.n_ctx <- n
@@ -296,27 +264,18 @@ let last_event t ~ctx =
   if ctx < t.n_ctx && t.lanes.(ctx).n > 0 then handle ~ctx (t.lanes.(ctx).n - 1)
   else -1
 
-let note_mesh t ~ctx ps =
-  if ps > 0 then begin
-    if ctx >= t.n_ctx then ensure_ctx t ctx;
-    t.mesh_ps.(ctx) <- t.mesh_ps.(ctx) + ps
-  end
-
-let note_shared_access t ~ctx =
-  if ctx >= t.n_ctx then ensure_ctx t ctx;
-  t.shared_n.(ctx) <- t.shared_n.(ctx) + 1
-
-let finalize t ~wall_ps ~mpb_line_ps =
+let finalize t ~wall_ps ~mpb_line_ps ~stats =
   if not t.finalized then begin
     t.finalized <- true;
     t.wall_ps <- wall_ps;
     t.mpb_line_ps <- mpb_line_ps;
+    t.stats <- stats;
     (* idle tail: a context that finished before the wall is idle until
        the wall; recording it makes the accounting identity hold with
        no special cases *)
     for ctx = 0 to t.n_ctx - 1 do
       if t.fin.(ctx) < wall_ps then
-        record t ~ctx ~core:(-1) ~cat:cat_idle ~dur:(wall_ps - t.fin.(ctx))
+        record t ~ctx ~core:(-1) ~cat:Category.idle ~dur:(wall_ps - t.fin.(ctx))
           ~end_ps:wall_ps ~fn:0 ~line:0 ~pred:(-1)
     done
   end
@@ -332,18 +291,18 @@ let account t ~ctx ~cat =
   if ctx < t.n_ctx then t.acct.(ctx).(cat) else 0
 
 let account_totals t =
-  let acc = Array.make n_categories 0 in
+  let acc = Array.make Category.count 0 in
   for ctx = 0 to t.n_ctx - 1 do
-    for cat = 0 to n_categories - 1 do
+    for cat = 0 to Category.count - 1 do
       acc.(cat) <- acc.(cat) + t.acct.(ctx).(cat)
     done
   done;
   acc
 
 let account_event_totals t =
-  let acc = Array.make n_categories 0 in
+  let acc = Array.make Category.count 0 in
   for ctx = 0 to t.n_ctx - 1 do
-    for cat = 0 to n_categories - 1 do
+    for cat = 0 to Category.count - 1 do
       acc.(cat) <- acc.(cat) + t.acct_n.(ctx).(cat)
     done
   done;
@@ -393,7 +352,7 @@ let walk t =
       let c = l.chunks.(i' lsr chunk_bits) and o = 3 * (i' land (chunk - 1)) in
       let word = c.(o) in
       (* idle-tail events pad the accounting; the path skips them *)
-      if word_cat word <> cat_idle || pred >= 0 then
+      if word_cat word <> Category.idle || pred >= 0 then
         steps :=
           {
             st_ctx = !ctx;
@@ -418,8 +377,8 @@ let path_span steps =
   List.fold_left (fun acc s -> acc + s.st_dur) 0 steps
 
 let path_by_category steps =
-  let ps = Array.make n_categories 0 in
-  let n = Array.make n_categories 0 in
+  let ps = Array.make Category.count 0 in
+  let n = Array.make Category.count 0 in
   List.iter
     (fun s ->
       ps.(s.st_cat) <- ps.(s.st_cat) + s.st_dur;
@@ -512,25 +471,30 @@ let make_whatif t ~name ~desc removable =
        else float_of_int t.wall_ps /. float_of_int new_wall);
   }
 
+(* a context's engine counter, 0 before [finalize] *)
+let stat t ctx f = if ctx < Array.length t.stats then f t.stats.(ctx) else 0
+
 let whatifs t =
   [
     make_whatif t ~name:"zero-mesh"
       ~desc:"mesh hops take 0 ps (perfect on-chip network)"
-      (fun ctx -> t.mesh_ps.(ctx));
+      (fun ctx -> stat t ctx (fun s -> s.Stats.mesh_ps));
     make_whatif t ~name:"zero-lock-wait"
       ~desc:"every lock acquisition is uncontended"
-      (fun ctx -> t.acct.(ctx).(cat_lock_wait));
+      (fun ctx -> t.acct.(ctx).(Category.lock_wait));
     make_whatif t ~name:"zero-barrier-wait"
       ~desc:"every barrier arrival is the last (perfect balance)"
-      (fun ctx -> t.acct.(ctx).(cat_barrier_wait));
+      (fun ctx -> t.acct.(ctx).(Category.barrier_wait));
     make_whatif t ~name:"mpb-speed-shared"
       ~desc:"shared DRAM lines served at on-chip MPB cost"
       (fun ctx ->
-        let subst = t.shared_n.(ctx) * t.mpb_line_ps in
-        max 0 (t.acct.(ctx).(cat_mem_shared) - subst));
+        let subst =
+          stat t ctx (fun s -> s.Stats.shared_dram_lines) * t.mpb_line_ps
+        in
+        max 0 (t.acct.(ctx).(Category.mem_shared) - subst));
     make_whatif t ~name:"zero-sched-wait"
       ~desc:"every context owns a core (no time slicing)"
-      (fun ctx -> t.acct.(ctx).(cat_sched_wait));
+      (fun ctx -> t.acct.(ctx).(Category.sched_wait));
   ]
 
 (* --- Perfetto flow arrows ----------------------------------------------------- *)
@@ -546,7 +510,7 @@ let flow_events ?(flow_id = 1) ?max_end_ps t =
   let steps = critical_path t in
   let in_range s =
     s.st_core >= 0
-    && s.st_cat <= cat_lock_wait   (* categories with trace slices *)
+    && s.st_cat < Category.n_busy   (* categories with trace slices *)
     && (match max_end_ps with None -> true | Some m -> s.st_end_ps <= m)
   in
   let steps = List.filter in_range steps in
@@ -566,7 +530,7 @@ let flow_events ?(flow_id = 1) ?max_end_ps t =
         Obs.Chrome.Flow
           {
             name = "critical-path";
-            cat = category_name s.st_cat;
+            cat = Category.name s.st_cat;
             id = flow_id;
             pid = s.st_core;
             tid = s.st_ctx;
@@ -579,11 +543,11 @@ let flow_events ?(flow_id = 1) ?max_end_ps t =
 
 let register_metrics t reg =
   let totals = account_totals t in
-  for cat = 0 to n_categories - 1 do
+  for cat = 0 to Category.count - 1 do
     let c =
       Obs.Registry.counter reg
         ~help:"simulated picoseconds accounted per category (all contexts)"
-        ~labels:[ ("category", category_name cat) ]
+        ~labels:[ ("category", Category.name cat) ]
         "sim_account_ps_total"
     in
     Obs.Counter.add c totals.(cat)
@@ -609,10 +573,10 @@ let render_account t =
   let counts = account_event_totals t in
   let sum, expect = identity t in
   let rows = ref [] in
-  for cat = n_categories - 1 downto 0 do
+  for cat = Category.count - 1 downto 0 do
     if totals.(cat) > 0 then
       rows :=
-        [ category_name cat;
+        [ Category.name cat;
           string_of_int totals.(cat);
           Printf.sprintf "%.1f%%" (pct totals.(cat) expect);
           string_of_int counts.(cat) ]
@@ -640,10 +604,10 @@ let render_path ?profile ?(limit = 12) t =
             Printf.sprintf " [approximate: %d events dropped]" t.n_dropped
           else ""));
     let rows = ref [] in
-    for cat = n_categories - 1 downto 0 do
+    for cat = Category.count - 1 downto 0 do
       if p.by_cat.(cat) > 0 then
         rows :=
-          [ category_name cat;
+          [ Category.name cat;
             string_of_int p.by_cat.(cat);
             Printf.sprintf "%.1f%%" (pct p.by_cat.(cat) p.span) ]
           :: !rows
@@ -659,7 +623,7 @@ let render_path ?profile ?(limit = 12) t =
               (fun (fn, line, cat, ps, n) ->
                 [ fn_of profile fn;
                   line_of profile line;
-                  category_name cat;
+                  Category.name cat;
                   string_of_int ps;
                   string_of_int n ])
               shown));
@@ -711,14 +675,14 @@ let to_json ?profile t =
        sum expect (sum = expect));
   Buffer.add_string buf "  \"account\": [";
   let first = ref true in
-  for cat = 0 to n_categories - 1 do
+  for cat = 0 to Category.count - 1 do
     if totals.(cat) > 0 then begin
       if not !first then Buffer.add_string buf ", ";
       first := false;
       Buffer.add_string buf
         (Printf.sprintf
            "{\"category\": \"%s\", \"ps\": %d, \"intervals\": %d}"
-           (category_name cat) totals.(cat) counts.(cat))
+           (Category.name cat) totals.(cat) counts.(cat))
     end
   done;
   Buffer.add_string buf "],\n";
@@ -728,13 +692,13 @@ let to_json ?profile t =
         \"by_category\": ["
        p.n_steps p.span);
   let first = ref true in
-  for cat = 0 to n_categories - 1 do
+  for cat = 0 to Category.count - 1 do
     if p.by_cat.(cat) > 0 then begin
       if not !first then Buffer.add_string buf ", ";
       first := false;
       Buffer.add_string buf
         (Printf.sprintf "{\"category\": \"%s\", \"ps\": %d, \"steps\": %d}"
-           (category_name cat) p.by_cat.(cat) p.by_cat_n.(cat))
+           (Category.name cat) p.by_cat.(cat) p.by_cat_n.(cat))
     end
   done;
   Buffer.add_string buf "], \"top\": [";
@@ -748,7 +712,7 @@ let to_json ?profile t =
               \"%s\", \"ps\": %d, \"steps\": %d}"
              (Obs.json_escape (fn_of profile fn))
              (Obs.json_escape (line_of profile line))
-             (category_name cat) ps n)
+             (Category.name cat) ps n)
       end)
     p.top;
   Buffer.add_string buf "]},\n";

@@ -38,41 +38,13 @@ val reset : t -> unit
 (** Back to the state {!create} left, with the same limit: what a
     strict replay after [Engine.Order_conflict] starts from. *)
 
-(** {1 Categories}
-
-    Indices 0–5 mirror {!Trace.kind_index}; 6–8 cover advances the
-    trace does not see. *)
-
-val n_categories : int
-val cat_compute : int
-val cat_mem_private : int
-val cat_mem_shared : int
-val cat_mem_mpb : int
-val cat_barrier_wait : int
-val cat_lock_wait : int
-
-val cat_sched_wait : int
-(** Waiting for a core: ready-queue delay plus the context-switch
-    penalty on shared cores. *)
-
-val cat_sync : int
-(** Synchronization protocol costs that are not waits on another
-    context's progress: uncontended lock acquire/release, MPB flag
-    set/read costs, join bookkeeping. *)
-
-val cat_idle : int
-(** Before a spawned context starts, and after a context finishes until
-    the wall — the padding that makes the identity total. *)
-
-val category_name : int -> string
-
 (** {1 Recording (engine side)} *)
 
 val record :
   t ->
   ctx:int ->
   core:int ->
-  cat:int ->
+  cat:Category.t ->
   dur:int ->
   end_ps:int ->
   fn:int ->
@@ -93,17 +65,13 @@ val last_event : t -> ctx:int -> int
     context and the event's index in that context's lane, which engines
     pass as [pred] for cross-context edges. *)
 
-val note_mesh : t -> ctx:int -> int -> unit
-(** Mesh-hop picoseconds inside the context's current memory interval
-    (feeds the zero-mesh what-if). *)
-
-val note_shared_access : t -> ctx:int -> unit
-(** One shared-DRAM line transfer (feeds the MPB-speed what-if). *)
-
-val finalize : t -> wall_ps:int -> mpb_line_ps:int -> unit
+val finalize :
+  t -> wall_ps:int -> mpb_line_ps:int -> stats:Stats.ctx_stats array -> unit
 (** Record idle tails up to [wall_ps] (making the identity hold) and
-    remember [mpb_line_ps], the nominal cost of one MPB line round
-    trip, for the MPB-speed counterfactual.  Idempotent. *)
+    remember, for the what-ifs, [mpb_line_ps], the nominal cost of one
+    MPB line round trip, and the engine's per-context [stats], indexed
+    by context: their [mesh_ps] feed the zero-mesh ceiling and their
+    [shared_dram_lines] the MPB-speed one.  Idempotent. *)
 
 (** {1 Accounting} *)
 
@@ -111,10 +79,10 @@ val events : t -> int
 val dropped : t -> int
 val n_ctxs : t -> int
 val wall_ps : t -> int
-val account : t -> ctx:int -> cat:int -> int
+val account : t -> ctx:int -> cat:Category.t -> int
 val account_totals : t -> int array
 (** Picoseconds per category, summed over contexts; length
-    {!n_categories}. *)
+    {!Category.count}. *)
 
 val account_event_totals : t -> int array
 

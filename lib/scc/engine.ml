@@ -48,6 +48,11 @@
    trace logs intervals, and drops them past its cap, in processing
    order.  A strict engine never runs ahead.
 
+   Every move of a context's local clock goes through one function,
+   [advance], which reports the interval once to whichever recorders
+   are attached ([report]): the critical-path recorder takes every
+   [Category], the trace and the profiler the busy ones.
+
    The profiler and the critical-path recorder do not depend on
    processing order, so they run ahead too.  Each keeps its state per
    context, and what spans contexts (lock and barrier tables, causal
@@ -189,7 +194,6 @@ type t = {
      both a profile and a trace are attached, so the hot path pays one
      compare *)
   mutable next_sample_ps : int;
-  mutable mesh_busy_ps : int;       (* accumulated link-traversal ps *)
   mutable samp_l1_hits : int;
   mutable samp_l1_misses : int;
   mutable samp_mesh_ps : int;
@@ -282,7 +286,6 @@ let create ?(cfg = Config.default) ?(strict = true) ?trace ?profile ?critpath
       (match sampled with
       | None -> max_int
       | Some p -> Profile.sample_interval_ps p);
-    mesh_busy_ps = 0;
     samp_l1_hits = 0;
     samp_l1_misses = 0;
     samp_mesh_ps = 0;
@@ -344,8 +347,12 @@ let take_samples t p now =
   done;
   Profile.sample p ~ts:now ~name:"mc queue depth" ~series:!depths;
   let window = now - t.samp_last_ts in
-  let dmesh = t.mesh_busy_ps - t.samp_mesh_ps in
-  t.samp_mesh_ps <- t.mesh_busy_ps;
+  let mesh_ps = ref 0 in
+  for i = 0 to t.n_ctx - 1 do
+    mesh_ps := !mesh_ps + t.ctx_arr.(i).stats.Stats.mesh_ps
+  done;
+  let dmesh = !mesh_ps - t.samp_mesh_ps in
+  t.samp_mesh_ps <- !mesh_ps;
   let util =
     if window <= 0 then 0.0
     else float_of_int dmesh /. float_of_int window
@@ -355,40 +362,47 @@ let take_samples t p now =
   t.samp_last_ts <- now;
   t.next_sample_ps <- now + Profile.sample_interval_ps p
 
-(* One critpath event for [dur] ps of [cat] ending at the context's
-   current local time, stamped with the profiler's current frame.  All
-   critpath recording funnels through here so the disabled cost is one
-   option match per charge site. *)
-let cp_record t ctx cp ~cat ~dur ~end_ps ~pred =
-  let fn, line =
-    match t.profile with
-    | None -> (0, 0)
-    | Some p ->
-        ( Profile.current_fn_slot p ~ctx:ctx.id,
-          Profile.current_line_slot p ~ctx:ctx.id )
-  in
-  Critpath.record cp ~ctx:ctx.id ~core:ctx.core ~cat ~dur ~end_ps ~fn ~line
-    ~pred
+(* The event a cross-context wait is enabled by: [ctx]'s latest
+   critical-path event, -1 with no recorder. *)
+let last_event t ctx =
+  match t.critpath with
+  | None -> -1
+  | Some cp -> Critpath.last_event cp ~ctx
 
-(* Record one timed interval: into the trace, into the event-dependency
-   graph ([pred] names the event the interval causally waited on), and —
-   when profiling — as picoseconds attributed to the context's current
-   source frame. *)
-let record_interval ?(pred = -1) t ctx ~start_ps ~end_ps kind =
+(* Report the interval [start_ps, end_ps) of [ctx]'s clock once, to
+   every attached recorder: the critical-path recorder takes every
+   category, with [pred], the event the interval causally waited on,
+   and the profiler's current frame; the trace and the profiler take
+   the busy ones. *)
+let report t ctx ~cat ~pred ~start_ps ~end_ps =
   (match t.trace with
-  | None -> ()
-  | Some tr ->
-      Trace.record tr ~ctx:ctx.id ~core:ctx.core ~start_ps ~end_ps kind);
+  | Some tr when cat < Category.n_busy ->
+      Trace.record tr ~ctx:ctx.id ~core:ctx.core ~start_ps ~end_ps cat
+  | _ -> ());
   (match t.critpath with
   | None -> ()
   | Some cp ->
-      cp_record t ctx cp ~cat:(Trace.kind_index kind)
-        ~dur:(end_ps - start_ps) ~end_ps ~pred);
+      let fn, line =
+        match t.profile with
+        | None -> (0, 0)
+        | Some p ->
+            ( Profile.current_fn_slot p ~ctx:ctx.id,
+              Profile.current_line_slot p ~ctx:ctx.id )
+      in
+      Critpath.record cp ~ctx:ctx.id ~core:ctx.core ~cat
+        ~dur:(end_ps - start_ps) ~end_ps ~fn ~line ~pred);
   match t.profile with
-  | None -> ()
-  | Some p ->
-      Profile.charge p ~ctx:ctx.id ~kind (end_ps - start_ps);
+  | Some p when cat < Category.n_busy ->
+      Profile.charge p ~ctx:ctx.id ~cat (end_ps - start_ps);
       if end_ps >= t.next_sample_ps then take_samples t p end_ps
+  | _ -> ()
+
+(* The one place a context's local clock moves: forward to [until],
+   reported once as [cat]. *)
+let advance t ctx ~cat ~pred until =
+  let start_ps = ctx.now in
+  ctx.now <- until;
+  report t ctx ~cat ~pred ~start_ps ~end_ps:until
 
 let memmap t = t.memmap
 let mesh t = t.mesh
@@ -560,7 +574,9 @@ let ccx t ctx n = n * t.ps_core.(ctx.core)
    next operation, honouring the serial core resource and the
    context-switch penalty when the core is shared.  Advances [ctx.now] to
    the issue time so latency computations (memory-controller queuing in
-   particular) start from when the operation actually issues. *)
+   particular) start from when the operation actually issues; the delay
+   — core busy with another context plus the switch penalty — is
+   scheduler wait, enabled by the previous owner's last event. *)
 let acquire_processor t ctx =
   let proc = t.procs.(ctx.core) in
   let start = Int.max ctx.now proc.free_at in
@@ -574,29 +590,18 @@ let acquire_processor t ctx =
     end
     else start
   in
-  (* the issue delay — core busy with another context plus the switch
-     penalty — is scheduler wait, enabled by the previous owner's last
-     event *)
-  (match t.critpath with
-  | None -> ()
-  | Some cp ->
-      if start > ctx.now then begin
-        let pred =
-          if proc.last_ctx >= 0 && proc.last_ctx <> ctx.id then
-            Critpath.last_event cp ~ctx:proc.last_ctx
-          else -1
-        in
-        cp_record t ctx cp ~cat:Critpath.cat_sched_wait
-          ~dur:(start - ctx.now) ~end_ps:start ~pred
-      end);
+  if start > ctx.now then begin
+    let prev = proc.last_ctx in
+    advance t ctx ~cat:Category.sched_wait start
+      ~pred:(if prev >= 0 && prev <> ctx.id then last_event t prev else -1)
+  end;
   proc.last_ctx <- ctx.id;
-  ctx.now <- start;
   start
 
-(* Hold the core from the issue time until [until]. *)
-let occupy_processor t ctx ~until =
+(* Hold the core from the issue time until [until], charged as [cat]. *)
+let occupy_processor t ctx ~cat ~until =
   t.procs.(ctx.core).free_at <- until;
-  ctx.now <- until
+  advance t ctx ~cat ~pred:(-1) until
 
 (* A pure-compute burst of [dur] picoseconds.  On a shared core the OS
    preempts every quantum, so a long burst pays a switch per expired time
@@ -616,8 +621,7 @@ let charge_compute t ctx dur =
     end
     else dur
   in
-  occupy_processor t ctx ~until:(start + dur);
-  record_interval t ctx ~start_ps:start ~end_ps:(start + dur) Trace.Compute
+  occupy_processor t ctx ~cat:Category.compute ~until:(start + dur)
 
 (* The slice-owner scans of [fast_self_pick], walking [shared_cores]
    with no closure.  A core's slice owner is eligible while it is Ready
@@ -771,10 +775,7 @@ let private_line t ctx ~write addr =
       cs.Stats.private_dram_lines <- cs.Stats.private_dram_lines + 1;
       let mc = t.mc_of.(ctx.core) in
       let out = t.mc_out_ps.(ctx.core) in
-      t.mesh_busy_ps <- t.mesh_busy_ps + (2 * out);
-      (match t.critpath with
-      | None -> ()
-      | Some cp -> Critpath.note_mesh cp ~ctx:ctx.id (2 * out));
+      cs.Stats.mesh_ps <- cs.Stats.mesh_ps + (2 * out);
       let base = ccx t ctx t.cfg.Config.dram_base_cycles in
       let arrive = ctx.now + base + out in
       let back = mc_round_trip t ~mc ~arrive in
@@ -797,20 +798,14 @@ let private_line t ctx ~write addr =
    controller occupancy is still booked (the SCC's write-combine
    buffer). *)
 let shared_line t ctx ~write addr =
-  ctx.stats.Stats.shared_dram_lines <- ctx.stats.Stats.shared_dram_lines + 1;
-  if write then
-    ctx.stats.Stats.shared_dram_stores <- ctx.stats.Stats.shared_dram_stores + 1
-  else
-    ctx.stats.Stats.shared_dram_loads <- ctx.stats.Stats.shared_dram_loads + 1;
+  let cs = ctx.stats in
+  cs.Stats.shared_dram_lines <- cs.Stats.shared_dram_lines + 1;
+  if write then cs.Stats.shared_dram_stores <- cs.Stats.shared_dram_stores + 1
+  else cs.Stats.shared_dram_loads <- cs.Stats.shared_dram_loads + 1;
   let line = Memmap.offset_of_addr addr / t.cfg.Config.line_bytes in
   let mc = line mod t.cfg.Config.n_mcs in
   let out = t.shared_out_ps.(ctx.core).(mc) in
-  t.mesh_busy_ps <- t.mesh_busy_ps + (2 * out);
-  (match t.critpath with
-  | None -> ()
-  | Some cp ->
-      Critpath.note_mesh cp ~ctx:ctx.id (2 * out);
-      Critpath.note_shared_access cp ~ctx:ctx.id);
+  cs.Stats.mesh_ps <- cs.Stats.mesh_ps + (2 * out);
   let base = ccx t ctx t.cfg.Config.dram_base_cycles in
   let arrive = ctx.now + base + out in
   let back = mc_round_trip t ~mc ~arrive in
@@ -820,12 +815,10 @@ let shared_line t ctx ~write addr =
 (* An MPB access of one line: base cost, mesh round trip to the owning
    tile, one transfer slot at the owning slice's port. *)
 let mpb_line t ctx ~write:_ ~owner _addr =
-  ctx.stats.Stats.mpb_lines <- ctx.stats.Stats.mpb_lines + 1;
+  let cs = ctx.stats in
+  cs.Stats.mpb_lines <- cs.Stats.mpb_lines + 1;
   let out = t.core_out_ps.(ctx.core).(owner) in
-  t.mesh_busy_ps <- t.mesh_busy_ps + (2 * out);
-  (match t.critpath with
-  | None -> ()
-  | Some cp -> Critpath.note_mesh cp ~ctx:ctx.id (2 * out));
+  cs.Stats.mesh_ps <- cs.Stats.mesh_ps + (2 * out);
   let base = ccx t ctx t.cfg.Config.mpb_base_cycles in
   let transfer = t.mesh_transfer_ps in
   let arrive = ctx.now + base + out in
@@ -852,12 +845,12 @@ let charge_access t ctx ~write addr =
     | 2 -> mpb_line t ctx ~write ~owner:((addr lsr 32) land 0xff) addr
     | _ -> invalid_arg "Engine.charge_access: bad address"
   in
-  occupy_processor t ctx ~until:(start + dur);
-  record_interval t ctx ~start_ps:start ~end_ps:(start + dur)
-    (match kind with
-    | 0 -> Trace.Mem_private
-    | 1 -> Trace.Mem_shared
-    | _ -> Trace.Mem_mpb);
+  occupy_processor t ctx ~until:(start + dur)
+    ~cat:
+      (match kind with
+      | 0 -> Category.mem_private
+      | 1 -> Category.mem_shared
+      | _ -> Category.mem_mpb);
   cs.Stats.mem_stall_ps <- cs.Stats.mem_stall_ps + (ctx.now - before)
 
 (* --- synchronization ---------------------------------------------------- *)
@@ -885,7 +878,7 @@ let release_barrier_waiters t ~key waiters =
   let pred =
     match t.critpath with
     | None -> -1
-    | Some cp ->
+    | Some _ ->
         let last_arriver =
           List.fold_left
             (fun acc (c, _) ->
@@ -895,16 +888,13 @@ let release_barrier_waiters t ~key waiters =
               else acc)
             no_ctx waiters
         in
-        if last_arriver == no_ctx then -1
-        else Critpath.last_event cp ~ctx:last_arriver.id
+        if last_arriver == no_ctx then -1 else last_event t last_arriver.id
   in
   List.iter
     (fun (c, k) ->
       c.stats.Stats.barrier_wait_ps <-
         c.stats.Stats.barrier_wait_ps + (release - c.now);
-      record_interval ~pred t c ~start_ps:c.now ~end_ps:release
-        Trace.Barrier_wait;
-      c.now <- release;
+      advance t c ~cat:Category.barrier_wait ~pred release;
       c.status <- Ready;
       c.pending <- Cont k;
       ready_enqueue t c)
@@ -953,26 +943,16 @@ let get_flag t id =
    propagation time. *)
 let do_flag_set t ctx id value k =
   let f = get_flag t id in
-  let before = ctx.now in
-  ctx.now <- ctx.now + ccx t ctx t.cfg.Config.mpb_base_cycles;
-  (match t.critpath with
-  | None -> ()
-  | Some cp ->
-      cp_record t ctx cp ~cat:Critpath.cat_sync ~dur:(ctx.now - before)
-        ~end_ps:ctx.now ~pred:(-1);
-      f.set_ev <- Critpath.last_event cp ~ctx:ctx.id);
+  advance t ctx ~cat:Category.sync ~pred:(-1)
+    (ctx.now + ccx t ctx t.cfg.Config.mpb_base_cycles);
+  f.set_ev <- last_event t ctx.id;
   f.value <- value;
   f.set_time <- ctx.now;
   if value then begin
     List.iter
       (fun (w, wk) ->
-        let wbefore = w.now in
-        w.now <- Int.max w.now ctx.now + ccx t w t.cfg.Config.mpb_base_cycles;
-        (match t.critpath with
-        | None -> ()
-        | Some cp ->
-            cp_record t w cp ~cat:Critpath.cat_sync ~dur:(w.now - wbefore)
-              ~end_ps:w.now ~pred:f.set_ev);
+        advance t w ~cat:Category.sync ~pred:f.set_ev
+          (Int.max w.now ctx.now + ccx t w t.cfg.Config.mpb_base_cycles);
         w.status <- Ready;
         w.pending <- Cont wk;
         ready_enqueue t w)
@@ -984,14 +964,8 @@ let do_flag_set t ctx id value k =
 let do_flag_wait t ctx id k =
   let f = get_flag t id in
   if f.value then begin
-    let before = ctx.now in
-    ctx.now <-
-      Int.max ctx.now f.set_time + ccx t ctx t.cfg.Config.mpb_base_cycles;
-    (match t.critpath with
-    | None -> ()
-    | Some cp ->
-        cp_record t ctx cp ~cat:Critpath.cat_sync ~dur:(ctx.now - before)
-          ~end_ps:ctx.now ~pred:f.set_ev);
+    advance t ctx ~cat:Category.sync ~pred:f.set_ev
+      (Int.max ctx.now f.set_time + ccx t ctx t.cfg.Config.mpb_base_cycles);
     park_ready t ctx k
   end
   else begin
@@ -1014,16 +988,11 @@ let do_acquire t ctx lock_id k =
   match lock.held_by with
   | None ->
       lock.held_by <- Some ctx.id;
-      let before = ctx.now in
-      ctx.now <- Int.max ctx.now lock.free_time + lock_cost t ctx lock_id;
-      (match t.critpath with
-      | None -> ()
-      | Some cp ->
-          (* uncontended: the test-and-set round trip, plus any wait for
-             the register to come free after the previous release *)
-          cp_record t ctx cp ~cat:Critpath.cat_sync ~dur:(ctx.now - before)
-            ~end_ps:ctx.now
-            ~pred:(if lock.free_time > before then lock.free_ev else -1));
+      (* uncontended: the test-and-set round trip, plus any wait for the
+         register to come free after the previous release *)
+      advance t ctx ~cat:Category.sync
+        ~pred:(if lock.free_time > ctx.now then lock.free_ev else -1)
+        (Int.max ctx.now lock.free_time + lock_cost t ctx lock_id);
       (match t.profile with
       | None -> ()
       | Some p ->
@@ -1045,34 +1014,28 @@ let do_release t ctx lock_id k =
         (Printf.sprintf
            "Engine: context %d releases lock %d it does not hold" ctx.id
            lock_id));
-  let before = ctx.now in
-  ctx.now <- ctx.now + lock_cost t ctx lock_id;
-  lock.free_time <- ctx.now;
   (* the releaser's register round trip, then remember the release event:
      it is the holder edge for whoever wakes (or next acquires) *)
-  (match t.critpath with
-  | None -> ()
-  | Some cp ->
-      cp_record t ctx cp ~cat:Critpath.cat_sync ~dur:(ctx.now - before)
-        ~end_ps:ctx.now ~pred:(-1);
-      lock.free_ev <- Critpath.last_event cp ~ctx:ctx.id);
+  advance t ctx ~cat:Category.sync ~pred:(-1)
+    (ctx.now + lock_cost t ctx lock_id);
+  lock.free_time <- ctx.now;
+  lock.free_ev <- last_event t ctx.id;
   (match Queue.take_opt lock.waiters with
   | None -> lock.held_by <- None
   | Some (waiter, wk) ->
       lock.held_by <- Some waiter.id;
-      let wake =
+      let wait_ps =
         Int.max waiter.now lock.free_time + lock_cost t waiter lock_id
+        - waiter.now
       in
       waiter.stats.Stats.lock_wait_ps <-
-        waiter.stats.Stats.lock_wait_ps + (wake - waiter.now);
-      record_interval ~pred:lock.free_ev t waiter ~start_ps:waiter.now
-        ~end_ps:wake Trace.Lock_wait;
+        waiter.stats.Stats.lock_wait_ps + wait_ps;
+      advance t waiter ~cat:Category.lock_wait ~pred:lock.free_ev
+        (waiter.now + wait_ps);
       (match t.profile with
       | None -> ()
       | Some p ->
-          Profile.lock_acquired p ~lock:lock_id
-            ~wait_ps:(wake - waiter.now) ~holder:ctx.id);
-      waiter.now <- wake;
+          Profile.lock_acquired p ~lock:lock_id ~wait_ps ~holder:ctx.id);
       waiter.status <- Ready;
       waiter.pending <- Cont wk;
       ready_enqueue t waiter);
@@ -1088,15 +1051,8 @@ let finish_ctx t ctx =
   List.iter
     (fun (waiter, k) ->
       t.n_join_waiting <- t.n_join_waiting - 1;
-      let before = waiter.now in
-      waiter.now <- Int.max waiter.now ctx.now;
-      (match t.critpath with
-      | None -> ()
-      | Some cp ->
-          if waiter.now > before then
-            cp_record t waiter cp ~cat:Critpath.cat_sync
-              ~dur:(waiter.now - before) ~end_ps:waiter.now
-              ~pred:(Critpath.last_event cp ~ctx:ctx.id));
+      advance t waiter ~cat:Category.sync ~pred:(last_event t ctx.id)
+        (Int.max waiter.now ctx.now);
       waiter.status <- Ready;
       waiter.pending <- Cont k;
       ready_enqueue t waiter)
@@ -1149,16 +1105,11 @@ let rec handler t ctx : (unit, unit) Effect.Deep.handler =
                 charge_compute t ctx dur;
                 let child = add_ctx t ~core:ctx.core ~barrier_member:false
                               ~now:ctx.now in
-                (* the child's lane is idle from t=0 until the spawn:
-                   pad it so its accounting also sums to the wall *)
-                (match t.critpath with
-                | None -> ()
-                | Some cp ->
-                    if child.now > 0 then
-                      Critpath.record cp ~ctx:child.id ~core:child.core
-                        ~cat:Critpath.cat_idle ~dur:child.now
-                        ~end_ps:child.now ~fn:0 ~line:0
-                        ~pred:(Critpath.last_event cp ~ctx:ctx.id));
+                (* the child starts at its parent's time and is idle from
+                   t=0 until then: pad it so its accounting also sums to
+                   the wall *)
+                report t child ~cat:Category.idle ~pred:(last_event t ctx.id)
+                  ~start_ps:0 ~end_ps:child.now;
                 let api = make_api t child in
                 child.pending <-
                   Start (fun () -> run_body t child program api);
@@ -1204,15 +1155,9 @@ let rec handler t ctx : (unit, unit) Effect.Deep.handler =
                 else begin
                   let child = t.ctx_arr.(target) in
                   if child.status = Finished then begin
-                    let before = ctx.now in
-                    ctx.now <- Int.max ctx.now child.now;
-                    (match t.critpath with
-                    | None -> ()
-                    | Some cp ->
-                        if ctx.now > before then
-                          cp_record t ctx cp ~cat:Critpath.cat_sync
-                            ~dur:(ctx.now - before) ~end_ps:ctx.now
-                            ~pred:(Critpath.last_event cp ~ctx:child.id));
+                    advance t ctx ~cat:Category.sync
+                      ~pred:(last_event t child.id)
+                      (Int.max ctx.now child.now);
                     park_ready t ctx k
                   end
                   else begin
@@ -1498,7 +1443,8 @@ let run t =
         cc t t.cfg.Config.mpb_base_cycles
         + (2 * Mesh.min_hop_ps t.mesh) + t.mesh_transfer_ps
       in
-      Critpath.finalize cp ~wall_ps:!wall ~mpb_line_ps;
+      Critpath.finalize cp ~wall_ps:!wall ~mpb_line_ps
+        ~stats:(Array.init t.n_ctx (fun i -> t.ctx_arr.(i).stats));
       (match t.profile with
       | None -> ()
       | Some p -> Critpath.register_metrics cp (Profile.registry p))

@@ -13,7 +13,7 @@ type t = {
   mutable fn_names : string array;
   mutable fn_tbl : (string, int) Hashtbl.t;
   mutable n_fns : int;
-  mutable flat : int array array;   (* [kind].[slot] *)
+  mutable flat : int array array;   (* [busy category].[slot] *)
   mutable incl : int array;         (* [slot] *)
   mutable calls : int array;        (* [slot] *)
   (* line slots *)
@@ -44,7 +44,7 @@ type t = {
   interval_ps : int;
   (* aggregate metrics *)
   reg : Obs.Registry.t;
-  mutable kind_ctr : Obs.Counter.t array;  (* attributed ps per Trace.kind *)
+  mutable cat_ctr : Obs.Counter.t array;  (* attributed ps per category *)
   mutable lock_acq_ctr : Obs.Counter.t;
   mutable lock_contended_ctr : Obs.Counter.t;
   mutable lock_wait_hist : Obs.Histogram.t;
@@ -60,38 +60,21 @@ and barrier_cell = {
 
 let wait_bounds = [| 1_000; 10_000; 100_000; 1_000_000; 10_000_000 |]
 
-let kind_metric_name k =
-  match k with
-  | Trace.Compute -> "sim_compute_ps_total"
-  | Trace.Mem_private -> "sim_mem_private_ps_total"
-  | Trace.Mem_shared -> "sim_mem_shared_ps_total"
-  | Trace.Mem_mpb -> "sim_mem_mpb_ps_total"
-  | Trace.Barrier_wait -> "sim_barrier_wait_ps_total"
-  | Trace.Lock_wait -> "sim_lock_wait_ps_total"
-
-let all_kinds =
-  [ Trace.Compute; Trace.Mem_private; Trace.Mem_shared; Trace.Mem_mpb;
-    Trace.Barrier_wait; Trace.Lock_wait ]
-
 (* A profiler as [create] leaves it, registering its instruments in
    [reg]. *)
 let fresh ~sample_interval_ps reg =
-  let kind_ctr =
-    Array.of_list
-      (List.map
-         (fun k ->
-           Obs.Registry.counter reg
-             ~help:("simulated picoseconds attributed to "
-                    ^ Trace.kind_to_string k)
-             (kind_metric_name k))
-         all_kinds)
+  let cat_ctr =
+    Array.init Category.n_busy (fun k ->
+        Obs.Registry.counter reg
+          ~help:("simulated picoseconds attributed to " ^ Category.slice_name k)
+          (Category.metric_name k))
   in
   let t =
     {
       fn_names = Array.make 16 "";
       fn_tbl = Hashtbl.create 16;
       n_fns = 0;
-      flat = Array.init Trace.n_kinds (fun _ -> Array.make 16 0);
+      flat = Array.init Category.n_busy (fun _ -> Array.make 16 0);
       incl = Array.make 16 0;
       calls = Array.make 16 0;
       line_names = Array.make 64 "";
@@ -116,7 +99,7 @@ let fresh ~sample_interval_ps reg =
       samples = [];
       interval_ps = sample_interval_ps;
       reg;
-      kind_ctr;
+      cat_ctr;
       lock_acq_ctr =
         Obs.Registry.counter reg ~help:"lock acquisitions"
           "sim_lock_acquisitions_total";
@@ -179,7 +162,7 @@ let reset t =
   t.n_locks <- f.n_locks;
   t.barrier_tbl <- f.barrier_tbl;
   t.samples <- f.samples;
-  t.kind_ctr <- f.kind_ctr;
+  t.cat_ctr <- f.cat_ctr;
   t.lock_acq_ctr <- f.lock_acq_ctr;
   t.lock_contended_ctr <- f.lock_contended_ctr;
   t.lock_wait_hist <- f.lock_wait_hist;
@@ -246,7 +229,7 @@ let intern t name =
       t.fn_names.(slot) <- name;
       t.incl <- grow_int_array t.incl t.n_fns 0;
       t.calls <- grow_int_array t.calls t.n_fns 0;
-      for k = 0 to Trace.n_kinds - 1 do
+      for k = 0 to Category.n_busy - 1 do
         t.flat.(k) <- grow_int_array t.flat.(k) t.n_fns 0
       done;
       Hashtbl.replace t.fn_tbl name slot;
@@ -303,7 +286,7 @@ let set_line t ~ctx line =
   if ctx >= t.n_ctx then ensure_ctx t ctx;
   t.cur_line.(ctx) <- line
 
-(* Also brings the per-kind counters up to the totals in [flat], which
+(* Also brings the per-category counters up to the totals in [flat], which
    a charge does not touch; a second call adds nothing. *)
 let finalize t =
   for ctx = 0 to t.n_ctx - 1 do
@@ -315,17 +298,16 @@ let finalize t =
     (fun k c ->
       let total = Array.fold_left ( + ) 0 t.flat.(k) in
       Obs.Counter.add c (total - Obs.Counter.value c))
-    t.kind_ctr
+    t.cat_ctr
 
 (* --- charging --------------------------------------------------------------- *)
 
-let charge t ~ctx ~kind dur =
+let charge t ~ctx ~cat dur =
   if dur > 0 then begin
     if ctx >= t.n_ctx then ensure_ctx t ctx;
-    let k = Trace.kind_index kind in
     let d = t.depths.(ctx) in
     let slot = if d = 0 then 0 else t.stacks.(ctx).(d - 1) in
-    t.flat.(k).(slot) <- t.flat.(k).(slot) + dur;
+    t.flat.(cat).(slot) <- t.flat.(cat).(slot) + dur;
     if d = 0 then t.incl.(0) <- t.incl.(0) + dur;
     t.attr.(ctx) <- t.attr.(ctx) + dur;
     let line = t.cur_line.(ctx) in
@@ -406,7 +388,7 @@ type fn_row = {
 let functions t =
   let rows = ref [] in
   for slot = t.n_fns - 1 downto 0 do
-    let flat = Array.init Trace.n_kinds (fun k -> t.flat.(k).(slot)) in
+    let flat = Array.init Category.n_busy (fun k -> t.flat.(k).(slot)) in
     let total = Array.fold_left ( + ) 0 flat in
     if total > 0 || t.incl.(slot) > 0 then
       rows :=

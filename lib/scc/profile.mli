@@ -54,14 +54,14 @@ val set_line : t -> ctx:int -> int -> unit
 
 val finalize : t -> unit
 (** Pop every frame still open (end of run), completing inclusive
-    times, and bring the attributed-ps-per-kind counters of the
+    times, and bring the attributed-ps-per-category counters of the
     {!registry} up to the run's totals; a second call adds nothing. *)
 
 (** {1 Charging} (engine side) *)
 
-val charge : t -> ctx:int -> kind:Trace.kind -> int -> unit
-(** Attribute picoseconds of [kind] to the context's current frame and
-    line. *)
+val charge : t -> ctx:int -> cat:Category.t -> int -> unit
+(** Attribute picoseconds of a busy category to the context's current
+    frame and line. *)
 
 val lock_acquired : t -> lock:int -> wait_ps:int -> holder:int -> unit
 (** One acquisition of an engine lock; [wait_ps] is 0 and [holder] is
@@ -93,7 +93,7 @@ val n_ctxs : t -> int
 type fn_row = {
   fn_name : string;
   fn_calls : int;
-  fn_flat_ps : int array;  (** per {!Trace.kind_index} *)
+  fn_flat_ps : int array;  (** per busy {!Category} *)
   fn_flat_total_ps : int;
   fn_incl_ps : int;        (** inclusive: self plus callees *)
 }
@@ -141,7 +141,7 @@ val line_name : t -> int -> string
 (** Key for an interned line slot (["?"] when out of range). *)
 
 val registry : t -> Obs.Registry.t
-(** Aggregate counters (attributed ps per kind, lock/barrier totals) and
+(** Aggregate counters (attributed ps per category, lock/barrier totals) and
     wait/spread histograms, for [Obs.Registry.to_prometheus] and
     friends.  The attributed-ps counters are filled by {!finalize}, which
     [Engine.run] calls at the end of a run, not by each charge. *)

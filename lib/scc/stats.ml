@@ -14,6 +14,7 @@ type ctx_stats = {
   mutable shared_dram_loads : int;   (* read/write split of shared_dram_lines *)
   mutable shared_dram_stores : int;
   mutable mpb_lines : int;
+  mutable mesh_ps : int;          (* link traversal inside memory accesses *)
   mutable mem_stall_ps : int;     (* time blocked on memory *)
   mutable barrier_wait_ps : int;
   mutable lock_wait_ps : int;
@@ -33,7 +34,7 @@ let create_ctx () =
     l1_hits = 0; l1_misses = 0; l2_hits = 0; l2_misses = 0;
     private_dram_lines = 0; shared_dram_lines = 0;
     shared_dram_loads = 0; shared_dram_stores = 0; mpb_lines = 0;
-    mem_stall_ps = 0; barrier_wait_ps = 0; lock_wait_ps = 0;
+    mesh_ps = 0; mem_stall_ps = 0; barrier_wait_ps = 0; lock_wait_ps = 0;
     context_switches = 0; finish_ps = 0;
   }
 

@@ -15,6 +15,9 @@ type ctx_stats = {
           shared-load optimizer is meant to shrink *)
   mutable shared_dram_stores : int;
   mutable mpb_lines : int;
+  mutable mesh_ps : int;
+      (** mesh-link picoseconds inside the context's memory accesses,
+          out and back *)
   mutable mem_stall_ps : int;
   mutable barrier_wait_ps : int;
   mutable lock_wait_ps : int;

@@ -8,38 +8,12 @@
    silently stop — drops are counted and surfaced ([dropped]), so a
    truncated trace is always visibly truncated. *)
 
-type kind =
-  | Compute
-  | Mem_private
-  | Mem_shared
-  | Mem_mpb
-  | Barrier_wait
-  | Lock_wait
-
-let n_kinds = 6
-
-let kind_index = function
-  | Compute -> 0
-  | Mem_private -> 1
-  | Mem_shared -> 2
-  | Mem_mpb -> 3
-  | Barrier_wait -> 4
-  | Lock_wait -> 5
-
-let kind_to_string = function
-  | Compute -> "compute"
-  | Mem_private -> "private-mem"
-  | Mem_shared -> "shared-dram"
-  | Mem_mpb -> "mpb"
-  | Barrier_wait -> "barrier"
-  | Lock_wait -> "lock"
-
 type event = {
   ctx : int;
   core : int;
   start_ps : int;
   end_ps : int;
-  kind : kind;
+  kind : Category.t;
 }
 
 type t = {
@@ -50,7 +24,7 @@ type t = {
 }
 
 let dummy_event =
-  { ctx = 0; core = 0; start_ps = 0; end_ps = 0; kind = Compute }
+  { ctx = 0; core = 0; start_ps = 0; end_ps = 0; kind = Category.compute }
 
 let create ?(limit = 1_000_000) () =
   { buf = Array.make 1024 dummy_event; len = 0; limit; n_dropped = 0 }
@@ -83,24 +57,16 @@ let length t = t.len
 
 let dropped t = t.n_dropped
 
-(* Total busy picoseconds per kind, per context: one pass over the
-   buffer into a fixed per-kind accumulator. *)
+(* Total busy picoseconds per category, per context: one pass over the
+   buffer into a fixed per-category accumulator. *)
 let busy_by_kind t ~ctx =
-  let acc = Array.make n_kinds 0 in
+  let acc = Array.make Category.n_busy 0 in
   for i = 0 to t.len - 1 do
     let e = t.buf.(i) in
-    if e.ctx = ctx then
-      let k = kind_index e.kind in
-      acc.(k) <- acc.(k) + (e.end_ps - e.start_ps)
+    if e.ctx = ctx then acc.(e.kind) <- acc.(e.kind) + (e.end_ps - e.start_ps)
   done;
-  let kinds =
-    [ Compute; Mem_private; Mem_shared; Mem_mpb; Barrier_wait; Lock_wait ]
-  in
-  List.filter_map
-    (fun k ->
-      let v = acc.(kind_index k) in
-      if v > 0 then Some (k, v) else None)
-    kinds
+  Array.to_list (Array.mapi (fun k v -> (k, v)) acc)
+  |> List.filter (fun (_, v) -> v > 0)
 
 let max_end_ps t =
   let acc = ref 0 in
@@ -118,7 +84,7 @@ let to_chrome_events t =
     acc :=
       Obs.Chrome.Complete
         {
-          name = kind_to_string e.kind;
+          name = Category.slice_name e.kind;
           cat = "sim";
           pid = e.core;
           tid = e.ctx;

@@ -3,28 +3,12 @@
     flat buffer; recording past [limit] counts drops instead of failing
     silently. *)
 
-type kind =
-  | Compute
-  | Mem_private
-  | Mem_shared
-  | Mem_mpb
-  | Barrier_wait
-  | Lock_wait
-
-val n_kinds : int
-
-val kind_index : kind -> int
-(** A dense [0 .. n_kinds-1] index (used by the profiler's per-kind
-    accumulators). *)
-
-val kind_to_string : kind -> string
-
 type event = {
   ctx : int;
   core : int;
   start_ps : int;
   end_ps : int;
-  kind : kind;
+  kind : Category.t;  (** a busy category *)
 }
 
 type t
@@ -34,7 +18,8 @@ val create : ?limit:int -> unit -> t
     are counted in {!dropped}. *)
 
 val record :
-  t -> ctx:int -> core:int -> start_ps:int -> end_ps:int -> kind -> unit
+  t -> ctx:int -> core:int -> start_ps:int -> end_ps:int -> Category.t ->
+  unit
 (** Zero-length intervals are dropped (and not counted as drops). *)
 
 val events : t -> event list
@@ -48,9 +33,9 @@ val length : t -> int
 val dropped : t -> int
 (** Events discarded because the buffer hit [limit]. *)
 
-val busy_by_kind : t -> ctx:int -> (kind * int) list
-(** Total busy picoseconds per kind for one context (single buffer pass;
-    kinds with no time are omitted). *)
+val busy_by_kind : t -> ctx:int -> (Category.t * int) list
+(** Total busy picoseconds per category for one context, in category
+    order (single buffer pass; categories with no time are omitted). *)
 
 val max_end_ps : t -> int
 (** Latest interval end over every recorded event (0 when empty). *)

@@ -72,7 +72,7 @@ let test_zero_lock_matches_profiler () =
   in
   Alcotest.(check bool) "the workload contends" true (profiler_wait > 0);
   let accounted =
-    (Scc.Critpath.account_totals cp).(Scc.Critpath.cat_lock_wait)
+    (Scc.Critpath.account_totals cp).(Scc.Category.lock_wait)
   in
   Alcotest.(check int) "lock-wait account == profiler lock table"
     profiler_wait accounted;
@@ -111,7 +111,7 @@ let test_opt_shared_collapse () =
   Alcotest.(check bool) "identity holds, -O" true
     (Scc.Critpath.identity_ok opt_cp);
   let shared cp =
-    (Scc.Critpath.account_totals cp).(Scc.Critpath.cat_mem_shared)
+    (Scc.Critpath.account_totals cp).(Scc.Category.mem_shared)
   in
   (* the PR 7 collapse (65560 -> 32 shared loads at this scale) must
      show up in the --explain accounting, not just the stats counter *)
@@ -214,7 +214,7 @@ let test_path_sanity () =
     (Array.fold_left ( + ) 0 by_cat);
   (* single context, one core: no scheduler wait on the path *)
   Alcotest.(check int) "no sched-wait for a lone context" 0
-    by_cat.(Scc.Critpath.cat_sched_wait)
+    by_cat.(Scc.Category.sched_wait)
 
 (* ---------------------------------------------------------------- *)
 (* handles: an edge is followed only when its handle names a stored
@@ -223,7 +223,7 @@ let test_path_sanity () =
 
 let test_handles () =
   let compute cp ~ctx ~dur ~end_ps ~pred =
-    Scc.Critpath.record cp ~ctx ~core:ctx ~cat:Scc.Critpath.cat_compute ~dur
+    Scc.Critpath.record cp ~ctx ~core:ctx ~cat:Scc.Category.compute ~dur
       ~end_ps ~fn:1 ~line:2 ~pred
   in
   let cp = Scc.Critpath.create () in
@@ -232,7 +232,7 @@ let test_handles () =
   compute cp ~ctx:0 ~dur:10 ~end_ps:10 ~pred:(-1);
   let h0 = Scc.Critpath.last_event cp ~ctx:0 in
   compute cp ~ctx:1 ~dur:5 ~end_ps:5 ~pred:(-1);
-  Scc.Critpath.record cp ~ctx:1 ~core:1 ~cat:Scc.Critpath.cat_lock_wait
+  Scc.Critpath.record cp ~ctx:1 ~core:1 ~cat:Scc.Category.lock_wait
     ~dur:5 ~end_ps:10 ~fn:1 ~line:3 ~pred:h0;
   compute cp ~ctx:1 ~dur:20 ~end_ps:30 ~pred:(-1);
   let path = Scc.Critpath.critical_path cp in
@@ -279,7 +279,7 @@ let test_handles () =
   in
   let cp = Scc.Critpath.create () in
   let record ?(core = 0) ?(fn = 0) ?(line = 0) () =
-    Scc.Critpath.record cp ~ctx:0 ~core ~cat:Scc.Critpath.cat_compute ~dur:1
+    Scc.Critpath.record cp ~ctx:0 ~core ~cat:Scc.Category.compute ~dur:1
       ~end_ps:1 ~fn ~line ~pred:(-1)
   in
   raises "fn slot 2^24" (record ~fn:(1 lsl 24));
@@ -287,7 +287,7 @@ let test_handles () =
   raises "core -2" (record ~core:(-2));
   raises "context 2^20" (fun () ->
       Scc.Critpath.record cp ~ctx:(1 lsl 20) ~core:0
-        ~cat:Scc.Critpath.cat_compute ~dur:1 ~end_ps:1 ~fn:0 ~line:0
+        ~cat:Scc.Category.compute ~dur:1 ~end_ps:1 ~fn:0 ~line:0
         ~pred:(-1));
   raises "limit 2^43" (fun () ->
       ignore (Scc.Critpath.create ~limit:(1 lsl 43) ()))
@@ -381,6 +381,127 @@ let test_golden_reports () =
   ignore (Cexec.Interp.run_pthread ~profile ~critpath:cp program);
   check "locked_counter.explain.json" (Scc.Critpath.to_json ~profile cp)
 
+(* ---------------------------------------------------------------- *)
+(* the three recorders agree: every busy picosecond the critical-path
+   recorder accounts to a context is one the trace records as a slice
+   of that context and the profiler attributes to a frame *)
+
+let check_recorders_agree what ~trace ~profile cp =
+  let flat = Array.make Scc.Category.n_busy 0 in
+  List.iter
+    (fun (r : Scc.Profile.fn_row) ->
+      Array.iteri (fun k ps -> flat.(k) <- flat.(k) + ps)
+        r.Scc.Profile.fn_flat_ps)
+    (Scc.Profile.functions profile);
+  let accounted = Array.make Scc.Category.n_busy 0 in
+  for ctx = 0 to Scc.Critpath.n_ctxs cp - 1 do
+    let traced = Scc.Trace.busy_by_kind trace ~ctx in
+    let busy = ref 0 in
+    for cat = 0 to Scc.Category.n_busy - 1 do
+      let ps = Scc.Critpath.account cp ~ctx ~cat in
+      Alcotest.(check int)
+        (Printf.sprintf "%s: context %d %s == trace" what ctx
+           (Scc.Category.name cat))
+        (Option.value ~default:0 (List.assoc_opt cat traced))
+        ps;
+      accounted.(cat) <- accounted.(cat) + ps;
+      busy := !busy + ps
+    done;
+    Alcotest.(check int)
+      (Printf.sprintf "%s: context %d busy == profiler" what ctx)
+      !busy
+      (Scc.Profile.attributed_ps profile ~ctx)
+  done;
+  Array.iteri
+    (fun cat ps ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s: %s == profiler flat sum" what
+           (Scc.Category.name cat))
+        ps flat.(cat))
+    accounted;
+  Alcotest.(check bool) (what ^ ": identity") true (Scc.Critpath.identity_ok cp)
+
+let test_recorders_agree () =
+  let recorders () =
+    (Scc.Trace.create (), Scc.Profile.create (), Scc.Critpath.create ())
+  in
+  let charged cp cat = (Scc.Critpath.account_totals cp).(cat) > 0 in
+  (* three threads time-sliced on one core: a contended mutex, a
+     counted barrier, spawns and joins *)
+  let trace, profile, cp = recorders () in
+  let r =
+    Cexec.Interp.run_pthread ~trace ~profile ~critpath:cp
+      (parse_src ~file:"agree.c"
+         "#include <stdio.h>
+          #include <pthread.h>
+          int counter;
+          pthread_mutex_t m;
+          pthread_barrier_t b;
+          void *work(void *arg) {
+         \  int i;
+         \  for (i = 0; i < 1000; i++) {
+         \    pthread_mutex_lock(&m);
+         \    counter = counter + 1;
+         \    pthread_mutex_unlock(&m);
+         \  }
+         \  pthread_barrier_wait(&b);
+         \  return NULL;
+          }
+          int main() {
+         \  pthread_t t[3];
+         \  int i;
+         \  pthread_mutex_init(&m, NULL);
+         \  pthread_barrier_init(&b, NULL, 3);
+         \  for (i = 0; i < 3; i++) pthread_create(&t[i], NULL, work, NULL);
+         \  for (i = 0; i < 3; i++) pthread_join(t[i], NULL);
+         \  printf(\"%d\\n\", counter);
+         \  return 0;
+          }
+")
+  in
+  Alcotest.(check string) "pthread output" "3000\n" r.Cexec.Interp.output;
+  List.iter
+    (fun cat ->
+      Alcotest.(check bool)
+        ("pthread run charges " ^ Scc.Category.name cat)
+        true (charged cp cat))
+    Scc.Category.
+      [ compute; lock_wait; barrier_wait; sched_wait; sync; idle ];
+  check_recorders_agree "pthread" ~trace ~profile cp;
+  (* two ranks: one sets a flag the other waits on *)
+  let trace, profile, cp = recorders () in
+  let r =
+    Cexec.Interp.run_rcce ~trace ~profile ~critpath:cp ~ncores:2
+      (parse_src ~file:"flag.c"
+         "#include <stdio.h>
+          int *cell;
+          RCCE_FLAG ready;
+          int RCCE_APP(int argc, char **argv) {
+         \  RCCE_init(&argc, &argv);
+         \  RCCE_flag_alloc(&ready);
+         \  cell = (int*)RCCE_shmalloc(sizeof(int) * 1);
+         \  int me;
+         \  me = RCCE_ue();
+         \  if (me == 0) {
+         \    *cell = 42;
+         \    RCCE_flag_write(&ready, RCCE_FLAG_SET, 1);
+         \  }
+         \  if (me == 1) {
+         \    RCCE_wait_until(ready, RCCE_FLAG_SET);
+         \    printf(\"%d\\n\", *cell);
+         \  }
+         \  RCCE_finalize();
+         \  return 0;
+          }
+")
+  in
+  Alcotest.(check string) "rcce output" "42\n" r.Cexec.Interp.output;
+  Alcotest.(check bool) "rcce run charges sync" true
+    (charged cp Scc.Category.sync);
+  Alcotest.(check bool) "rcce run charges shared DRAM" true
+    (charged cp Scc.Category.mem_shared);
+  check_recorders_agree "rcce" ~trace ~profile cp
+
 let suite =
   [
     Alcotest.test_case "identity: hot_loop on 8 cores" `Quick
@@ -397,4 +518,6 @@ let suite =
     Alcotest.test_case "registry metrics" `Quick test_registry_metrics;
     Alcotest.test_case "golden reports byte-identical" `Quick
       test_golden_reports;
+    Alcotest.test_case "trace, profile and critical path agree" `Quick
+      test_recorders_agree;
   ]

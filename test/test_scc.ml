@@ -766,7 +766,7 @@ let sched_report b seed ~strict =
       let intervals = Buffer.create 65536 in
       Scc.Trace.iter tr (fun e ->
           Printf.bprintf intervals "%d %d %d %d %d\n" e.Scc.Trace.ctx e.core
-            e.start_ps e.end_ps (Scc.Trace.kind_index e.kind));
+            e.start_ps e.end_ps e.kind);
       Printf.bprintf b "trace %d intervals md5 %s\n" (Scc.Trace.length tr)
         (Digest.to_hex (Digest.string (Buffer.contents intervals)))
 

@@ -22,7 +22,7 @@ let test_events_recorded () =
   let kinds =
     List.sort_uniq compare
       (List.map
-         (fun (e : Scc.Trace.event) -> Scc.Trace.kind_to_string e.Scc.Trace.kind)
+         (fun (e : Scc.Trace.event) -> Scc.Category.slice_name e.Scc.Trace.kind)
          (Scc.Trace.events trace))
   in
   List.iter
@@ -46,7 +46,7 @@ let test_intervals_well_formed () =
 let test_busy_accounting () =
   let _, trace = run_traced () in
   let busy = Scc.Trace.busy_by_kind trace ~ctx:0 in
-  let compute = try List.assoc Scc.Trace.Compute busy with Not_found -> 0 in
+  let compute = try List.assoc Scc.Category.compute busy with Not_found -> 0 in
   Alcotest.(check int) "1000 cycles of compute traced"
     (Scc.Config.core_cycles_ps Scc.Config.default 1_000)
     compute
@@ -68,7 +68,7 @@ let test_limit_respected () =
   let trace = Scc.Trace.create ~limit:3 () in
   for i = 0 to 9 do
     Scc.Trace.record trace ~ctx:0 ~core:0 ~start_ps:(i * 10)
-      ~end_ps:((i * 10) + 5) Scc.Trace.Compute
+      ~end_ps:((i * 10) + 5) Scc.Category.compute
   done;
   Alcotest.(check int) "capped at 3" 3 (Scc.Trace.length trace)
 
@@ -82,11 +82,11 @@ let test_drops_counted () =
   let trace = Scc.Trace.create ~limit:3 () in
   for i = 0 to 9 do
     Scc.Trace.record trace ~ctx:0 ~core:0 ~start_ps:(i * 10)
-      ~end_ps:((i * 10) + 5) Scc.Trace.Compute
+      ~end_ps:((i * 10) + 5) Scc.Category.compute
   done;
   (* zero-length intervals are skipped without counting as drops *)
   Scc.Trace.record trace ~ctx:0 ~core:0 ~start_ps:200 ~end_ps:200
-    Scc.Trace.Compute;
+    Scc.Category.compute;
   Alcotest.(check int) "kept" 3 (Scc.Trace.length trace);
   Alcotest.(check int) "dropped" 7 (Scc.Trace.dropped trace);
   let fresh = Scc.Trace.create () in
@@ -97,18 +97,18 @@ let test_max_end_ps () =
   let trace = Scc.Trace.create () in
   Alcotest.(check int) "empty" 0 (Scc.Trace.max_end_ps trace);
   Scc.Trace.record trace ~ctx:0 ~core:0 ~start_ps:0 ~end_ps:50
-    Scc.Trace.Compute;
+    Scc.Category.compute;
   Scc.Trace.record trace ~ctx:1 ~core:1 ~start_ps:10 ~end_ps:900
-    Scc.Trace.Mem_shared;
+    Scc.Category.mem_shared;
   Scc.Trace.record trace ~ctx:0 ~core:0 ~start_ps:60 ~end_ps:80
-    Scc.Trace.Barrier_wait;
+    Scc.Category.barrier_wait;
   Alcotest.(check int) "latest end" 900 (Scc.Trace.max_end_ps trace)
 
 (* --- property: exported Chrome events are well-formed --------------------- *)
 
 let all_kinds =
-  [| Scc.Trace.Compute; Scc.Trace.Mem_private; Scc.Trace.Mem_shared;
-     Scc.Trace.Mem_mpb; Scc.Trace.Barrier_wait; Scc.Trace.Lock_wait |]
+  [| Scc.Category.compute; Scc.Category.mem_private; Scc.Category.mem_shared;
+     Scc.Category.mem_mpb; Scc.Category.barrier_wait; Scc.Category.lock_wait |]
 
 let gen_intervals =
   QCheck.Gen.(
@@ -183,7 +183,7 @@ let qcheck_busy_equals_event_sum =
       List.iter
         (fun (ctx, _, len, k) ->
           if len > 0 then
-            let key = (ctx, Scc.Trace.kind_index all_kinds.(k)) in
+            let key = (ctx, all_kinds.(k)) in
             Hashtbl.replace expected key
               (len
               + try Hashtbl.find expected key with Not_found -> 0))
@@ -191,7 +191,7 @@ let qcheck_busy_equals_event_sum =
       for ctx = 0 to 7 do
         List.iter
           (fun (kind, ps) ->
-            let k = Scc.Trace.kind_index kind in
+            let k = kind in
             let want =
               try Hashtbl.find expected (ctx, k) with Not_found -> 0
             in
