@@ -7,17 +7,19 @@
    allocates nothing per identifier. *)
 
 (* One walk: its hooks (see scope.mli), the program's file-scope names,
-   and whether a binder whose name is taken is renamed or rejected.  For
-   the current function: [taken], the names and output names of its
-   binders so far; [scope], the binders in scope with their output
-   names, innermost first; [block], [scope] as the current block began;
-   [free], the names it uses that nothing binds; [renamed], whether a
-   binder was renamed. *)
+   those a use can see so far, and whether a binder whose name is taken
+   is renamed or rejected.  For the current function: [taken], the names
+   and output names of its binders so far; [scope], the binders in scope
+   with their output names, innermost first; [block], [scope] as the
+   current block began; [renamed], whether a binder was renamed. *)
 type t = {
   decl : Ast.decl -> unit;
-  use : Srcloc.t -> string -> bool -> unit;
+  use : Srcloc.t -> string -> unit;
   node : Srcloc.t -> Ast.expr -> unit;
   globals : (string, unit) Hashtbl.t;
+  visible : (string, unit) Hashtbl.t;
+      (* every function and prototype; a file-scope variable from its
+         first declaration on *)
   uses : bool;  (* whether to walk expressions *)
   rename : bool;
   mutable fname : string;
@@ -25,10 +27,14 @@ type t = {
   mutable renamed : bool;
   mutable scope : (string * string) list;
   mutable block : (string * string) list;
-  mutable free : string list;
   mutable loc : Srcloc.t;
   mutable visit : Ast.expr -> unit;
 }
+
+(* Symbols that the C subset treats as defined by the environment:
+   [NULL] from the headers, and the RCCE runtime's flag values and
+   exported globals. *)
+let ambient = [ "NULL"; "RCCE_FLAG_SET"; "RCCE_FLAG_UNSET"; "RCCE_COMM_WORLD" ]
 
 let rec mem name = function
   | [] -> false
@@ -38,41 +44,39 @@ let rec bound name = function
   | [] -> false
   | (n, _) :: rest -> String.equal n name || bound name rest
 
-let globals_of (program : Ast.program) =
-  let globals = Hashtbl.create 32 in
+let create ?(decl = ignore) ?(use = fun _ _ -> ()) ?(node = fun _ _ -> ())
+    ?(uses = true) ?(rename = false) (program : Ast.program) =
+  let globals = Hashtbl.create 32 and visible = Hashtbl.create 32 in
   List.iter
     (fun g ->
-      Hashtbl.replace globals
-        (match g with
-        | Ast.Gvar d -> d.Ast.d_name
-        | Ast.Gfunc fn -> fn.Ast.f_name
-        | Ast.Gproto (name, _, _) -> name)
-        ())
+      match g with
+      | Ast.Gvar d -> Hashtbl.replace globals d.Ast.d_name ()
+      | Ast.Gfunc { Ast.f_name = name; _ } | Ast.Gproto (name, _, _) ->
+          Hashtbl.replace globals name ();
+          Hashtbl.replace visible name ())
     program.Ast.p_globals;
-  globals
-
-let create ?(decl = ignore) ?(use = fun _ _ _ -> ()) ?(node = fun _ _ -> ())
-    ?(uses = true) ?(rename = false) globals =
   let w =
-    { decl; use; node; globals; uses; rename; fname = ""; taken = [];
-      renamed = false; scope = []; block = []; free = []; loc = Srcloc.dummy;
-      visit = ignore }
+    { decl; use; node; globals; visible; uses; rename; fname = "";
+      taken = []; renamed = false; scope = []; block = [];
+      loc = Srcloc.dummy; visit = ignore }
   in
   w.visit <-
     (fun e ->
       node w.loc e;
       match e with
       | Ast.Var name ->
-          let bound = bound name w.scope || Hashtbl.mem globals name in
-          use w.loc name bound;
-          if not (bound || mem name w.free) then w.free <- name :: w.free
+          use w.loc name;
+          if not (bound name w.scope || Hashtbl.mem visible name
+                  || mem name ambient)
+          then
+            Srcloc.error w.loc "identifier '%s' is not declared in this scope"
+              name
       | _ -> ());
   w
 
-(* A name is taken in the function when a global, an earlier binder or a
-   use that nothing binds has it. *)
-let taken w name =
-  Hashtbl.mem w.globals name || mem name w.taken || mem name w.free
+(* A name is taken in the function when a global or an earlier binder
+   has it. *)
+let taken w name = Hashtbl.mem w.globals name || mem name w.taken
 
 let rec fresh w name k =
   let c = Printf.sprintf "%s__%d" name k in
@@ -205,36 +209,28 @@ and stmts w ss =
       if w.renamed then s' :: rest' else ss
 
 (* One function.  The parameters and the body's outermost declarations
-   share a block.  A binder can keep a name that a use after its scope
-   turns out to take: then the function is walked once more, with every
-   name it uses unbound known from the start. *)
+   share a block. *)
 let func w (fn : Ast.func) =
-  let once () =
-    w.fname <- fn.Ast.f_name;
-    w.taken <- [];
-    w.renamed <- false;
-    w.scope <- [];
-    w.block <- [];
-    let params =
-      List.map (fun (p, ty) -> (bind w fn.Ast.f_loc p, ty)) fn.Ast.f_params
-    in
-    let body = stmts w fn.Ast.f_body in
-    w.scope <- [];
-    if w.renamed then { fn with Ast.f_params = params; f_body = body } else fn
+  w.fname <- fn.Ast.f_name;
+  w.taken <- [];
+  w.renamed <- false;
+  w.scope <- [];
+  w.block <- [];
+  let params =
+    List.map (fun (p, ty) -> (bind w fn.Ast.f_loc p, ty)) fn.Ast.f_params
   in
-  w.free <- [];
-  let fn' = once () in
-  match List.find_opt (fun n -> mem n w.free) w.taken with
-  | None -> fn'
-  | Some _ when w.rename -> once ()
-  | Some name -> not_apart fn.Ast.f_loc name fn.Ast.f_name
+  let body = stmts w fn.Ast.f_body in
+  w.scope <- [];
+  if w.renamed then { fn with Ast.f_params = params; f_body = body } else fn
 
 (* Every global initializer and function in order; the program with each
-   function as [func] returns it. *)
+   function as [func] returns it.  A file-scope variable is visible from
+   its declaration on, its own initializer included. *)
 let program w (p : Ast.program) =
   let global g =
     match g with
     | Ast.Gvar d ->
+        Hashtbl.replace w.visible d.Ast.d_name ();
         List.iter
           (fun e -> ignore (expr w d.Ast.d_loc e))
           (Visit.exprs_of_decl d);
@@ -248,16 +244,16 @@ let program w (p : Ast.program) =
   if List.for_all2 ( == ) globals p.Ast.p_globals then p
   else { p with Ast.p_globals = globals }
 
-let walk ?decl ?use ?node p =
-  ignore (program (create ?decl ?use ?node (globals_of p)) p)
+let walk ?decl ?use ?node p = ignore (program (create ?decl ?use ?node p) p)
 
 let decls fn =
   let acc = ref [] in
   let decl d = acc := d :: !acc in
-  ignore (func (create ~decl ~uses:false ~rename:true (Hashtbl.create 1)) fn);
+  let no_globals = { Ast.p_includes = []; p_globals = [] } in
+  ignore (func (create ~decl ~uses:false ~rename:true no_globals) fn);
   List.rev !acc
 
-let uniquify p = program (create ~rename:true (globals_of p)) p
+let uniquify p = program (create ~rename:true p) p
 
 (* One declaration per file-scope name, with the one initializer among
    its repeats.  It sits where the first declaration was, unless its

@@ -7,10 +7,6 @@
    family (e.g. [pthread]) survives anywhere — declarations, types,
    calls or variables. *)
 
-(* Symbols that the C subset treats as defined by the environment:
-   [NULL] from the headers, and the RCCE runtime's exported globals. *)
-let ambient = [ "NULL"; "RCCE_FLAG_UNSET"; "RCCE_COMM_WORLD" ]
-
 let rec forbidden forbid name =
   match forbid with
   | [] -> false
@@ -66,11 +62,9 @@ let check_global ~forbid = function
 let check ?(forbid = []) (program : Ast.program) =
   (* includes are verbatim pass-through text, not AST nodes; the forbid
      check covers declarations, types, calls and variables *)
-  let use loc name bound =
+  let use loc name =
     if forbidden forbid name then
       failf loc "forbidden identifier '%s' survives" name
-    else if not (bound || List.mem name ambient) then
-      failf loc "identifier '%s' is not declared in this scope" name
   in
   let node loc e =
     match e with

@@ -7,7 +7,9 @@ open Cfront
    - an array  T v[n]  becomes a global  T *v;  allocated with
      ALLOC(sizeof(T) * n);
    - a pointer T *v    keeps its declaration and gets ALLOC(sizeof(T) * 1)
-     backing (the thesis's Example 4.2 shape);
+     backing (the thesis's Example 4.2 shape) — unless it is initialized
+     to something other than null: the pointer itself is per process, so
+     every rank assigns it its initializer instead;
    - a scalar  T v     becomes  T *v;  with ALLOC(sizeof(T) * 1), and every
      use of v is rewritten to  *v  (locals are named apart from globals,
      so no local shadows it);
@@ -29,6 +31,8 @@ type plan_entry = {
   scalar : bool;                (* uses must be rewritten to  *v  *)
   alloc_fn : string;            (* RCCE_shmalloc or RCCE_malloc *)
   init_stores : Ast.stmt list;  (* re-emitted initializer, if any *)
+  ptr_init : Ast.expr option;   (* a pointer's initializer, in place of
+                                   the allocation *)
 }
 
 let alloc_fn_of_placement = function
@@ -46,14 +50,21 @@ let placement_for env id =
   | Some p -> p
   | None -> Partition.Partitioner.Off_chip
 
-(* "v = (T *) ALLOC(sizeof(T) * n);" *)
-let alloc_stmt entry =
-  let size =
-    Ast.Binary (Ast.Mul, Ast.Sizeof_type entry.elt_ty, Ast.int entry.count)
+(* "v = (T *) ALLOC(sizeof(T) * n);", or "v = init;" for a pointer with
+   an initializer, whose uses of scalar-shared names [rewrite] turns into
+   what they become *)
+let alloc_stmt ~rewrite entry =
+  let rhs =
+    match entry.ptr_init with
+    | Some init -> Visit.map_expr rewrite init
+    | None ->
+        let size =
+          Ast.Binary
+            (Ast.Mul, Ast.Sizeof_type entry.elt_ty, Ast.int entry.count)
+        in
+        Ast.Cast (Ctype.Ptr entry.elt_ty, Ast.call entry.alloc_fn [ size ])
   in
-  let call = Ast.call entry.alloc_fn [ size ] in
-  let cast = Ast.Cast (Ctype.Ptr entry.elt_ty, call) in
-  Ast.stmt (Ast.Sexpr (Ast.assign (Ast.var entry.name) cast))
+  Ast.stmt (Ast.Sexpr (Ast.assign (Ast.var entry.name) rhs))
 
 let is_zero_expr = function
   | Ast.Int_lit 0 -> true
@@ -89,6 +100,11 @@ let init_stores_of ~name ~scalar (init : Ast.init option) =
       in
       guarded_by_core0 (List.mapi store es)
 
+let rec is_null = function
+  | Ast.Var "NULL" -> true
+  | Ast.Cast (_, e) -> is_null e
+  | e -> is_zero_expr e
+
 let plan_of_global env (d : Ast.decl) =
   let id = Ir.Var_id.global d.Ast.d_name in
   if not (Analysis.Pipeline.is_shared (Pass.analysis env) id) then None
@@ -101,18 +117,25 @@ let plan_of_global env (d : Ast.decl) =
           { name = d.Ast.d_name; elt_ty = elt; count; scalar = false;
             alloc_fn;
             init_stores =
-              init_stores_of ~name:d.Ast.d_name ~scalar:false d.Ast.d_init }
+              init_stores_of ~name:d.Ast.d_name ~scalar:false d.Ast.d_init;
+            ptr_init = None }
     | Ctype.Ptr pointee ->
+        let ptr_init =
+          match d.Ast.d_init with
+          | Some (Ast.Init_expr e) when not (is_null e) -> Some e
+          | Some (Ast.Init_expr _ | Ast.Init_list _) | None -> None
+        in
         Some
           { name = d.Ast.d_name; elt_ty = pointee; count = 1; scalar = false;
-            alloc_fn; init_stores = [] }
+            alloc_fn; init_stores = []; ptr_init }
     | Ctype.Void | Ctype.Char | Ctype.Short | Ctype.Int | Ctype.Long
     | Ctype.Unsigned _ | Ctype.Float | Ctype.Double | Ctype.Named _ ->
         Some
           { name = d.Ast.d_name; elt_ty = d.Ast.d_type; count = 1;
             scalar = true; alloc_fn;
             init_stores =
-              init_stores_of ~name:d.Ast.d_name ~scalar:true d.Ast.d_init }
+              init_stores_of ~name:d.Ast.d_name ~scalar:true d.Ast.d_init;
+            ptr_init = None }
     | Ctype.Func _ -> None
 
 (* Uses of scalar-shared names become  *name ; [&*name] collapses back. *)
@@ -200,7 +223,8 @@ let hoist_one_local env program (info : Analysis.Varinfo.t) =
       Pass.note env "shared-rewrite: hoisted shared local '%s'" name;
       let alloc_fn = alloc_fn_of_placement (placement_for env id) in
       let entry =
-        { name; elt_ty; count = 1; scalar = true; alloc_fn; init_stores = [] }
+        { name; elt_ty; count = 1; scalar = true; alloc_fn; init_stores = [];
+          ptr_init = None }
       in
       (* uses become  *name  first (the name is becoming a global
          pointer); the synthesized store below must not be rewritten
@@ -238,7 +262,7 @@ let hoist_one_local env program (info : Analysis.Varinfo.t) =
       let program =
         { program with Ast.p_globals = gdecl :: program.Ast.p_globals }
       in
-      prepend_to_main [ alloc_stmt entry ] program
+      prepend_to_main [ alloc_stmt ~rewrite:Fun.id entry ] program
 
 let hoist_shared_locals env program =
   let shared_locals =
@@ -284,12 +308,19 @@ let transform env (program : Ast.program) =
   in
   let program = { program with Ast.p_globals = globals } in
   let program = remove_prior_mallocs names program in
-  let allocs = List.map alloc_stmt plans in
+  let allocs =
+    List.map (alloc_stmt ~rewrite:(deref_rewriter scalar_names)) plans
+  in
   let inits = List.concat_map (fun p -> p.init_stores) plans in
   List.iter
     (fun p ->
-      Pass.note env "shared-rewrite: '%s' -> %s(%d x %s)" p.name p.alloc_fn
-        p.count (Ctype.to_string p.elt_ty))
+      match p.ptr_init with
+      | Some _ ->
+          Pass.note env "shared-rewrite: '%s' = its initializer on every rank"
+            p.name
+      | None ->
+          Pass.note env "shared-rewrite: '%s' -> %s(%d x %s)" p.name
+            p.alloc_fn p.count (Ctype.to_string p.elt_ty))
     plans;
   (* inits first, while the prologue is still at the head of main *)
   let program = insert_after_prologue inits program in

@@ -189,13 +189,17 @@ let test_null_dereference_reported () =
 
 let test_unbound_variable_reported () =
   List.iter
-    (fun src ->
+    (fun (src, expected) ->
       match run_main src with
       | _ -> Alcotest.fail "unbound variable should raise"
-      | exception Cexec.Interp.Runtime_error _ -> ())
-    [ "int main() { return nosuch; }";
+      | exception Srcloc.Error (loc, msg) ->
+          Alcotest.(check string) "located at parse time" expected
+            (Srcloc.to_string loc ^ ": " ^ msg))
+    [ ( "int main() { return nosuch; }",
+        "t.c:1:14: identifier 'nosuch' is not declared in this scope" );
       (* a callee does not see its caller's locals *)
-      "int f() { return y; }\nint main() { int y = 3; return f(); }" ]
+      ( "int f() { return y; }\nint main() { int y = 3; return f(); }",
+        "t.c:1:11: identifier 'y' is not declared in this scope" ) ]
 
 let test_unknown_function_reported () =
   match run_main "int main() { return mystery(1); }" with
@@ -786,6 +790,24 @@ let test_duplicate_global () =
         "2:1: redefinition of x")
     cmds
 
+(* An identifier that nothing in scope declares is the user's error at
+   parse time, under every subcommand: a use in code that never runs,
+   and a use of a file-scope variable before its declaration, as gcc
+   rejects both. *)
+let test_undeclared_identifier_everywhere () =
+  List.iter
+    (fun (source, diagnostic) ->
+      List.iter
+        (fun cmd -> check_located_error cmd source diagnostic)
+        [ "translate"; "check"; "analyze"; "cfg"; "run"; "verify --cores 2" ])
+    [ ( "int main() { if (0) { return y; } return 0; }\n",
+        "1:23: identifier 'y' is not declared in this scope" );
+      ( "#include <stdio.h>\n\
+         int f(void) { return x; }\n\
+         int x = 3;\n\
+         int main() { printf(\"%d\\n\", f()); return 0; }\n",
+        "2:15: identifier 'x' is not declared in this scope" ) ]
+
 let suite =
   [
     Alcotest.test_case "arithmetic" `Quick test_arithmetic;
@@ -860,4 +882,6 @@ let suite =
       test_translate_undeclared_identifier;
     Alcotest.test_case "duplicate global exits 1 except under run" `Quick
       test_duplicate_global;
+    Alcotest.test_case "undeclared identifier exits 1 under every subcommand"
+      `Quick test_undeclared_identifier_everywhere;
   ]

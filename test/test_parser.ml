@@ -242,16 +242,22 @@ let test_dangling_else_roundtrip () =
   Alcotest.(check string) "fixpoint" printed (Pretty.stmt reparsed)
 
 (* [Scope.uniquify] renames each parameter or local whose name is taken
-   in its function — by a global, a function, an earlier parameter or
-   local, or a use that nothing in scope binds — with the uses it binds,
-   to a name its function does not take.  A program that shadows nothing
-   comes back physically unchanged, and a second pass changes nothing. *)
+   in its function — by a global, a function, or an earlier parameter or
+   local — with the uses it binds, to a name its function does not take,
+   and rejects a use that nothing in scope binds.  A program that shadows
+   nothing comes back physically unchanged, and a second pass changes
+   nothing. *)
 let test_uniquify () =
   let raw src = Parser.parse_program (Parser.create src) in
   let check msg src expected =
     Alcotest.(check string) msg
       (Pretty.program (raw expected))
       (Pretty.program (Scope.uniquify (raw src)))
+  in
+  let rejects msg src expected =
+    match Scope.uniquify (raw src) with
+    | _ -> Alcotest.failf "%s: accepted" msg
+    | exception Srcloc.Error (_, m) -> Alcotest.(check string) msg expected m
   in
   check "a local shadows a global"
     "int y;\nint main() { { int y = 1; y = y + 1; } return y; }"
@@ -267,18 +273,18 @@ let test_uniquify () =
      for (int i = 0; i < 2; i++) s += i; return s; }"
     "int f() { int s = 0; for (int i = 0; i < 2; i++) s += i;\n\
      for (int i__1 = 0; i__1 < 2; i__1++) s += i__1; return s; }";
-  check "a use that nothing in scope binds"
+  rejects "a use that nothing in scope binds"
     "int f() { { int x = 1; } return x; }"
-    "int f() { { int x__1 = 1; } return x; }";
+    "identifier 'x' is not declared in this scope";
   check "a use before the declaration reads the global"
     "int x;\nint f() { int s = x; int x = 2; return s + x; }"
     "int x;\nint f() { int s = x; int x__1 = 2; return s + x__1; }";
   check "the fresh name is one no global takes"
     "int y;\nint y__1;\nint f() { int y = 0; return y + y__1; }"
     "int y;\nint y__1;\nint f() { int y__2 = 0; return y__2 + y__1; }";
-  check "nor a later use that nothing binds"
+  rejects "nor a later use that nothing binds"
     "int f() { int x; { int x; x = 1; } x__1 = 3; return x; }"
-    "int f() { int x; { int x__2; x__2 = 1; } x__1 = 3; return x; }";
+    "identifier 'x__1' is not declared in this scope";
   let plain =
     raw
       "int g;\n\

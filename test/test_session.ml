@@ -223,8 +223,12 @@ let test_wellformed_accepts_translated_output () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "translated output ill-formed: %s" e
 
+(* [Parser.program] rejects these itself; [Wellformed] checks what a
+   pass or a generator builds without parsing *)
+let unscoped src = Parser.parse_program (Parser.create ~file:"test.c" src)
+
 let test_wellformed_rejects_out_of_scope_local () =
-  let program = parse "int main() { { int x; x = 1; } return x; }" in
+  let program = unscoped "int main() { { int x; x = 1; } return x; }" in
   match Wellformed.check program with
   | Ok () -> Alcotest.fail "out-of-scope use accepted"
   | Error e ->
@@ -233,7 +237,7 @@ let test_wellformed_rejects_out_of_scope_local () =
 
 let test_wellformed_scopes_for_decl () =
   let program =
-    parse "int main() { for (int i = 0; i < 3; i++) { } return i; }"
+    unscoped "int main() { for (int i = 0; i < 3; i++) { } return i; }"
   in
   match Wellformed.check program with
   | Ok () -> Alcotest.fail "for-scoped variable leaked"

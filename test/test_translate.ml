@@ -320,6 +320,29 @@ let test_report_contents () =
        (fun n -> contains ~needle:"dismantled create loop" n)
        report.Translate.Driver.notes)
 
+(* A shared pointer global keeps its initializer: every rank assigns
+   it, rewritten like any other use ([&y] of a scalar-shared [y] is [y]),
+   in place of a backing allocation. *)
+let test_pointer_initializer_kept () =
+  let src =
+    "#include <stdio.h>\n\
+     int y = 5;\n\
+     int *p = &y;\n\
+     int main() { printf(\"%d\\n\", *p); return 0; }\n"
+  in
+  List.iter
+    (fun optimize ->
+      let options =
+        { Translate.Pass.default_options with
+          Translate.Pass.ncores = 2; optimize }
+      in
+      let translated, _ = translate ~options src in
+      let r = Cexec.Interp.run_rcce ~ncores:2 translated in
+      Alcotest.(check string)
+        (Printf.sprintf "both ranks print 5 (optimize %b)" optimize)
+        "5\n5\n" r.Cexec.Interp.output)
+    [ false; true ]
+
 let suite =
   [
     Alcotest.test_case "Example 4.2 shape" `Quick test_example_4_2_shape;
@@ -346,4 +369,6 @@ let suite =
       test_serial_program_translates;
     Alcotest.test_case "no main" `Quick test_no_main_is_handled;
     Alcotest.test_case "report contents" `Quick test_report_contents;
+    Alcotest.test_case "pointer global keeps its initializer" `Quick
+      test_pointer_initializer_kept;
   ]

@@ -56,7 +56,7 @@ let test_rewrite_removal_and_insertion () =
   Alcotest.(check bool) "added inserted" true (contains "added()")
 
 let test_rewrite_wraps_loop_bodies () =
-  let p = Parser.program "void f(void) { while (c) one(); }" in
+  let p = Parser.program "int c;\nvoid f(void) { while (c) one(); }" in
   let rewritten =
     Visit.rewrite_program
       (fun s ->
@@ -78,7 +78,7 @@ let test_rewrite_wraps_loop_bodies () =
 let test_topdown_stops_at_replacement () =
   let p =
     Parser.program
-      "void f(void) { for (i = 0; i < 3; i++) { inner(); } }"
+      "int i;\nvoid f(void) { for (i = 0; i < 3; i++) { inner(); } }"
   in
   let loop_seen = ref 0 and inner_seen = ref 0 in
   ignore
@@ -98,7 +98,8 @@ let test_topdown_stops_at_replacement () =
 
 let test_calls_in_func () =
   let p =
-    Parser.program "void f(void) { g(1); if (c) { h(2); } while (x) g(3); }"
+    Parser.program
+      "int c;\nint x;\nvoid f(void) { g(1); if (c) { h(2); } while (x) g(3); }"
   in
   match Ast.functions p with
   | [ fn ] ->
@@ -107,7 +108,7 @@ let test_calls_in_func () =
   | _ -> Alcotest.fail "one function expected"
 
 let test_map_program_exprs_reaches_initializers () =
-  let p = Parser.program "int a = old;\nvoid f(void) { int b = old; }" in
+  let p = Parser.program "int old;\nint a = old;\nvoid f(void) { int b = old; }" in
   let rewritten =
     Visit.map_program_exprs
       (fun e -> match e with Ast.Var "old" -> Ast.Var "new_" | e -> e)
