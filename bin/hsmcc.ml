@@ -205,10 +205,12 @@ let analyze_cmd path =
   match Session.pipeline session with
   | a ->
       print_endline "Per-variable information (post Stage 3):";
-      print_string (Exp.Tabulate.render (Analysis.Pipeline.table_4_1 a));
+      print_string
+        (Obs.render_table ~rule:true (Analysis.Pipeline.table_4_1 a));
       print_newline ();
       print_endline "Sharing status after each stage:";
-      print_string (Exp.Tabulate.render (Analysis.Pipeline.table_4_2 a));
+      print_string
+        (Obs.render_table ~rule:true (Analysis.Pipeline.table_4_2 a));
       print_newline ();
       print_endline "Points-to relationships:";
       let rels =

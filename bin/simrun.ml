@@ -79,7 +79,7 @@ let run_cmd name name_flag mode units trace_out profile_on
                    string_of_int c.Scc.Stats.context_switches ])
                s.Scc.Stats.ctxs)
         in
-        print_string (Exp.Tabulate.render (header :: rows))
+        print_string (Obs.render_table ~rule:true (header :: rows))
       end;
       (match profile with
       | None -> ()

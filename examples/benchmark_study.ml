@@ -51,4 +51,4 @@ let () =
             ("MPB", Workloads.Workload.On_chip) ])
       (Exp.Experiments.suite scale)
   in
-  print_string (Exp.Tabulate.render (header :: rows))
+  print_string (Obs.render_table ~rule:true (header :: rows))

@@ -24,7 +24,7 @@ let show_placements title items ~capacity ~strategy =
                a.Partition.Partitioner.placement ])
          r.Partition.Partitioner.assignments
   in
-  print_string (Exp.Tabulate.render rows);
+  print_string (Obs.render_table ~rule:true rows);
   Printf.printf "on-chip: %d B used, %.0f%% of accesses served on chip\n\n"
     r.Partition.Partitioner.on_chip_bytes
     (100.0 *. Partition.Partitioner.on_chip_access_fraction r)
@@ -58,6 +58,6 @@ let () =
                ~strategy:Partition.Partitioner.Access_density ])
          capacities
   in
-  print_string (Exp.Tabulate.render rows);
+  print_string (Obs.render_table ~rule:true rows);
   print_endline
     "\n(fraction of estimated shared accesses served by the on-chip MPB)"

@@ -15,9 +15,11 @@ let () =
   let session = Session.create program in
   let analysis = Session.pipeline session in
   print_endline "\n=== 2. Analysis (Tables 4.1 and 4.2) ===\n";
-  print_string (Exp.Tabulate.render (Analysis.Pipeline.table_4_1 analysis));
+  print_string
+    (Obs.render_table ~rule:true (Analysis.Pipeline.table_4_1 analysis));
   print_newline ();
-  print_string (Exp.Tabulate.render (Analysis.Pipeline.table_4_2 analysis));
+  print_string
+    (Obs.render_table ~rule:true (Analysis.Pipeline.table_4_2 analysis));
 
   (* Stages 4-5: partition shared data and translate to RCCE *)
   let translated, report = Translate.Driver.translate_session session in

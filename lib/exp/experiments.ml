@@ -37,16 +37,16 @@ let analysis_of_example () = Session.pipeline (Lazy.force example_session)
 let table_4_1 () =
   let a = analysis_of_example () in
   "Table 4.1: Information Extracted Per Variable (Post Stage 3)\n\n"
-  ^ Tabulate.render (Analysis.Pipeline.table_4_1 a)
+  ^ Obs.render_table ~rule:true (Analysis.Pipeline.table_4_1 a)
 
 let table_4_2 () =
   let a = analysis_of_example () in
   "Table 4.2: Variables Sharing Status\n\n"
-  ^ Tabulate.render (Analysis.Pipeline.table_4_2 a)
+  ^ Obs.render_table ~rule:true (Analysis.Pipeline.table_4_2 a)
 
 let table_6_1 () =
   "Table 6.1: SCC Configuration\n\n"
-  ^ Tabulate.render
+  ^ Obs.render_table ~rule:true
       (Scc.Config.table_6_1 Scc.Config.default ~rcce_cores:32
          ~pthread_threads:32)
 
@@ -117,7 +117,7 @@ let fig_6_1 ?scale ?units () =
   in
   "Figure 6.1: RCCE (32 cores, off-chip shared memory) vs 32-thread \
    Pthread program on one core\n\n"
-  ^ Tabulate.render table ^ "\n"
+  ^ Obs.render_table ~rule:true table ^ "\n"
   ^ Tabulate.bar_chart (List.map (fun r -> (r.name, r.speedup)) rows)
 
 (* --- Figure 6.2 ------------------------------------------------------------ *)
@@ -175,7 +175,7 @@ let fig_6_2 ?scale ?units () =
   in
   "Figure 6.2: RCCE run time, off-chip shared memory vs on-chip MPB (32 \
    cores)\n\n"
-  ^ Tabulate.render table ^ "\n"
+  ^ Obs.render_table ~rule:true table ^ "\n"
   ^ Tabulate.bar_chart (List.map (fun r -> (r.name, r.improvement)) rows)
   ^ (if notes = [] then ""
      else "\nPlacement notes:\n" ^ String.concat "\n" notes ^ "\n")
@@ -231,7 +231,7 @@ let fig_6_3 ?scale ?baseline_threads () =
   in
   "Figure 6.3: Pi Approximation speedup over the single-core Pthread \
    application, varying core count\n\n"
-  ^ Tabulate.render table ^ "\n"
+  ^ Obs.render_table ~rule:true table ^ "\n"
   ^ Tabulate.bar_chart
       (List.map (fun r -> (Printf.sprintf "%2d cores" r.cores, r.speedup)) rows)
 
@@ -287,7 +287,7 @@ let ablation_partition () =
   "Ablation A: Stage 4 partitioning strategies on 64 synthetic shared \
    variables\n(figure of merit: fraction of estimated accesses served \
    on-chip)\n\n"
-  ^ Tabulate.render
+  ^ Obs.render_table ~rule:true
       ([ "Capacity"; "Strategy"; "On-chip bytes"; "On-chip accesses" ] :: rows)
 
 (* --- Ablation B: the end-to-end interpreter path --------------------------- *)
@@ -341,7 +341,7 @@ let interp_experiment ?scale () =
   "Ablation B: the translator's own output executing on the simulated \
    SCC\n(Pi benchmark interpreted: original Pthreads vs translated \
    RCCE)\n\n"
-  ^ Tabulate.render table
+  ^ Obs.render_table ~rule:true table
   ^ Printf.sprintf "\nEnd-to-end speedup: %.1fx\n" speedup
 
 (* --- DVFS sweep --------------------------------------------------------------- *)
@@ -398,7 +398,7 @@ let dvfs_experiment ?scale () =
          rows
   in
   "DVFS sweep: the Pi benchmark (32 cores, off-chip) across the SCC's operating envelope\n(section 5.1: 0.7 V / 125 MHz / 25 W up to 1.14 V / 1 GHz / 125 W)\n\n"
-  ^ Tabulate.render table
+  ^ Obs.render_table ~rule:true table
 
 (* --- synchronization sensitivity ----------------------------------------------- *)
 
@@ -458,7 +458,7 @@ let sync_sensitivity ?scale ?units () =
 (mutex -> test-and-set register, 32 units)
 
 "
-  ^ Tabulate.render table
+  ^ Obs.render_table ~rule:true table
 
 (* --- model sensitivity ---------------------------------------------------------- *)
 
@@ -500,7 +500,7 @@ let model_sensitivity ?(scale = Full) () =
 (the SCC's write-combine buffer; the calibrated figures use blocking)
 
 "
-  ^ Tabulate.render
+  ^ Obs.render_table ~rule:true
       ([ "Benchmark"; "Blocking stores"; "Posted stores"; "Faster by" ]
       :: rows)
 
@@ -545,7 +545,7 @@ let many_to_one_scaling ?(scale = Full) () =
 "
     nt nt
     (float_of_int baseline.Cexec.Interp.elapsed_ps /. 1e9)
-  ^ Tabulate.render
+  ^ Obs.render_table ~rule:true
       ([ "Cores"; "Interpreted RCCE"; "Speedup" ] :: rows)
 
 (* --- everything ------------------------------------------------------------- *)
@@ -623,7 +623,7 @@ let opt_experiment ?scale () =
   "Optimized translation: the shared-traffic optimizer (-O) on the \
    simulated SCC\n(PRE of shared loads + MPB software caching; both \
    runs print identical output)\n\n"
-  ^ Tabulate.render table
+  ^ Obs.render_table ~rule:true table
 
 (* --- characterization sweep (lib/synth) ----------------------------------- *)
 
@@ -702,7 +702,7 @@ let sweep_surface groups =
                  sharing_vals)
           threads_vals
       in
-      Buffer.add_string buf (Tabulate.render (header :: rows));
+      Buffer.add_string buf (Obs.render_table ~rule:true (header :: rows));
       Buffer.add_char buf '\n')
     dvfs_points;
   Buffer.contents buf
@@ -722,7 +722,7 @@ let sweep_best_policy groups =
       Synth.Kernel.policies
   in
   let bests = List.map best_of groups in
-  Tabulate.render
+  Obs.render_table ~rule:true
     ([ "Policy"; "Fastest on (configs)" ]
     :: List.map
          (fun p ->

@@ -1,49 +1,7 @@
-(* Plain-text table and bar-chart rendering for the experiment reports. *)
-
-let widths rows =
-  let ncols =
-    List.fold_left (fun acc row -> max acc (List.length row)) 0 rows
-  in
-  let w = Array.make (max ncols 1) 0 in
-  List.iter
-    (List.iteri (fun i cell -> w.(i) <- max w.(i) (String.length cell)))
-    rows;
-  w
+(* Plain-text bar charts for the experiment reports; tables are
+   [Obs.render_table]. *)
 
 let pad width s = s ^ String.make (max 0 (width - String.length s)) ' '
-
-let trim_right s =
-  let n = ref (String.length s) in
-  while !n > 0 && s.[!n - 1] = ' ' do
-    decr n
-  done;
-  String.sub s 0 !n
-
-(* Render rows as aligned columns; with [header] (default), a rule is
-   drawn under the first row. *)
-let render ?(header = true) rows =
-  match rows with
-  | [] -> ""
-  | _ ->
-      let w = widths rows in
-      let buf = Buffer.create 512 in
-      let line row =
-        let cells = List.mapi (fun i cell -> pad w.(i) cell) row in
-        Buffer.add_string buf (trim_right (String.concat "  " cells));
-        Buffer.add_char buf '\n'
-      in
-      List.iteri
-        (fun i row ->
-          line row;
-          if header && i = 0 then begin
-            let total =
-              Array.fold_left ( + ) 0 w + (2 * (Array.length w - 1))
-            in
-            Buffer.add_string buf (String.make total '-');
-            Buffer.add_char buf '\n'
-          end)
-        rows;
-      Buffer.contents buf
 
 (* Horizontal ASCII bar chart: one bar per (label, value), scaled to
    [width] characters at the maximum value. *)

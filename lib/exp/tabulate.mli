@@ -1,8 +1,5 @@
-(** Plain-text table and bar-chart rendering for the experiment reports. *)
-
-val render : ?header:bool -> string list list -> string
-(** Aligned columns; with [header] (default) a rule is drawn under the
-    first row. *)
+(** Plain-text bar charts for the experiment reports; tables are
+    {!Obs.render_table}. *)
 
 val bar_chart : ?width:int -> ?unit:string -> (string * float) list -> string
 (** One horizontal bar per (label, value), scaled to the maximum. *)

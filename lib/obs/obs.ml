@@ -107,30 +107,49 @@ end
 
 (* --- table rendering --------------------------------------------------------- *)
 
-let render_table rows =
+(* Aligned columns: every cell padded to its column's width, two spaces
+   apart, trailing spaces trimmed; with [rule], a rule under the first
+   row. *)
+let render_table ?(rule = false) rows =
   match rows with
   | [] -> ""
   | _ ->
       let ncols =
-        List.fold_left (fun acc r -> max acc (List.length r)) 0 rows
+        List.fold_left (fun acc row -> max acc (List.length row)) 0 rows
       in
-      let widths = Array.make ncols 0 in
+      let widths = Array.make (max ncols 1) 0 in
       List.iter
         (List.iteri (fun i cell ->
              widths.(i) <- max widths.(i) (String.length cell)))
         rows;
       let buf = Buffer.create 256 in
-      List.iter
-        (fun row ->
-          List.iteri
-            (fun i cell ->
-              if i > 0 then Buffer.add_string buf "  ";
-              Buffer.add_string buf cell;
-              if i < List.length row - 1 then
-                Buffer.add_string buf
-                  (String.make (widths.(i) - String.length cell) ' '))
-            row;
-          Buffer.add_char buf '\n')
+      let line row =
+        let start = Buffer.length buf in
+        List.iteri
+          (fun i cell ->
+            if i > 0 then Buffer.add_string buf "  ";
+            Buffer.add_string buf cell;
+            Buffer.add_string buf
+              (String.make (widths.(i) - String.length cell) ' '))
+          row;
+        let n = ref (Buffer.length buf) in
+        while !n > start && Buffer.nth buf (!n - 1) = ' ' do
+          decr n
+        done;
+        Buffer.truncate buf !n;
+        Buffer.add_char buf '\n'
+      in
+      List.iteri
+        (fun i row ->
+          line row;
+          if rule && i = 0 then begin
+            Buffer.add_string buf
+              (String.make
+                 (Array.fold_left ( + ) 0 widths
+                 + (2 * (Array.length widths - 1)))
+                 '-');
+            Buffer.add_char buf '\n'
+          end)
         rows;
       Buffer.contents buf
 

@@ -171,6 +171,8 @@ end
 
 (** {1 Table rendering} *)
 
-val render_table : string list list -> string
-(** Left-aligned fixed-width columns from a header row plus data rows
-    (a dependency-free sibling of [Exp.Tabulate.render]). *)
+val render_table : ?rule:bool -> string list list -> string
+(** Left-aligned columns from a header row plus data rows: each cell
+    padded to its column's width, two spaces apart, with no trailing
+    spaces.  With [rule] (default [false]), a rule of dashes is drawn
+    under the header. *)

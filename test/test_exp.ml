@@ -116,7 +116,7 @@ let test_bar_chart () =
   check_contains "bars drawn" "####" chart
 
 let test_tabulate_render () =
-  let t = Exp.Tabulate.render [ [ "A"; "B" ]; [ "1"; "22" ] ] in
+  let t = Obs.render_table ~rule:true [ [ "A"; "B" ]; [ "1"; "22" ] ] in
   Alcotest.(check string) "aligned with rule" "A  B\n-----\n1  22\n" t
 
 let suite =
