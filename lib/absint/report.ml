@@ -8,6 +8,9 @@ let buf_add = Buffer.add_string
 
 (* ---- diagnostics ---------------------------------------------------- *)
 
+(* [None] for a proved obligation; a warning for [Unproved], an error for
+   [Out_of_bounds] — both carrying the access path, the inferred interval
+   and the target region. *)
 let diag_of_oblig (o : Oblig.t) =
   let target =
     match o.Oblig.o_alloc with

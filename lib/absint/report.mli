@@ -2,18 +2,9 @@
     undischarged obligations, a human-readable report, and the
     deterministic JSON document behind [hsmcc verify --json]. *)
 
-val diag_of_oblig : Oblig.t -> Diag.t option
-(** [None] for a proved obligation; a warning for [Unproved], an error
-    for [Out_of_bounds] — both carrying the access path, the inferred
-    interval and the target region. *)
-
 val diags_of : Oblig.summary -> Diag.t list
 
 val render_human : Oblig.summary -> string
-
-val render_json_run : ind:string -> Oblig.summary -> string
-(** One summary as a JSON object at indentation [ind], no trailing
-    newline. *)
 
 val render_json : file:string -> Oblig.summary list -> string
 (** The [hsmcc verify --json] document: the CLI-visible [file] plus one

@@ -40,6 +40,8 @@ let instances_of (threads : Thread_analysis.t) f =
             | None -> None))
     (Some 0) sites
 
+(* Globals whose extent facts justify a [Shared] -> [Private] demotion,
+   in summary order. *)
 let refineable ~(threads : Thread_analysis.t) (s : Oblig.summary) =
   List.filter_map
     (fun (g : Oblig.gfact) ->

@@ -7,15 +7,6 @@
     are guarded to a singleton thread id), and the global's address is
     never taken. *)
 
-val instances_of : Analysis.Thread_analysis.t -> string -> int option
-(** Statically-known dynamic instance count of a thread function, or
-    [None] when some create site's multiplicity is unknown. *)
-
-val refineable :
-  threads:Analysis.Thread_analysis.t -> Oblig.summary -> string list
-(** Globals whose extent facts justify a [Shared] -> [Private]
-    demotion, in summary order. *)
-
 val apply :
   scope:Analysis.Scope_analysis.t ->
   threads:Analysis.Thread_analysis.t ->

@@ -5,9 +5,6 @@
     full typedef machinery.  All entry points raise {!Srcloc.Error} on
     malformed input. *)
 
-val default_type_names : string list
-(** [pthread_t], [pthread_mutex_t], [size_t], [RCCE_FLAG], ... *)
-
 type t
 
 val create : ?type_names:string list -> ?file:string -> string -> t

@@ -8,9 +8,6 @@ val expr : Ast.expr -> string
 val stmt : Ast.stmt -> string
 (** One statement, newline-terminated, 4-space indentation. *)
 
-val decl_to_string : Ast.decl -> string
-(** Declaration without the trailing [;]. *)
-
 val func : Ast.func -> string
 
 val program : Ast.program -> string

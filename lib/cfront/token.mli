@@ -27,8 +27,6 @@ type t =
 
 val keyword_of_string : string -> keyword option
 
-val keyword_to_string : keyword -> string
-
 val to_string : t -> string
 (** Concrete syntax of the token (literals are re-quoted). *)
 

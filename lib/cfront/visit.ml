@@ -127,12 +127,6 @@ let calls_in_func (fn : Ast.func) =
     fn.Ast.f_body;
   List.rev !acc
 
-let calls_in_program p =
-  List.concat_map
-    (fun fn ->
-      List.map (fun (n, a, s) -> (fn, n, a, s)) (calls_in_func fn))
-    (Ast.functions p)
-
 (* --- statement rewriting ------------------------------------------------ *)
 
 (* [rewrite_stmts f stmts] rebuilds a statement list.  [f] receives each

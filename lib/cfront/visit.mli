@@ -23,7 +23,6 @@ val iter_stmt : (Ast.stmt -> unit) -> Ast.stmt -> unit
 (** Pre-order visit of a statement and all nested statements. *)
 
 val iter_exprs_of_stmt : (Ast.expr -> unit) -> Ast.stmt -> unit
-val iter_exprs_of_func : (Ast.expr -> unit) -> Ast.func -> unit
 
 val expr_stmts : Ast.func -> (Ast.expr * Ast.stmt) list
 (** Each {!shallow_exprs} expression of the function paired with its
@@ -38,30 +37,19 @@ val calls_in_func : Ast.func -> (string * Ast.expr list * Ast.stmt) list
 (** All direct calls [(callee, args, enclosing statement)], in source
     order. *)
 
-val calls_in_program :
-  Ast.program -> (Ast.func * string * Ast.expr list * Ast.stmt) list
-
 (** {1 Statement rewriting} *)
-
-val rewrite_stmts :
-  (Ast.stmt -> Ast.stmt list option) -> Ast.stmt list -> Ast.stmt list
-(** [rewrite_stmts f stmts] rebuilds a statement list bottom-up.  [f]
-    receives each statement after its children were rewritten and returns
-    [Some replacements] ([[]] removes the statement) or [None] to keep it.
-    Replacements inside a loop/if body are wrapped in a block when needed. *)
-
-val rewrite_func : (Ast.stmt -> Ast.stmt list option) -> Ast.func -> Ast.func
 
 val rewrite_program :
   (Ast.stmt -> Ast.stmt list option) -> Ast.program -> Ast.program
+(** [rewrite_program f p] rebuilds every function body bottom-up.  [f]
+    receives each statement after its children were rewritten and returns
+    [Some replacements] ([[]] removes the statement) or [None] to keep it.
+    Replacements inside a loop/if body are wrapped in a block when needed. *)
 
 val rewrite_stmts_topdown :
   (Ast.stmt -> Ast.stmt list option) -> Ast.stmt list -> Ast.stmt list
 (** Top-down variant: [f] sees each statement before its children; a [Some]
     replacement is final, [None] recurses into the children. *)
-
-val rewrite_func_topdown :
-  (Ast.stmt -> Ast.stmt list option) -> Ast.func -> Ast.func
 
 val rewrite_program_topdown :
   (Ast.stmt -> Ast.stmt list option) -> Ast.program -> Ast.program

@@ -7,6 +7,7 @@ type t = { mutable state : int64 }
 
 let create seed = { state = Int64.of_int seed }
 
+(* The next raw 64-bit word of the stream. *)
 let bits64 t =
   let open Int64 in
   t.state <- add t.state 0x9E3779B97F4A7C15L;

@@ -11,9 +11,6 @@ type t
 val create : int -> t
 (** A fresh stream seeded from the given integer. *)
 
-val bits64 : t -> int64
-(** The next raw 64-bit word of the stream. *)
-
 val int : t -> int -> int
 (** [int t n] draws uniformly from [0 .. n-1].  [n] must be positive. *)
 

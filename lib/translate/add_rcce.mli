@@ -3,7 +3,4 @@
     [RCCE_init(&argc, &argv)] first and [RCCE_finalize()] before the final
     return. *)
 
-val app_name : string
-(** ["RCCE_APP"]. *)
-
 val pass : Pass.t

@@ -10,7 +10,6 @@ open Cfront
     loads are stable within a region — the legality backbone of the PRE
     pass. *)
 
-val sync_primitives : string list
 val is_sync_primitive : string -> bool
 
 type func_regions = {
@@ -35,7 +34,6 @@ val stmt_has_sync : t -> Ast.stmt -> bool
 (** Does evaluating this expression / statement (including everything
     nested in it) reach a synchronization point? *)
 
-val func_regions : t -> string -> func_regions option
 val region_count : t -> string -> int option
 
 val summary : t -> string

@@ -29,6 +29,7 @@ open Cfront
    is served from the MPB slice of core k mod ncores — the same striping
    the plan's capacity dry-run replayed. *)
 
+(* the cache pointer of [v] is [v__mpb] *)
 let mpb_suffix = "__mpb"
 let fill_index_var = "__mpb_i"
 let fill_nues_var = "__mpb_nues"

@@ -5,11 +5,6 @@ open Cfront
     allocation, a core-0 fill loop and a publishing barrier, then
     redirect parallel-phase reads to the on-die copy. *)
 
-val mpb_suffix : string
-(** ["__mpb"]; the cache pointer of [v] is named [v ^ mpb_suffix]. *)
-
-val mpb_name : string -> string
-
 val transform : Pass.ctx -> Ast.program -> Ast.program
 
 val pass : Pass.t

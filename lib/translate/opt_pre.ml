@@ -29,6 +29,7 @@ open Cfront
    Either way the loop body itself must not write through [v] and must
    not mention the bare pointer (passing it on could hide a write). *)
 
+(* hoisted temporaries are named [__pre_<var>_<k>] *)
 let temp_prefix = "__pre_"
 
 let defined_functions program =

@@ -6,9 +6,6 @@ open Cfront
     classification or via no-concurrent-writer race facts plus loop
     sync-freedom. *)
 
-val temp_prefix : string
-(** ["__pre_"]; hoisted temporaries are named [__pre_<var>_<k>]. *)
-
 val transform : Pass.ctx -> Ast.program -> Ast.program
 
 val pass : Pass.t

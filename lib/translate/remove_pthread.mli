@@ -5,7 +5,4 @@
     after {!Mutex_convert} (which rewrites lock/unlock before they would be
     dropped here). *)
 
-val pthread_types : string list
-val pthread_calls : string list
-
 val pass : Pass.t

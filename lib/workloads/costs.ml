@@ -4,8 +4,6 @@
    ~41 cycles, FDIV 39, FMUL 3, FADD 3, simple ALU 1). *)
 
 let int_alu = 1
-let int_mul = 10
-let int_div = 41
 let int_mod = 41
 let fp_add = 3
 let fp_mul = 3

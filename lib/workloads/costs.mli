@@ -1,12 +1,8 @@
 (** Per-operation cycle costs on a P54C-class in-order core, following
     the published Pentium instruction timings. *)
 
-val int_alu : int
-val int_mul : int
-val int_div : int
 val int_mod : int
 val fp_add : int
-val fp_mul : int
 val fp_div : int
 val branch : int
 val loop_overhead : int

@@ -6,9 +6,6 @@ type params = { n : int; bins : int; locks : int }
 
 val default : params
 
-val value_at : bins:int -> int -> int
-(** Deterministic pseudo-random value stream. *)
-
 val reference : params -> int array
 (** Sequential bin counts. *)
 

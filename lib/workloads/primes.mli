@@ -7,10 +7,6 @@ type params = { limit : int }
 val default : params
 (** Primes below 20000. *)
 
-val test_candidate : int -> int * int
-(** [(is_prime as 0/1, trial divisions executed)] — Algorithm 11
-    verbatim. *)
-
 val reference : int -> int
 (** Sequential prime count below the limit. *)
 

@@ -11,8 +11,5 @@ val histogram : Workload.t
 val all : Workload.t list
 (** The paper's six, in its figure order. *)
 
-val extended : Workload.t list
-(** The six plus the histogram synchronization probe. *)
-
 val find : string -> Workload.t option
 val names : string list

@@ -10,7 +10,6 @@ type mode =
   | Rcce of placement * int  (** placement, cores *)
 
 val mode_to_string : mode -> string
-val units_of_mode : mode -> int
 
 type ctx = {
   eng : Scc.Engine.t;
