@@ -1024,14 +1024,13 @@ let do_release t ctx lock_id k =
   | None -> lock.held_by <- None
   | Some (waiter, wk) ->
       lock.held_by <- Some waiter.id;
-      let wait_ps =
+      let wake =
         Int.max waiter.now lock.free_time + lock_cost t waiter lock_id
-        - waiter.now
       in
+      let wait_ps = wake - waiter.now in
       waiter.stats.Stats.lock_wait_ps <-
         waiter.stats.Stats.lock_wait_ps + wait_ps;
-      advance t waiter ~cat:Category.lock_wait ~pred:lock.free_ev
-        (waiter.now + wait_ps);
+      advance t waiter ~cat:Category.lock_wait ~pred:lock.free_ev wake;
       (match t.profile with
       | None -> ()
       | Some p ->
