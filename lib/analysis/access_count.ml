@@ -8,21 +8,24 @@ open Cfront
    - the trip counts of enclosing loops (statically-known bounds are used
      exactly; unknown loops get [default_trip]), and
    - a thread multiplier: accesses inside a function launched as a thread
-     k times count k-fold. *)
+     k times count k-fold.
+
+   The estimates read the program, its name resolution and the
+   pthread_create sites, nothing the sharing stages refine, so they are
+   the same before and after Stages 1-3 run. *)
 
 type estimate = { mutable est_reads : int; mutable est_writes : int }
 
-type t = {
-  estimates : estimate Ir.Var_id.Map.t;
-  thread_count : int;
-}
+type t = estimate Ir.Var_id.Map.t
 
 let default_trip = 10
 
-let find t id = Ir.Var_id.Map.find_opt id t.estimates
+let reads t id =
+  match Ir.Var_id.Map.find_opt id t with Some e -> e.est_reads | None -> 0
 
-let reads t id = match find t id with Some e -> e.est_reads | None -> 0
-let writes t id = match find t id with Some e -> e.est_writes | None -> 0
+let writes t id =
+  match Ir.Var_id.Map.find_opt id t with Some e -> e.est_writes | None -> 0
+
 let total t id = reads t id + writes t id
 
 let get_or_create map id =
@@ -39,9 +42,27 @@ let trips s =
   | Some (_, n) when n > 0 -> n
   | Some _ | None -> default_trip
 
-let run (scope : Scope_analysis.t) (threads : Thread_analysis.t) =
-  let symtab = scope.Scope_analysis.symtab in
-  let program = Ir.Symtab.program symtab in
+(* How many threads run [func]: the sum of its sites' multiplicities, or
+   1 for a function no site launches. *)
+let launches (sites : Thread_analysis.site list) func =
+  match
+    List.filter
+      (fun (s : Thread_analysis.site) ->
+        String.equal s.Thread_analysis.thread_func func)
+      sites
+  with
+  | [] -> 1
+  | own ->
+      List.fold_left
+        (fun acc (s : Thread_analysis.site) ->
+          acc
+          + match s.Thread_analysis.in_loop, s.Thread_analysis.loop_trip with
+            | false, _ -> 1
+            | true, Some n when n > 0 -> n
+            | true, (Some _ | None) -> default_trip)
+        0 own
+
+let run symtab sites =
   let map = ref Ir.Var_id.Map.empty in
   let f weight kind id =
     let e = get_or_create map id in
@@ -49,37 +70,14 @@ let run (scope : Scope_analysis.t) (threads : Thread_analysis.t) =
     | Access.Read -> e.est_reads <- e.est_reads + weight
     | Access.Write -> e.est_writes <- e.est_writes + weight
   in
-  let thread_count =
-    match Thread_analysis.static_thread_count threads with
-    | Some n when n > 0 -> n
-    | Some _ | None -> default_trip
-  in
   List.iter
     (fun (fn : Ast.func) ->
       let resolve name =
         Ir.Symtab.resolve_id symtab ~func:fn.Ast.f_name name
       in
-      let launches =
-        if Thread_analysis.is_thread_func threads fn.Ast.f_name then
-          let own =
-            List.filter
-              (fun (s : Thread_analysis.site) ->
-                String.equal s.Thread_analysis.thread_func fn.Ast.f_name)
-              threads.Thread_analysis.sites
-          in
-          List.fold_left
-            (fun acc (s : Thread_analysis.site) ->
-              acc
-              + match s.Thread_analysis.in_loop, s.Thread_analysis.loop_trip
-                with
-                | false, _ -> 1
-                | true, Some n when n > 0 -> n
-                | true, (Some _ | None) -> default_trip)
-            0 own
-        else 1
-      in
       List.iter
-        (Access.visit_stmt resolve ~trips f ~weight:(max 1 launches))
+        (Access.visit_stmt resolve ~trips f
+           ~weight:(max 1 (launches sites fn.Ast.f_name)))
         fn.Ast.f_body)
-    (Ast.functions program);
-  { estimates = !map; thread_count }
+    (Ast.functions (Ir.Symtab.program symtab));
+  !map

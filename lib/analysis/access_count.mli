@@ -4,20 +4,16 @@
     (known bounds exactly, unknown loops get {!default_trip}) and by how
     many times the enclosing function is launched as a thread. *)
 
-type estimate = { mutable est_reads : int; mutable est_writes : int }
-
-type t = {
-  estimates : estimate Ir.Var_id.Map.t;
-  thread_count : int;
-      (** statically-determined thread count, or {!default_trip} *)
-}
+type t
 
 val default_trip : int
 (** Multiplier assumed for loops with unknown bounds. *)
 
-val run : Scope_analysis.t -> Thread_analysis.t -> t
-
-val find : t -> Ir.Var_id.t -> estimate option
+val run : Ir.Symtab.t -> Thread_analysis.site list -> t
+(** [run symtab sites] reads the symbol table's program and name
+    resolution, and of [sites] (the program's [pthread_create] calls,
+    {!Thread_analysis.sites}) each thread function and its launch
+    multiplicity.  It reads nothing Stages 1–3 compute or refine. *)
 
 val reads : t -> Ir.Var_id.t -> int
 val writes : t -> Ir.Var_id.t -> int

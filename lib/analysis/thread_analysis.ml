@@ -166,9 +166,10 @@ let presence_of ~sites ~thread_funcs (scope : Scope_analysis.t)
     then In_multiple_threads
     else In_single_thread
 
+let sites program = List.concat_map sites_of_func (Ast.functions program)
+
 let run (scope : Scope_analysis.t) =
-  let program = Ir.Symtab.program scope.Scope_analysis.symtab in
-  let sites = List.concat_map sites_of_func (Ast.functions program) in
+  let sites = sites (Ir.Symtab.program scope.Scope_analysis.symtab) in
   let thread_funcs =
     dedup_keep_order (List.map (fun s -> s.thread_func) sites)
   in

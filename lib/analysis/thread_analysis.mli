@@ -24,7 +24,14 @@ type t = {
   presence : presence Ir.Var_id.Map.t;
 }
 
+val sites : Ast.program -> site list
+(** Every [pthread_create] call of the program, in source order.  Reads
+    the program's function bodies only. *)
+
 val run : Scope_analysis.t -> t
+(** Reads the sites of the scope table's program and, for Algorithm 1,
+    the table's variables and the functions each is used or defined in
+    (Stage 1's results). *)
 
 val presence : t -> Ir.Var_id.t -> presence
 

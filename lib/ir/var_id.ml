@@ -13,8 +13,22 @@ let global name = { name; scope = Global }
 let local ~func name = { name; scope = Local func }
 let param ~func name = { name; scope = Param func }
 
-let compare (a : t) (b : t) = Stdlib.compare a b
-let equal (a : t) (b : t) = a = b
+(* The order [Stdlib.compare] gives the record, without its C call: the
+   name first, then the scope ([Global] < [Local] < [Param], then the
+   function name), so every map keyed by a variable iterates as it
+   always has. *)
+let compare_scope a b =
+  match a, b with
+  | Global, Global -> 0
+  | Local f, Local g | Param f, Param g -> String.compare f g
+  | Global, (Local _ | Param _) | Local _, Param _ -> -1
+  | (Local _ | Param _), Global | Param _, Local _ -> 1
+
+let compare a b =
+  let c = String.compare a.name b.name in
+  if c <> 0 then c else compare_scope a.scope b.scope
+
+let equal a b = String.equal a.name b.name && compare_scope a.scope b.scope = 0
 
 let is_global v = v.scope = Global
 

@@ -16,6 +16,10 @@ val local : func:string -> string -> t
 val param : func:string -> string -> t
 
 val compare : t -> t -> int
+(** The name ([String.compare]), then the scope: [Global] < [Local] <
+    [Param], then the function name.  The order [Stdlib.compare] gives,
+    without the polymorphic call. *)
+
 val equal : t -> t -> bool
 
 val is_global : t -> bool

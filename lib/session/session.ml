@@ -228,13 +228,14 @@ let points_to_snap t =
 
 let points_to t = fst (points_to_snap t)
 
+(* The estimates read the program and its pthread_create sites, nothing
+   Stages 1-3 compute: under -O, the optimizer's [opt_plan] of a rewritten
+   generation demands this and the symbol table alone. *)
 let access_counts t =
-  let sc = scope t in
-  let th = threads t in
-  (* faithful to the fixed pipeline: estimates are taken post Stage 3 *)
-  let (_ : Analysis.Points_to.t) = points_to t in
-  demand t t.access_c "access-counts" [ "scope"; "threads"; "points-to" ]
-    (fun () -> Analysis.Access_count.run sc th)
+  let st = symtab t in
+  demand t t.access_c "access-counts" [ "symtab" ] (fun () ->
+      Analysis.Access_count.run st
+        (Analysis.Thread_analysis.sites (Ir.Symtab.program st)))
 
 (* Thread-modular abstract interpretation over the current generation.
    Mode (Pthread vs RCCE) is auto-detected from the program shape, so

@@ -82,6 +82,10 @@ val points_to : t -> Analysis.Points_to.t
 (** Stage 3. *)
 
 val access_counts : t -> Analysis.Access_count.t
+(** Stage 4's access estimates.  They demand the symbol table alone (the
+    program and its [pthread_create] sites), so under [-O] the
+    optimizer's {!opt_plan} of a rewritten generation runs no Stage 1–3
+    analysis. *)
 
 val pipeline : t -> Analysis.Pipeline.t
 (** The assembled Stage 1–3 record every downstream consumer takes. *)

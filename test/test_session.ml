@@ -79,6 +79,30 @@ let test_facts_computed_counts_only_facts () =
        (fun (t : Session.timing) -> t.Session.t_kind = `Pass)
        (Session.timings session))
 
+(* Under -O the optimizer passes demand [opt-plan] of the two generations
+   they rewrite, and its access estimates read the symbol table and the
+   thread sites alone: Stages 1-3 run once, on the source program. *)
+let test_optimized_translation_analyzes_once () =
+  let options =
+    { Session.default_options with Session.ncores = 8; optimize = true }
+  in
+  let session =
+    Session.create ~file:"example41.c" ~options (parse Exp.Example41.source)
+  in
+  let _ = Translate.Driver.translate_session session in
+  List.iter
+    (fun (provider, n) ->
+      Alcotest.(check int) (provider ^ " invocations") n
+        (Session.invocations session provider))
+    [ ("scope", 1); ("threads", 1); ("points-to", 1); ("symtab", 3);
+      ("access-counts", 3); ("opt-plan", 2) ];
+  Alcotest.(check (list string)) "access-counts demands symtab alone"
+    [ "symtab" ]
+    (List.find
+       (fun (t : Session.timing) -> t.Session.t_name = "access-counts")
+       (Session.timings session))
+      .Session.t_deps
+
 (* --- determinism over the example corpus ----------------------------------- *)
 
 (* cwd is test/ under [dune runtest] but the project root under
@@ -386,4 +410,6 @@ let suite =
       test_wellformed_rejects_names_not_apart;
     Alcotest.test_case "duplicate global from a pass rejected" `Quick
       test_duplicate_global_rejected;
+    Alcotest.test_case "-O translation analyzes the source once" `Quick
+      test_optimized_translation_analyzes_once;
   ]
