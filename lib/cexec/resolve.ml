@@ -115,11 +115,18 @@ let resolve (program : Ast.program) : t =
     | Ast.Char_lit c -> Rlit (Value.Vint (Char.code c))
     | Ast.Str_lit s -> Rstr s
     | Ast.Var name -> begin
-        (* the header constants, unless the program binds the name *)
-        match (fst (binding name), name) with
-        | Unbound, ("NULL" | "RCCE_FLAG_UNSET") -> Rlit (Value.Vint 0)
-        | Unbound, "RCCE_FLAG_SET" -> Rlit (Value.Vint 1)
-        | slot, _ -> Rvar (slot, name)
+        (* an ambient constant, unless the program binds the name *)
+        match fst (binding name) with
+        | Unbound -> begin
+            match
+              List.find_map
+                (fun (n, v) -> if String.equal n name then v else None)
+                Scope.ambient
+            with
+            | Some n -> Rlit (Value.Vint n)
+            | None -> Rvar (Unbound, name)
+          end
+        | slot -> Rvar (slot, name)
       end
     | Ast.Unary (op, inner) -> Runary (op, rexpr inner)
     | Ast.Binary (op, a, b) -> Rbinary (op, rexpr a, rexpr b)

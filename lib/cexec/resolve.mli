@@ -19,7 +19,8 @@ open Cfront
       arguments that are never evaluated, such as [RCCE_COMM_WORLD],
       may name nothing).
 
-    Literals, [sizeof], and the [NULL] and RCCE flag constants are
+    Literals, [sizeof], and the ambient constants that have a value
+    ({!Cfront.Scope.ambient}: [NULL] and the RCCE flag values) are
     folded to values; call targets are split into user-function indices
     and builtin names.  The original name strings ride along on every
     variable reference purely for diagnostics. *)

@@ -31,10 +31,12 @@ type t = {
   mutable visit : Ast.expr -> unit;
 }
 
-(* Symbols that the C subset treats as defined by the environment:
-   [NULL] from the headers, and the RCCE runtime's flag values and
-   exported globals. *)
-let ambient = [ "NULL"; "RCCE_FLAG_SET"; "RCCE_FLAG_UNSET"; "RCCE_COMM_WORLD" ]
+(* Symbols that the C subset treats as defined by the environment, with
+   the value each folds to: [NULL] from the headers, and the RCCE
+   runtime's flag values and exported globals. *)
+let ambient =
+  [ ("NULL", Some 0); ("RCCE_FLAG_SET", Some 1); ("RCCE_FLAG_UNSET", Some 0);
+    ("RCCE_COMM_WORLD", None) ]
 
 let rec mem name = function
   | [] -> false
@@ -67,7 +69,7 @@ let create ?(decl = ignore) ?(use = fun _ _ -> ()) ?(node = fun _ _ -> ())
       | Ast.Var name ->
           use w.loc name;
           if not (bound name w.scope || Hashtbl.mem visible name
-                  || mem name ambient)
+                  || bound name ambient)
           then
             Srcloc.error w.loc "identifier '%s' is not declared in this scope"
               name

@@ -21,6 +21,12 @@
     pass assume, is exact.  {!merge_globals} makes one declaration of
     each file-scope name.  [Parser.program] applies both. *)
 
+val ambient : (string * int option) list
+(** The names the environment defines, with the integer each denotes
+    when evaluated: [NULL] and [RCCE_FLAG_UNSET] 0, [RCCE_FLAG_SET] 1;
+    [RCCE_COMM_WORLD] ([None]) only names a communicator in a builtin's
+    argument and has no value. *)
+
 val walk :
   ?decl:(Ast.decl -> unit) ->
   ?use:(Srcloc.t -> string -> unit) ->

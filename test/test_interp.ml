@@ -808,6 +808,32 @@ let test_undeclared_identifier_everywhere () =
          int main() { printf(\"%d\\n\", f()); return 0; }\n",
         "2:15: identifier 'x' is not declared in this scope" ) ]
 
+(* The ambient names evaluate to the values [Cfront.Scope.ambient] gives
+   them; [RCCE_COMM_WORLD] has none, so evaluating it is a runtime
+   error. *)
+let test_ambient_constants () =
+  let src = Filename.temp_file "ambient" ".c" in
+  Out_channel.with_open_bin src (fun oc ->
+      output_string oc
+        "#include <stdio.h>\n\
+         int main() {\n\
+        \  int *p = NULL;\n\
+        \  int a = RCCE_FLAG_SET;\n\
+        \  printf(\"%d %d\\n\", p == 0, a);\n\
+        \  return 0;\n\
+         }\n");
+  Fun.protect
+    ~finally:(fun () -> Sys.remove src)
+    (fun () ->
+      match hsmcc ("run " ^ Filename.quote src) with
+      | None -> ()
+      | Some (code, out, _) ->
+          Alcotest.(check (pair int string)) "NULL is 0, RCCE_FLAG_SET 1"
+            (0, "1 1\n") (code, out));
+  check_run_fails
+    ~diagnostic:"hsmcc: runtime error: unbound variable 'RCCE_COMM_WORLD'"
+    "int main() { int x = RCCE_COMM_WORLD; return x; }\n"
+
 let suite =
   [
     Alcotest.test_case "arithmetic" `Quick test_arithmetic;
@@ -884,4 +910,6 @@ let suite =
       test_duplicate_global;
     Alcotest.test_case "undeclared identifier exits 1 under every subcommand"
       `Quick test_undeclared_identifier_everywhere;
+    Alcotest.test_case "ambient constants fold to their values" `Quick
+      test_ambient_constants;
   ]
