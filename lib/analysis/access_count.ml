@@ -20,12 +20,10 @@ type t = estimate Ir.Var_id.Map.t
 
 let default_trip = 10
 
-let reads t id =
-  match Ir.Var_id.Map.find_opt id t with Some e -> e.est_reads | None -> 0
+let find t id = Ir.Var_id.Map.find_opt id t
 
-let writes t id =
-  match Ir.Var_id.Map.find_opt id t with Some e -> e.est_writes | None -> 0
-
+let reads t id = match find t id with Some e -> e.est_reads | None -> 0
+let writes t id = match find t id with Some e -> e.est_writes | None -> 0
 let total t id = reads t id + writes t id
 
 let get_or_create map id =
@@ -42,8 +40,8 @@ let trips s =
   | Some (_, n) when n > 0 -> n
   | Some _ | None -> default_trip
 
-(* How many threads run [func]: the sum of its sites' multiplicities, or
-   1 for a function no site launches. *)
+(* How many threads run [func]: the sum of its sites' multiplicities
+   (each at least 1), or 1 for a function no site launches. *)
 let launches (sites : Thread_analysis.site list) func =
   match
     List.filter
@@ -77,7 +75,7 @@ let run symtab sites =
       in
       List.iter
         (Access.visit_stmt resolve ~trips f
-           ~weight:(max 1 (launches sites fn.Ast.f_name)))
+           ~weight:(launches sites fn.Ast.f_name))
         fn.Ast.f_body)
     (Ast.functions (Ir.Symtab.program symtab));
   !map

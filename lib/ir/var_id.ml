@@ -28,7 +28,7 @@ let compare a b =
   let c = String.compare a.name b.name in
   if c <> 0 then c else compare_scope a.scope b.scope
 
-let equal a b = String.equal a.name b.name && compare_scope a.scope b.scope = 0
+let equal a b = compare a b = 0
 
 let is_global v = v.scope = Global
 
